@@ -17,7 +17,7 @@ from .gram_svd import (
     tridiagonalize,
     truncated_dc_eigen,
 )
-from .matrix_core import adjoint, fro_norm, matmul
+from .matrix_core import fro_norm
 
 __all__ = [
     "DcConfig",
@@ -26,12 +26,10 @@ __all__ = [
     "HermitianMatrix",
     "SvdResult",
     "TridiagonalReal",
-    "adjoint",
     "dc_eigen",
     "fro_norm",
     "gram",
     "householder_vector",
-    "matmul",
     "recover_svd",
     "secular_solve",
     "split",

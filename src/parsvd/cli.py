@@ -16,6 +16,7 @@ import numpy as np
 from . import gram_svd
 from .errors import ParsvdError, ValidationError
 from .gram_svd import DcConfig, HermitianMatrix, svd_4step, tridiagonalize
+from .kvfile import read_flat_kv
 from .latency_model import (
     analytic_latency,
     critical_path,
@@ -347,39 +348,12 @@ def _cmd_sweep(args):
     return 0
 
 
-def _read_channel_config(path: str) -> dict:
-    """Flat key-value channel description: m, k, panels, snr_db, seed, trials."""
-    known = {"m": int, "k": int, "panels": int, "t": int, "snr_db": float, "seed": int, "trials": int}
-    out: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        else:
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise UsageError(f"{path}:{lineno}: expected 'key value'")
-            key, val = parts
-        key = key.strip()
-        if key not in known:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            out[key] = known[key](val.strip())
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from exc
-    return out
+_CHANNEL_KEYS = {"m": int, "k": int, "panels": int, "t": int, "snr_db": float, "seed": int, "trials": int}
 
 
 def _channel_config_from_args(args, with_panels: bool, defaults: dict) -> ChannelConfig:
     # explicit flags win, then config-file entries, then the defaults
-    fields = _read_channel_config(args.config) if args.config else {}
+    fields = read_flat_kv(args.config, _CHANNEL_KEYS, UsageError) if args.config else {}
 
     def pick(name):
         flag = getattr(args, name, None)

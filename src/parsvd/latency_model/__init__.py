@@ -31,25 +31,3 @@ __all__ = [
     "trace_run",
 ]
 
-
-def expand_complex(op: str, context: str = "generic") -> tuple[OpCount, OpCount]:
-    """Real-operation expansion of one complex operation.
-
-    Returns (computational, time) counts. ``op`` is one of "mul", "add",
-    "mul2n" (multiplication by a power of two, realized with shifters and
-    therefore free); ``context`` selects "generic" or "conjugate-self"
-    for multiplications.
-    """
-    from ..errors import ValidationError
-
-    if op == "mul2n":
-        return OpCount(), OpCount()
-    if op == "add":
-        return OpCount(add=2), OpCount(add=1)
-    if op == "mul":
-        if context == "conjugate-self":
-            return OpCount(add=1, mul=2), OpCount(add=1, mul=1)
-        if context == "generic":
-            return OpCount(add=2, mul=4), OpCount(add=1, mul=1)
-        raise ValidationError(f"unknown context {context!r}")
-    raise ValidationError(f"unknown complex op {op!r}")

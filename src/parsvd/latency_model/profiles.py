@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 
 from ..errors import ProfileError
+from ..kvfile import read_flat_kv
 
 OP_KINDS = ("add", "mul", "div", "sqrt")
 
@@ -47,41 +48,22 @@ BUILTIN_PROFILES = {
 }
 
 
-def _parse_profile_file(path: str) -> HardwareProfile:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise ProfileError(f"{path}:{lineno}: expected 'key value', got {raw.strip()!r}")
-                key, val = parts
-            key = key.strip()
-            val = val.strip()
-            if key in values:
-                raise ProfileError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = val
+# keys of a profile file in the order they are checked; "name" is optional
+_PROFILE_KEYS = {"name": str} | {
+    f"{kind}.{unit}": conv for kind in OP_KINDS for unit, conv in (("ns", float), ("lut", int))
+}
 
-    name = values.pop("name", os.path.splitext(os.path.basename(path))[0])
-    latency: dict[str, float] = {}
-    lut: dict[str, int] = {}
-    for kind in OP_KINDS:
-        for suffix, table, conv in ((f"{kind}.ns", latency, float), (f"{kind}.lut", lut, int)):
-            if suffix not in values:
-                raise ProfileError(f"{path}: missing key {suffix!r}")
-            try:
-                table[kind] = conv(values.pop(suffix))
-            except ValueError as exc:
-                raise ProfileError(f"{path}: key {suffix!r}: {exc}") from exc
-    if values:
-        extra = ", ".join(sorted(values))
-        raise ProfileError(f"{path}: unknown keys: {extra}")
-    return HardwareProfile(name=name, latency_ns=latency, lut=lut)
+
+def _parse_profile_file(path: str) -> HardwareProfile:
+    values = read_flat_kv(path, _PROFILE_KEYS, ProfileError)
+    for key in _PROFILE_KEYS:
+        if key != "name" and key not in values:
+            raise ProfileError(f"{path}: missing key {key!r}")
+    return HardwareProfile(
+        name=values.get("name", os.path.splitext(os.path.basename(path))[0]),
+        latency_ns={kind: values[f"{kind}.ns"] for kind in OP_KINDS},
+        lut={kind: values[f"{kind}.lut"] for kind in OP_KINDS},
+    )
 
 
 def load_profile(source: str, search_dirs: list[str] | None = None) -> HardwareProfile:

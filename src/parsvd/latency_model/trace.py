@@ -201,10 +201,6 @@ class TraceBuilder:
     def cinput(self, z: complex) -> TracedComplex:
         return TracedComplex(self.input(z.real), self.input(z.imag))
 
-    def coutput(self, z: TracedComplex):
-        self.output(z.re)
-        self.output(z.im)
-
     def cadd(self, x: TracedComplex, y: TracedComplex) -> TracedComplex:
         return TracedComplex(self.add(x.re, y.re), self.add(x.im, y.im))
 

@@ -40,32 +40,8 @@ def as_vector(data) -> np.ndarray:
     return v
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with shape checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}: "
-            f"inner dimensions {a.shape[1]} != {b.shape[0]}"
-        )
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
 def fro_norm(a) -> float:
     """Frobenius norm, sqrt(sum |a_ij|^2)."""
     a = as_matrix(a)
     return float(np.sqrt(np.sum(a.real * a.real + a.imag * a.imag)))
 
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.complex128)
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.complex128)

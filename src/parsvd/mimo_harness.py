@@ -89,28 +89,18 @@ def gen_iid_channel(cfg: ChannelConfig, panel: int, trial: int = 0) -> np.ndarra
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def _chol_logdet(a: np.ndarray) -> float:
-    """log det of a Hermitian positive-definite matrix via Cholesky."""
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    logdet = 0.0
-    for i in range(n):
-        s = a[i, i].real - np.sum((low[i, :i] * low[i, :i].conj()).real)
-        if s <= 0.0:
-            raise ValidationError("matrix is not positive definite")
-        low[i, i] = math.sqrt(s)
-        logdet += math.log(s)
-        if i + 1 < n:
-            low[i + 1 :, i] = (a[i + 1 :, i] - low[i + 1 :, :i] @ low[i, :i].conj()) / low[i, i]
-    return logdet
-
-
 def capacity_logdet(h_eff: np.ndarray, rho: float) -> float:
     """Equal-power log-det capacity log2 det(I + rho H^H H), in bits."""
     h_eff = as_matrix(h_eff)
     k = h_eff.shape[1]
     gramm = np.eye(k, dtype=np.complex128) + rho * (h_eff.conj().T @ h_eff)
-    return _chol_logdet(gramm) / math.log(2.0)
+    # Cholesky, not slogdet: an LU sign cannot tell an indefinite matrix
+    # (rho < 0) with a positive determinant from a positive-definite one
+    try:
+        low = np.linalg.cholesky(gramm)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError("matrix is not positive definite") from exc
+    return 2.0 * float(np.sum(np.log(low.diagonal().real))) / math.log(2.0)
 
 
 def dimension_reduce(h, t: int, svd: SvdResult) -> ReducedChannel:
@@ -146,12 +136,31 @@ def _truncated_svd(h, algorithm: str, budget: int | None, cfg_dc: DcConfig) -> S
     if algorithm == "4step-qr":
         b = gram(h)
         t, q_t = tridiagonalize(b)
-        eig = qr_fixed_sweeps(t, budget, shift=False)
+        eig = qr_fixed_sweeps(t, budget)
         return recover_svd(h, eig, q_t, cfg_dc)
     if algorithm == "gk":
         bd = gk_bidiagonalize(h)
-        return gk_fixed_sweeps(bd, budget, shift=False)
+        return gk_fixed_sweeps(bd, budget)
     raise ValidationError(f"unknown algorithm {algorithm!r}")
+
+
+def _trial_mean(cfg: ChannelConfig, eig_budget, caller: str, trial_value) -> CapacityPoint:
+    """Mean of ``trial_value(trial, budget)`` over cfg.trials trials.
+
+    ``eig_budget`` is "exact" (budget None) or an iteration budget. Trials
+    that raise ConvergenceError or ValidationError are skipped and counted.
+    """
+    budget = None if eig_budget == "exact" else int(eig_budget)
+    values = []
+    failed = 0
+    for trial in range(cfg.trials):
+        try:
+            values.append(trial_value(trial, budget))
+        except (ConvergenceError, ValidationError):
+            failed += 1
+    if not values:
+        raise ConvergenceError(f"every trial failed in {caller}")
+    return CapacityPoint(value=float(np.mean(values)), trials_ok=len(values), trials_failed=failed)
 
 
 def dmimo_capacity(
@@ -169,23 +178,16 @@ def dmimo_capacity(
     Failed trials are skipped and counted.
     """
     dc_config = dc_config or DcConfig()
-    budget = None if eig_budget == "exact" else int(eig_budget)
-    values = []
-    failed = 0
-    for trial in range(cfg.trials):
-        try:
-            blocks = []
-            for panel in range(cfg.panels):
-                h = gen_iid_channel(cfg, panel, trial)
-                svd = _truncated_svd(h, algorithm, budget, dc_config)
-                blocks.append(dimension_reduce(h, t, svd).h_reduced)
-            h_eff = np.vstack(blocks)
-            values.append(capacity_logdet(h_eff, cfg.snr_per_link))
-        except (ConvergenceError, ValidationError):
-            failed += 1
-    if not values:
-        raise ConvergenceError("every trial failed in dmimo_capacity")
-    return CapacityPoint(value=float(np.mean(values)), trials_ok=len(values), trials_failed=failed)
+
+    def capacity(trial, budget):
+        blocks = []
+        for panel in range(cfg.panels):
+            h = gen_iid_channel(cfg, panel, trial)
+            svd = _truncated_svd(h, algorithm, budget, dc_config)
+            blocks.append(dimension_reduce(h, t, svd).h_reduced)
+        return capacity_logdet(np.vstack(blocks), cfg.snr_per_link)
+
+    return _trial_mean(cfg, eig_budget, "dmimo_capacity", capacity)
 
 
 def achievable_rate(h, u_est, v_est, rho: float) -> float:
@@ -199,12 +201,9 @@ def achievable_rate(h, u_est, v_est, rho: float) -> float:
     v_est = as_matrix(v_est)
     g = u_est.conj().T @ h @ v_est
     k = min(g.shape)
-    rate = 0.0
-    for i in range(k):
-        sig = rho * abs(g[i, i]) ** 2
-        leak = rho * (np.sum(np.abs(g[i, :]) ** 2) - abs(g[i, i]) ** 2)
-        rate += math.log2(1.0 + sig / (leak + 1.0))
-    return float(rate)
+    p = rho * np.abs(g[:k]) ** 2
+    sig = p[range(k), range(k)]
+    return float(np.sum(np.log2(1.0 + sig / (p.sum(axis=1) - sig + 1.0))))
 
 
 def mmimo_rate(
@@ -215,19 +214,13 @@ def mmimo_rate(
 ) -> CapacityPoint:
     """Mean achievable rate over trials with possibly-truncated factors."""
     dc_config = dc_config or DcConfig()
-    budget = None if eig_budget == "exact" else int(eig_budget)
-    values = []
-    failed = 0
-    for trial in range(cfg.trials):
-        try:
-            h = gen_iid_channel(cfg, 0, trial)
-            svd = _truncated_svd(h, algorithm, budget, dc_config)
-            values.append(achievable_rate(h, svd.u, svd.v, cfg.snr_per_link))
-        except (ConvergenceError, ValidationError):
-            failed += 1
-    if not values:
-        raise ConvergenceError("every trial failed in mmimo_rate")
-    return CapacityPoint(value=float(np.mean(values)), trials_ok=len(values), trials_failed=failed)
+
+    def rate(trial, budget):
+        h = gen_iid_channel(cfg, 0, trial)
+        svd = _truncated_svd(h, algorithm, budget, dc_config)
+        return achievable_rate(h, svd.u, svd.v, cfg.snr_per_link)
+
+    return _trial_mean(cfg, eig_budget, "mmimo_rate", rate)
 
 
 def sv_mse(estimate, reference) -> float:
@@ -239,9 +232,14 @@ def sv_mse(estimate, reference) -> float:
     return float(np.mean((est - ref) ** 2))
 
 
-def _dc_sigma(t, budget, cfg_dc):
-    lam = truncated_dc_eigen(t, cfg_dc, budget).lam
+def _lam_to_sigma(lam):
     return np.sqrt(np.maximum(lam[::-1], 0.0))
+
+
+def _dc_sigma_history(t, budget_cap: int, cfg_dc: DcConfig):
+    """Yield the singular values of capped D&C solves at budgets 1, 2, ..."""
+    for budget in range(1, budget_cap + 1):
+        yield _lam_to_sigma(truncated_dc_eigen(t, cfg_dc, budget).lam)
 
 
 def iterations_to_mse(
@@ -269,42 +267,27 @@ def iterations_to_mse(
     refs = [svd_4step(h, dc_config).sigma for h in channels]
 
     if algorithm in ("4step-dc", "4step"):
-        tris = [tridiagonalize(gram(h))[0] for h in channels]
-        depth = ceil_log2(cfg.k)
-        achieved = math.inf
-        for budget in range(1, budget_cap + 1):
-            mses = [sv_mse(_dc_sigma(t, budget, dc_config), r) for t, r in zip(tris, refs)]
-            achieved = float(np.mean(mses))
-            if achieved <= mse_target:
-                return IterationSearch(budget=budget, reported=budget * max(depth, 1))
-        raise ConvergenceError(
-            f"dc budget cap {budget_cap} reached; achieved mean MSE {achieved:.3e}"
-        )
-
-    if algorithm == "4step-qr":
+        hists = [_dc_sigma_history(tridiagonalize(gram(h))[0], budget_cap, dc_config) for h in channels]
+        per_budget, cap = max(ceil_log2(cfg.k), 1), f"dc budget cap {budget_cap}"
+    elif algorithm == "4step-qr":
         hists = [
-            qr_eigenvalue_history(tridiagonalize(gram(h))[0], sweep_cap, shift=False)
+            map(_lam_to_sigma, qr_eigenvalue_history(tridiagonalize(gram(h))[0], sweep_cap))
             for h in channels
         ]
-        to_sigma = lambda lam: np.sqrt(np.maximum(lam[::-1], 0.0))
+        per_budget, cap = 1, f"sweep cap {sweep_cap}"
     elif algorithm == "gk":
-        hists = [
-            gk_singular_value_history(gk_bidiagonalize(h), sweep_cap, shift=False)
-            for h in channels
-        ]
-        to_sigma = lambda sig: sig
+        hists = [gk_singular_value_history(gk_bidiagonalize(h), sweep_cap) for h in channels]
+        per_budget, cap = 1, f"sweep cap {sweep_cap}"
     else:
         raise ValidationError(f"unknown algorithm {algorithm!r}")
 
+    # the histories are lazy: each runs only up to the first budget that meets the target
     achieved = math.inf
-    for sweep in range(sweep_cap):
-        mses = [sv_mse(to_sigma(h[sweep]), r) for h, r in zip(hists, refs)]
-        achieved = float(np.mean(mses))
+    for budget, estimates in enumerate(zip(*hists), start=1):
+        achieved = float(np.mean([sv_mse(x, r) for x, r in zip(estimates, refs)]))
         if achieved <= mse_target:
-            return IterationSearch(budget=sweep + 1, reported=sweep + 1)
-    raise ConvergenceError(
-        f"sweep cap {sweep_cap} reached; achieved mean MSE {achieved:.3e}"
-    )
+            return IterationSearch(budget=budget, reported=budget * per_budget)
+    raise ConvergenceError(f"{cap} reached; achieved mean MSE {achieved:.3e}")
 
 
 def sweep_latency_vs_size(
@@ -351,6 +334,22 @@ def sweep_latency_vs_size(
     return SweepResult(x=[f"{m}x{k}" for m, k in sizes], series=series, meta=meta)
 
 
+def _budget_sweep(cfg: ChannelConfig, budgets, algorithms, point) -> SweepResult:
+    """Sweep ``point(budget, algorithm).value`` over budgets per algorithm.
+
+    The reference is the exact (converged) point. The x axis carries the
+    raw budgets; ``meta["reported"]`` holds the reported-iteration counts
+    per algorithm (budget times recursion depth for the divide-and-conquer
+    path).
+    """
+    budgets = list(budgets)
+    ref = point("exact", "4step-dc").value
+    depth = max(ceil_log2(cfg.k), 1)
+    series = {alg: [point(b, alg).value for b in budgets] for alg in algorithms}
+    reported = {alg: [b * depth if alg == "4step-dc" else b for b in budgets] for alg in algorithms}
+    return SweepResult(x=budgets, series=series, reference=ref, meta={"reported": reported})
+
+
 def capacity_vs_iterations(
     cfg: ChannelConfig,
     t: int,
@@ -358,25 +357,14 @@ def capacity_vs_iterations(
     algorithms=MIMO_ALGORITHMS,
     dc_config: DcConfig | None = None,
 ) -> SweepResult:
-    """Dimension-reduction capacity as the iteration budget grows.
-
-    The x axis carries the raw budgets; reported-iteration counts per
-    algorithm (budget times recursion depth for the divide-and-conquer
-    path) are recorded in the metadata. The reference is the perfect-SVD
-    capacity.
-    """
-    budgets = list(budgets)
-    ref = dmimo_capacity(cfg, t, "exact", dc_config=dc_config).value
-    series: dict = {alg: [] for alg in algorithms}
-    depth = max(ceil_log2(cfg.k), 1)
-    meta = {"t": t, "reported": {}}
-    for alg in algorithms:
-        rep = []
-        for b in budgets:
-            series[alg].append(dmimo_capacity(cfg, t, b, algorithm=alg, dc_config=dc_config).value)
-            rep.append(b * depth if alg == "4step-dc" else b)
-        meta["reported"][alg] = rep
-    return SweepResult(x=budgets, series=series, reference=ref, meta=meta)
+    """Dimension-reduction capacity as the iteration budget grows, against
+    the perfect-SVD capacity; ``meta["t"]`` records T."""
+    sweep = _budget_sweep(
+        cfg, budgets, algorithms,
+        lambda b, alg: dmimo_capacity(cfg, t, b, algorithm=alg, dc_config=dc_config),
+    )
+    sweep.meta["t"] = t
+    return sweep
 
 
 def rate_vs_iterations(
@@ -386,15 +374,7 @@ def rate_vs_iterations(
     dc_config: DcConfig | None = None,
 ) -> SweepResult:
     """Massive-MIMO achievable rate as the iteration budget grows."""
-    budgets = list(budgets)
-    ref = mmimo_rate(cfg, "exact", dc_config=dc_config).value
-    series: dict = {alg: [] for alg in algorithms}
-    depth = max(ceil_log2(cfg.k), 1)
-    meta = {"reported": {}}
-    for alg in algorithms:
-        rep = []
-        for b in budgets:
-            series[alg].append(mmimo_rate(cfg, b, algorithm=alg, dc_config=dc_config).value)
-            rep.append(b * depth if alg == "4step-dc" else b)
-        meta["reported"][alg] = rep
-    return SweepResult(x=budgets, series=series, reference=ref, meta=meta)
+    return _budget_sweep(
+        cfg, budgets, algorithms,
+        lambda b, alg: mmimo_rate(cfg, b, algorithm=alg, dc_config=dc_config),
+    )

@@ -1,11 +1,14 @@
 """Baseline decompositions: Golub-Kahan SVD, QR tridiagonal eigensolver,
 and a cyclic complex Jacobi eigensolver used as a brute-force test oracle.
 
-The Golub-Kahan path works directly on the rectangular matrix A
+The Golub-Kahan (GK) path works directly on the rectangular matrix A
 (bidiagonalize, then Givens sweeps); the QR path diagonalizes the
-tridiagonal matrix produced by the Gram pipeline. Both expose per-sweep
-singular-value histories so iteration-versus-accuracy trade-offs can be
-measured without re-running from scratch.
+tridiagonal matrix produced by the Gram pipeline. Both chase implicit-shift
+bulges through the unreduced blocks of a real band and share one block
+scan and one convergence loop. Besides running to convergence, each runs a
+fixed budget of plain (unshifted) sweeps, or yields a lazy per-sweep
+history of plain-sweep estimates, so iteration-versus-accuracy searches
+stop at the first sweep count that meets their target.
 """
 
 from __future__ import annotations
@@ -49,21 +52,9 @@ class Bidiagonal:
         k = self.dim
         rows = k if rows is None else rows
         b = np.zeros((rows, k))
-        for j in range(k):
-            b[j, j] = self.diag[j]
-            if j + 1 < k:
-                b[j, j + 1] = self.superdiag[j]
+        b[range(k), range(k)] = self.diag
+        b[range(k - 1), range(1, k)] = self.superdiag
         return b
-
-
-@dataclass(frozen=True)
-class GivensRotation:
-    """Plane rotation with cosine c and sine s acting on indices (i, j)."""
-
-    c: float
-    s: float
-    i: int
-    j: int
 
 
 @dataclass
@@ -94,10 +85,46 @@ def _givens(a: float, b: float) -> tuple[float, float, float]:
     return a / r, b / r, r
 
 
-def make_givens(a: float, b: float, i: int, j: int) -> GivensRotation:
-    """Plane rotation annihilating b against a, acting on indices (i, j)."""
-    c, s, _ = _givens(a, b)
-    return GivensRotation(c=c, s=s, i=i, j=j)
+def _unreduced_blocks(d, e):
+    """Yield the unreduced blocks [lo, hi] of a band left to right, zeroing
+    negligible couplings; each block is chased before the scan reads on."""
+    k = d.size
+    lo = 0
+    while lo < k - 1:
+        if abs(e[lo]) <= _EPS * (abs(d[lo]) + abs(d[lo + 1])):
+            e[lo] = 0.0
+            lo += 1
+            continue
+        hi = lo
+        while hi < k - 1 and abs(e[hi]) > _EPS * (abs(d[hi]) + abs(d[hi + 1])):
+            hi += 1
+        yield lo, hi
+        lo = hi + 1
+
+
+def _converge(sweeper, tol: float, cap: int, failure: str) -> SweepReport:
+    """Sweep until max |e| <= tol * max |d|, raising ConvergenceError(failure)
+    after ``cap`` sweeps. A chase step costs ``sweeper.rotations_per_step``
+    rotations on the critical path: two for GK, one for QR."""
+    d, e = sweeper.d, sweeper.e
+
+    def metric():
+        dmax = np.max(np.abs(d))
+        emax = np.max(np.abs(e)) if e.size else 0.0
+        return emax / dmax if dmax > 0 else 0.0
+
+    report = SweepReport(offdiag_norm_history=[metric()])
+    while report.offdiag_norm_history[-1] > tol:
+        if report.sweeps >= cap:
+            raise ConvergenceError(failure, history=report.offdiag_norm_history)
+        sweeper.sweep()
+        report.sweeps += 1
+        report.offdiag_norm_history.append(metric())
+    if report.sweeps:
+        k, r = d.size, sweeper.rotations_per_step
+        offset = r * min(2, max(k - 1, 1))
+        report.effective_pipeline_iterations = r * (k - 1) + offset * (report.sweeps - 1)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +204,7 @@ def gk_bidiagonalize(a) -> Bidiagonal:
                 v0[:, j + 1] = np.conj(ph) * v0[:, j + 1]
 
     diag = work[range(k), range(k)]
-    if k > 1:
-        sup = work[range(k - 1), range(1, k)]
-    else:
-        sup = np.zeros(0, dtype=np.complex128)
+    sup = work[range(k - 1), range(1, k)]
     bound = 1e-10 * max(fro_norm(a), 1.0)
     if np.max(np.abs(diag.imag), initial=0.0) > bound or np.max(
         np.abs(sup.imag), initial=0.0
@@ -244,47 +268,48 @@ def _apply_col_rotations(mat, rots, base):
         mat[:, p + 1] = -s * cp + c * cq
 
 
-def _gk_sweep_all_blocks(d, e, shift, urot, vrot):
-    """Run one chase over every unreduced block; returns True if any ran."""
-    k = d.size
-    ran = False
-    lo = 0
-    while lo < k - 1:
-        if abs(e[lo]) <= _EPS * (abs(d[lo]) + abs(d[lo + 1])):
-            e[lo] = 0.0
-            lo += 1
-            continue
-        hi = lo
-        while hi < k - 1 and abs(e[hi]) > _EPS * (abs(d[hi]) + abs(d[hi + 1])):
-            hi += 1
-        mu = _gk_shift(d, e, lo, hi) if shift else 0.0
-        _gk_step(d, e, lo, hi, mu, urot, vrot)
-        ran = True
-        lo = hi + 1
-    return ran
+class _GkSweeper:
+    """Working bidiagonal (d, e) of a GK solve, with U and V accumulated
+    unless ``vectors`` is False."""
+
+    rotations_per_step = 2
+
+    def __init__(self, bd: Bidiagonal, shift: bool, vectors: bool = True):
+        self.d = bd.diag.copy()
+        self.e = bd.superdiag.copy()
+        self.shift = shift
+        k = self.d.size
+        self.u = bd.u0[:, :k].copy() if vectors else None
+        self.v = bd.v0.copy() if vectors else None
+
+    def sweep(self):
+        """Chase one bulge across every unreduced block."""
+        d, e = self.d, self.e
+        urot, vrot = ([], []) if self.u is not None else (None, None)
+        for lo, hi in _unreduced_blocks(d, e):
+            mu = _gk_shift(d, e, lo, hi) if self.shift else 0.0
+            _gk_step(d, e, lo, hi, mu, urot, vrot)
+        if self.u is not None:
+            _apply_col_rotations(self.u, urot, 0)
+            _apply_col_rotations(self.v, vrot, 0)
 
 
-def gk_singular_value_history(bd: Bidiagonal, max_sweeps: int, shift: bool = True):
-    """Descending singular-value estimates after each of ``max_sweeps`` sweeps.
-
-    Runs without accumulating U/V, so it is cheap enough for Monte Carlo
-    iteration-count measurements.
-    """
-    d = bd.diag.copy()
-    e = bd.superdiag.copy()
-    out = []
-    for _ in range(max_sweeps):
-        _gk_sweep_all_blocks(d, e, shift, None, None)
-        out.append(np.sort(np.abs(d))[::-1].copy())
-    return out
+def _gk_result(sw: _GkSweeper) -> SvdResult:
+    """Economy SVD of the current band: sigma descending, signs absorbed
+    into U. U and V are None when the sweeper keeps no vectors."""
+    sigma = np.abs(sw.d)
+    order = np.argsort(-sigma, kind="stable")
+    sigma = sigma[order]
+    u = v = None
+    if sw.u is not None:
+        u = (sw.u * np.where(sw.d < 0, -1.0, 1.0))[:, order]
+        v = sw.v[:, order]
+    valid = sigma > 0 if sigma.size and sigma[0] > 0 else np.zeros(sigma.size, dtype=bool)
+    return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=None)
 
 
 def gk_diagonalize(
-    bd: Bidiagonal,
-    tol: float = 1e-12,
-    max_sweeps: int = 500,
-    shift: bool = True,
-    accumulate: bool = True,
+    bd: Bidiagonal, tol: float = 1e-12, max_sweeps: int = 500, shift: bool = True
 ) -> tuple[SvdResult, SweepReport]:
     """Diagonalize a bidiagonal factor with implicit QR sweeps.
 
@@ -293,54 +318,10 @@ def gk_diagonalize(
     diagonal magnitude. Returns the economy SVD (sigma descending, signs
     absorbed into U) together with a SweepReport.
     """
-    d = bd.diag.copy()
-    e = bd.superdiag.copy()
-    k = d.size
-    m = bd.u0.shape[0]
-    u = bd.u0[:, :k].copy() if accumulate else None
-    v = bd.v0.copy() if accumulate else None
-
-    def metric():
-        dmax = np.max(np.abs(d))
-        emax = np.max(np.abs(e)) if e.size else 0.0
-        return emax / dmax if dmax > 0 else 0.0
-
-    report = SweepReport(offdiag_norm_history=[metric()])
-    while metric() > tol:
-        if report.sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"gk_diagonalize did not converge in {max_sweeps} sweeps",
-                history=report.offdiag_norm_history,
-            )
-        urot: list = [] if accumulate else None
-        vrot: list = [] if accumulate else None
-        _gk_sweep_all_blocks(d, e, shift, urot, vrot)
-        if accumulate:
-            _apply_col_rotations(u, urot, 0)
-            _apply_col_rotations(v, vrot, 0)
-        report.sweeps += 1
-        report.offdiag_norm_history.append(metric())
-
-    offset = 2 * min(2, max(k - 1, 1))
-    if report.sweeps == 0:
-        report.effective_pipeline_iterations = 0
-    else:
-        report.effective_pipeline_iterations = 2 * (k - 1) + offset * (report.sweeps - 1)
-
-    sigma = np.abs(d)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    if accumulate:
-        signs = np.where(d < 0, -1.0, 1.0)
-        u = u * signs
-        u = u[:, order]
-        v = v[:, order]
-    else:
-        u = np.zeros((m, k), dtype=np.complex128)
-        v = np.zeros((k, k), dtype=np.complex128)
-    valid = sigma > 0 if sigma.size and sigma[0] > 0 else np.zeros(k, dtype=bool)
-    result = SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=None)
-    return result, report
+    sw = _GkSweeper(bd, shift)
+    failure = f"gk_diagonalize did not converge in {max_sweeps} sweeps"
+    report = _converge(sw, tol, max_sweeps, failure)
+    return _gk_result(sw), report
 
 
 def gk_svd(a, tol: float = 1e-12, max_sweeps: int = 500) -> tuple[SvdResult, SweepReport]:
@@ -348,28 +329,26 @@ def gk_svd(a, tol: float = 1e-12, max_sweeps: int = 500) -> tuple[SvdResult, Swe
     return gk_diagonalize(gk_bidiagonalize(a), tol=tol, max_sweeps=max_sweeps)
 
 
-def gk_fixed_sweeps(bd: Bidiagonal, sweeps: int, shift: bool = False) -> SvdResult:
-    """Run exactly ``sweeps`` sweeps and return the (possibly unconverged)
-    decomposition; used for accuracy-versus-iterations studies."""
-    d = bd.diag.copy()
-    e = bd.superdiag.copy()
-    k = d.size
-    u = bd.u0[:, :k].copy()
-    v = bd.v0.copy()
+def gk_fixed_sweeps(bd: Bidiagonal, sweeps: int) -> SvdResult:
+    """Run exactly ``sweeps`` plain sweeps and return the (possibly
+    unconverged) decomposition; used for accuracy-versus-iterations studies."""
+    sw = _GkSweeper(bd, shift=False)
     for _ in range(sweeps):
-        urot: list = []
-        vrot: list = []
-        _gk_sweep_all_blocks(d, e, shift, urot, vrot)
-        _apply_col_rotations(u, urot, 0)
-        _apply_col_rotations(v, vrot, 0)
-    sigma = np.abs(d)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    signs = np.where(d < 0, -1.0, 1.0)
-    u = (u * signs)[:, order]
-    v = v[:, order]
-    valid = sigma > 0 if sigma.size and sigma[0] > 0 else np.zeros(k, dtype=bool)
-    return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=None)
+        sw.sweep()
+    return _gk_result(sw)
+
+
+def gk_singular_value_history(bd: Bidiagonal, max_sweeps: int):
+    """Yield the descending singular-value estimates after each of up to
+    ``max_sweeps`` plain sweeps.
+
+    Lazy, and runs without accumulating U/V, so it is cheap enough for
+    Monte Carlo iteration-count measurements.
+    """
+    sw = _GkSweeper(bd, shift=False, vectors=False)
+    for _ in range(max_sweeps):
+        sw.sweep()
+        yield _gk_result(sw).sigma
 
 
 # ---------------------------------------------------------------------------
@@ -438,52 +417,54 @@ def _qr_tridiag_step(d, e, lo, hi, mu, acc: _BandAccumulator | None):
             acc.rotate(j, c, s)
 
 
-def _qr_sweep_all_blocks(d, e, shift, acc):
-    k = d.size
-    lo = 0
-    while lo < k - 1:
-        if abs(e[lo]) <= _EPS * (abs(d[lo]) + abs(d[lo + 1])):
-            e[lo] = 0.0
-            lo += 1
-            continue
-        hi = lo
-        while hi < k - 1 and abs(e[hi]) > _EPS * (abs(d[hi]) + abs(d[hi + 1])):
-            hi += 1
-        mu = _wilkinson_shift(d, e, lo, hi) if shift else 0.0
-        _qr_tridiag_step(d, e, lo, hi, mu, acc)
-        lo = hi + 1
+class _QrSweeper:
+    """Working tridiagonal (d, e) of a QR solve, with the eigenvectors
+    accumulated unless ``vectors`` is False."""
+
+    rotations_per_step = 1
+
+    def __init__(self, t: TridiagonalReal, shift: bool, vectors: bool = True):
+        self.d = t.diag.copy()
+        self.e = t.offdiag.copy()
+        self.shift = shift
+        self.acc = _BandAccumulator(self.d.size) if vectors else None
+
+    def sweep(self):
+        """One QR iteration: a bulge chase over every unreduced block."""
+        d, e = self.d, self.e
+        for lo, hi in _unreduced_blocks(d, e):
+            mu = _wilkinson_shift(d, e, lo, hi) if self.shift else 0.0
+            _qr_tridiag_step(d, e, lo, hi, mu, self.acc)
 
 
-def qr_fixed_sweeps(t: TridiagonalReal, sweeps: int, shift: bool = False) -> EigenDecomposition:
-    """Run exactly ``sweeps`` QR iterations and return the (possibly
+def _qr_result(sw: _QrSweeper) -> EigenDecomposition:
+    """Eigenvalues ascending with their eigenvectors; q is None when the
+    sweeper keeps no vectors."""
+    order = np.argsort(sw.d, kind="stable")
+    q = None if sw.acc is None else sw.acc.q[:, order].astype(np.complex128)
+    return EigenDecomposition(lam=sw.d[order], q=q, diagnostics=None)
+
+
+def qr_fixed_sweeps(t: TridiagonalReal, sweeps: int) -> EigenDecomposition:
+    """Run exactly ``sweeps`` plain QR iterations and return the (possibly
     unconverged) eigendecomposition with accumulated eigenvectors."""
-    d = t.diag.copy()
-    e = t.offdiag.copy()
-    k = d.size
-    acc = _BandAccumulator(k)
+    sw = _QrSweeper(t, shift=False)
     for _ in range(sweeps):
-        _qr_sweep_all_blocks(d, e, shift, acc)
-    order = np.argsort(d, kind="stable")
-    return EigenDecomposition(lam=d[order], q=acc.q[:, order].astype(np.complex128), diagnostics=None)
+        sw.sweep()
+    return _qr_result(sw)
 
 
-def qr_eigenvalue_history(t: TridiagonalReal, max_iters: int, shift: bool = True):
-    """Ascending eigenvalue estimates after each QR iteration."""
-    d = t.diag.copy()
-    e = t.offdiag.copy()
-    out = []
+def qr_eigenvalue_history(t: TridiagonalReal, max_iters: int):
+    """Yield the ascending eigenvalue estimates after each of up to
+    ``max_iters`` plain QR iterations, lazily and without eigenvectors."""
+    sw = _QrSweeper(t, shift=False, vectors=False)
     for _ in range(max_iters):
-        _qr_sweep_all_blocks(d, e, shift, None)
-        out.append(np.sort(d).copy())
-    return out
+        sw.sweep()
+        yield _qr_result(sw).lam
 
 
 def qr_tridiag_eigen(
-    t: TridiagonalReal,
-    tol: float = 1e-12,
-    max_iters: int = 500,
-    shift: bool = True,
-    accumulate: bool = True,
+    t: TridiagonalReal, tol: float = 1e-12, max_iters: int = 500, shift: bool = True
 ) -> tuple[EigenDecomposition, SweepReport]:
     """Symmetric tridiagonal eigensolver by implicit QR iteration.
 
@@ -492,40 +473,11 @@ def qr_tridiag_eigen(
     its identity start: rotations only touch the filled band and the
     skipped multiplications are reported.
     """
-    d = t.diag.copy()
-    e = t.offdiag.copy()
-    k = d.size
-    acc = _BandAccumulator(k) if accumulate else None
-
-    def metric():
-        dmax = np.max(np.abs(d))
-        emax = np.max(np.abs(e)) if e.size else 0.0
-        return emax / dmax if dmax > 0 else 0.0
-
-    report = SweepReport(offdiag_norm_history=[metric()])
-    while metric() > tol:
-        if report.sweeps >= max_iters:
-            raise ConvergenceError(
-                f"qr_tridiag_eigen did not converge in {max_iters} iterations",
-                history=report.offdiag_norm_history,
-            )
-        _qr_sweep_all_blocks(d, e, shift, acc)
-        report.sweeps += 1
-        report.offdiag_norm_history.append(metric())
-    offset = min(2, max(k - 1, 1))
-    if report.sweeps == 0:
-        report.effective_pipeline_iterations = 0
-    else:
-        report.effective_pipeline_iterations = (k - 1) + offset * (report.sweeps - 1)
-
-    order = np.argsort(d, kind="stable")
-    lam = d[order]
-    if accumulate:
-        report.trivial_mul_skips = acc.skipped
-        q = acc.q[:, order].astype(np.complex128)
-    else:
-        q = np.zeros((k, k), dtype=np.complex128)
-    return EigenDecomposition(lam=lam, q=q, diagnostics=None), report
+    sw = _QrSweeper(t, shift)
+    failure = f"qr_tridiag_eigen did not converge in {max_iters} iterations"
+    report = _converge(sw, tol, max_iters, failure)
+    report.trivial_mul_skips = sw.acc.skipped
+    return _qr_result(sw), report
 
 
 # ---------------------------------------------------------------------------

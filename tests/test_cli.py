@@ -163,6 +163,14 @@ def test_channel_config_file(tmp_path, capsys):
     assert "nonsense" in err
 
 
+def test_channel_config_duplicate_key(tmp_path, capsys):
+    cfg_path = tmp_path / "dup.cfg"
+    cfg_path.write_text("m 8\nk 4\nm 16\n")
+    code, _, err = run_cli(capsys, "mimo-mmimo", "--config", str(cfg_path), "--trials", "1")
+    assert code == 1
+    assert f"{cfg_path}:3:" in err and "duplicate" in err
+
+
 def test_eig_command(capsys):
     code, out, _ = run_cli(capsys, "eig", "--random", "5x5", "--seed", "4", "--format", "json")
     assert code == 0

@@ -16,7 +16,7 @@ from parsvd.gram_svd import (
     tridiagonalize,
     truncated_dc_eigen,
 )
-from parsvd.matrix_core import adjoint, fro_norm, matmul
+from parsvd.matrix_core import fro_norm
 from parsvd.reference_solvers import gk_svd, jacobi_eigen_oracle
 
 from conftest import rand_complex, rand_hermitian
@@ -38,7 +38,7 @@ def test_gram_single_column():
 
 def test_gram_matches_matmul_oracle(rng):
     a = rand_complex(rng, 8, 4)
-    want = matmul(adjoint(a), a)
+    want = a.conj().T @ a
     assert fro_norm(gram(a).mat - want) <= 1e-13 * fro_norm(want)
 
 

@@ -12,7 +12,6 @@ from parsvd.latency_model import (
     analytic_latency,
     ceil_log2,
     critical_path,
-    expand_complex,
     householder_step_counts,
     load_profile,
     total_ops,
@@ -85,21 +84,6 @@ def test_profile_search_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("PARSVD_PROFILE_DIR", str(tmp_path))
     prof = load_profile("board.profile")
     assert prof.name == "board"
-
-
-# ---------------------------------------------------------------------------
-# complex-op expansion
-
-
-def test_expand_complex_rules():
-    comp, time = expand_complex("mul", "generic")
-    assert comp == OpCount(add=2, mul=4)
-    assert time == OpCount(add=1, mul=1)
-    comp, _ = expand_complex("mul", "conjugate-self")
-    assert comp == OpCount(add=1, mul=2)
-    comp, time = expand_complex("add")
-    assert comp == OpCount(add=2) and time == OpCount(add=1)
-    assert expand_complex("mul2n") == (OpCount(), OpCount())
 
 
 # ---------------------------------------------------------------------------

@@ -2,75 +2,7 @@ import numpy as np
 import pytest
 
 from parsvd.errors import DimensionError, ValidationError
-from parsvd.matrix_core import adjoint, as_matrix, fro_norm, matmul
-
-from conftest import rand_complex
-
-
-def matmul_oracle(a, b):
-    # scalar triple loop, independent of the library path
-    m, n = a.shape
-    n2, p = b.shape
-    out = np.zeros((m, p), dtype=complex)
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_identity(rng):
-    x = rand_complex(rng, 3, 3)
-    np.testing.assert_array_equal(matmul(np.eye(3), x), x)
-
-
-def test_matmul_zero_annihilator(rng):
-    x = rand_complex(rng, 2, 2)
-    np.testing.assert_array_equal(matmul(np.zeros((2, 2)), x), np.zeros((2, 2)))
-
-
-def test_matmul_against_triple_loop(rng):
-    a = rand_complex(rng, 3, 3)
-    b = rand_complex(rng, 3, 3)
-    got = matmul(a, b)
-    want = matmul_oracle(a, b)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError) as err:
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-    assert "2x3" in str(err.value)
-
-
-def test_matmul_associativity(rng):
-    for _ in range(5):
-        a = rand_complex(rng, 4, 3)
-        b = rand_complex(rng, 3, 5)
-        c = rand_complex(rng, 5, 2)
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert fro_norm(left - right) <= 1e-10 * fro_norm(left)
-
-
-def test_adjoint_hermitian_fixed_point():
-    d = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    np.testing.assert_array_equal(adjoint(d), d)
-
-
-def test_adjoint_conjugates():
-    np.testing.assert_array_equal(adjoint(np.array([[1j]])), np.array([[-1j]]))
-
-
-def test_adjoint_definition_and_involution(rng):
-    a = rand_complex(rng, 2, 3)
-    at = adjoint(a)
-    for i in range(2):
-        for j in range(3):
-            assert at[j, i] == np.conj(a[i, j])
-    np.testing.assert_array_equal(adjoint(at), a)
+from parsvd.matrix_core import as_matrix, fro_norm
 
 
 def test_fro_norm_cases():

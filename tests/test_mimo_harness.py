@@ -67,6 +67,13 @@ def test_capacity_matches_eigenvalue_form(rng):
     assert capacity_logdet(h, rho) == pytest.approx(want, rel=1e-12)
 
 
+def test_capacity_rejects_indefinite():
+    # rho < 0 leaves two negative eigenvalues, so the determinant is positive
+    h = np.diag([2.0, 3.0, 0.1]).astype(complex)
+    with pytest.raises(ValidationError):
+        capacity_logdet(h, -1.0)
+
+
 def test_dimension_reduce_lossless_full_rank(rng):
     h = rand_complex(rng, 8, 8)
     svd = svd_4step(h)
@@ -217,6 +224,21 @@ def test_tighter_target_needs_more(rng):
     loose = iterations_to_mse("gk", cfg, 1e-2)
     tight = iterations_to_mse("gk", cfg, 1e-6)
     assert tight.budget >= loose.budget
+
+
+@pytest.mark.parametrize(
+    "m,k,want",
+    [
+        (16, 16, {"4step-qr": (41, 103), "gk": (40, 102)}),
+        (64, 8, {"4step-qr": (31, 187), "gk": (31, 187)}),
+    ],
+)
+def test_sweep_counts_pinned(m, k, want):
+    # budgets measured before the sweep drivers were merged
+    cfg = ChannelConfig(m=m, k=k, seed=11, trials=3)
+    for alg, budgets in want.items():
+        got = tuple(iterations_to_mse(alg, cfg, target).budget for target in (1e-4, 1e-8))
+        assert got == budgets, alg
 
 
 def test_iterations_cap_raises():

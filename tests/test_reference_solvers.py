@@ -10,8 +10,10 @@ from parsvd.reference_solvers import (
     gk_bidiagonalize,
     gk_diagonalize,
     gk_fixed_sweeps,
+    gk_singular_value_history,
     gk_svd,
     jacobi_eigen_oracle,
+    qr_eigenvalue_history,
     qr_fixed_sweeps,
     qr_tridiag_eigen,
 )
@@ -121,18 +123,6 @@ def test_gk_fixed_sweeps_converges_to_full(rng):
     assert fro_norm(a - capped.reconstruct()) <= 1e-10 * fro_norm(a)
 
 
-def test_make_givens_invariant(rng):
-    from parsvd.reference_solvers import make_givens
-
-    for _ in range(50):
-        a, b = rng.standard_normal(2) * 10
-        rot = make_givens(a, b, 2, 3)
-        assert rot.c**2 + rot.s**2 == pytest.approx(1.0, abs=1e-14)
-        assert (rot.i, rot.j) == (2, 3)
-    ident = make_givens(0.0, 0.0, 0, 1)
-    assert (ident.c, ident.s) == (1.0, 0.0)
-
-
 def test_givens_rotations_preserve_norm(rng):
     mat = rand_complex(rng, 6, 6)
     before = fro_norm(mat)
@@ -195,6 +185,27 @@ def test_qr_fixed_sweeps_matches_converged(rng):
     ref = dc_eigen(t)
     eig = qr_fixed_sweeps(t, 400)
     assert np.max(np.abs(eig.lam - ref.lam)) <= 1e-9 * np.max(np.abs(ref.lam))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_history_entry_equals_fixed_sweeps(rng, n):
+    # the n-th history entry and an n-sweep fixed run come from the same
+    # plain sweeps, so they agree bit for bit
+    a = rand_complex(rng, 12, 6)
+    bd = gk_bidiagonalize(a)
+    sigma = list(gk_singular_value_history(bd, 10))[n - 1]
+    assert sigma.tobytes() == gk_fixed_sweeps(bd, n).sigma.tobytes()
+    t, _ = tridiagonalize(gram(a))
+    lam = list(qr_eigenvalue_history(t, 10))[n - 1]
+    assert lam.tobytes() == qr_fixed_sweeps(t, n).lam.tobytes()
+
+
+def test_histories_are_lazy(rng):
+    # a history sweeps only as far as its consumer reads, whatever the cap
+    a = rand_complex(rng, 6, 4)
+    assert next(gk_singular_value_history(gk_bidiagonalize(a), 10**5)).shape == (4,)
+    t, _ = tridiagonalize(gram(a))
+    assert next(qr_eigenvalue_history(t, 10**5)).shape == (4,)
 
 
 # ---------------------------------------------------------------------------
