@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 numerical or convergence error.
-All randomness is controlled by --seed; the same argv always produces
+All randomness is controlled by --seed, or by a channel config's seed
+when the flag is not given; the same argv and files always produce
 byte-identical output.
 """
 
@@ -24,7 +25,7 @@ from .latency_model import (
     total_ops,
     trace_run,
 )
-from .latency_model.analytic import latency_breakdown
+from .latency_model.analytic import _resolve, latency_breakdown
 from .matrix_core import as_matrix, fro_norm
 from .mimo_harness import (
     ChannelConfig,
@@ -34,15 +35,7 @@ from .mimo_harness import (
     sweep_latency_vs_size,
 )
 
-_ALG_ALIASES = {
-    "dc": "4step-dc",
-    "4step": "4step-dc",
-    "4step-dc": "4step-dc",
-    "qr": "4step-qr",
-    "4step-qr": "4step-qr",
-    "gk": "gk",
-    "tridiag": "tridiag",
-}
+_ALG_ALIASES = {"dc": "4step-dc", "qr": "4step-qr"}
 
 
 class UsageError(Exception):
@@ -66,11 +59,10 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _resolve_alg(name: str) -> str:
-    if name not in _ALG_ALIASES:
-        raise UsageError(
-            f"unknown algorithm {name!r}: expected one of {', '.join(sorted(_ALG_ALIASES))}"
-        )
-    return _ALG_ALIASES[name]
+    try:
+        return _resolve(_ALG_ALIASES.get(name, name))
+    except ValidationError as exc:
+        raise UsageError(f"{exc}, or the short names {', '.join(_ALG_ALIASES)}") from exc
 
 
 def read_matrix_text(path: str) -> np.ndarray:
@@ -368,13 +360,13 @@ def _channel_config_from_args(args, with_panels: bool, defaults: dict) -> Channe
         k=pick("k"),
         panels=pick("panels") if with_panels else 1,
         snr_per_link=10.0 ** (pick("snr_db") / 10.0),
-        seed=args.seed,
+        seed=pick("seed"),
         trials=pick("trials"),
     )
 
 
-_DMIMO_DEFAULTS = {"m": 32, "k": 32, "panels": 8, "t": 16, "snr_db": 0.0, "trials": 100}
-_MMIMO_DEFAULTS = {"m": 128, "k": 16, "panels": 1, "snr_db": 0.0, "trials": 100}
+_DMIMO_DEFAULTS = {"m": 32, "k": 32, "panels": 8, "t": 16, "snr_db": 0.0, "seed": 0, "trials": 100}
+_MMIMO_DEFAULTS = {"m": 128, "k": 16, "panels": 1, "snr_db": 0.0, "seed": 0, "trials": 100}
 
 
 def _cmd_mimo_dmimo(args):
@@ -475,7 +467,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--budgets", default="1,2,4,8")
     sp.add_argument("--algs", default="dc,qr,gk")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_mimo_dmimo)
+    # an unset --seed lets a config file's seed apply
+    sp.set_defaults(func=_cmd_mimo_dmimo, seed=None)
 
     sp = sub.add_parser("mimo-mmimo", help="single-cell achievable rate")
     common(sp)
@@ -487,7 +480,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--budgets", default="1,2,4,8")
     sp.add_argument("--algs", default="dc,qr,gk")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_mimo_mmimo)
+    sp.set_defaults(func=_cmd_mimo_mmimo, seed=None)
 
     return p
 

@@ -1,12 +1,17 @@
 """Closed-form operation counts and critical-path model for the solvers.
 
-Mirrors the traced schedules without materializing graphs: censuses are
-exact sums, and path lengths are propagated per value with max/extend
-bookkeeping, so for a given size and iteration budget the results equal
-``critical_path(trace_run(...))`` and the trace node census exactly
-(guaranteed and tested for power-of-two sizes within the explicit trace
-limit; odd sizes use the same recursions with balanced-tree depth upper
-bounds that may differ by one addition level).
+Mirrors the traced schedules without materializing graphs, in two
+separate parts. The census is a set of exact closed-form sums that need
+no profile. The path lengths are propagated per value with max/extend
+bookkeeping. For a given size and iteration budget the census equals the
+trace node census exactly, and the path equals
+``critical_path(trace_run(...))`` exactly for tridiag, 4step-qr and gk
+(tested for every size up to 12). The 4step-dc path is exact at powers of
+two. Elsewhere it is an upper bound, because the traced merges pair their
+adder trees in the sorted order of the values, which the balanced-tree
+depths here bound from above. On random inputs at K <= 16 it was over by
+at most 1 multiplication and a few additions, more with more iterations:
+up to 2 at 1 iteration, 4 at 3 and 7 at 8.
 
 Iteration semantics per algorithm: ``4step-dc`` counts rational-model
 steps per secular root, ``4step-qr`` counts tridiagonal QR sweeps, and
@@ -16,11 +21,9 @@ after four rotations, which the dependency bookkeeping reproduces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DimensionError, ValidationError
 from .dfg import LatencyEstimate, OpCount
-from .profiles import BUILTIN_PROFILES, HardwareProfile
+from .profiles import HardwareProfile
 from .table_counts import ceil_log2, householder_step_counts
 
 ALGORITHMS = ("tridiag", "4step", "4step-dc", "4step-qr", "gk")
@@ -31,35 +34,100 @@ _D1 = OpCount(div=1)
 _S1 = OpCount(sqrt=1)
 
 
-@dataclass(frozen=True)
-class _Depth:
-    """Profile-weighted path length with its op multiset."""
+class _Depth(tuple):
+    """Profile-weighted path length with its op counts: (ns, add, mul, div,
+    sqrt). Tuple order makes ``max`` take the longest path, and of equally
+    long ones the one with the most additions, then multiplications,
+    divisions and square roots."""
 
-    ops: OpCount
-    ns: float
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "_Depth":
-        return cls(OpCount(), 0.0)
+        return cls((0.0, 0, 0, 0, 0))
+
+    @property
+    def ns(self) -> float:
+        return self[0]
+
+    @property
+    def ops(self) -> OpCount:
+        return OpCount(*self[1:])
 
     def plus(self, ops: OpCount, prof: HardwareProfile) -> "_Depth":
-        total = self.ops + ops
-        return _Depth(total, total.ns(prof))
+        add, mul = self[1] + ops.add, self[2] + ops.mul
+        div, sqrt = self[3] + ops.div, self[4] + ops.sqrt
+        lat = prof.latency_ns
+        # the sum of OpCount.ns, in the same order
+        return _Depth((add * lat["add"] + mul * lat["mul"] + div * lat["div"] + sqrt * lat["sqrt"],
+                       add, mul, div, sqrt))
 
 
-def _dmax(*items: "_Depth | None") -> "_Depth | None":
-    best = None
-    for it in items:
-        if it is None:
-            continue
-        if best is None or it.ns > best.ns:
-            best = it
-        elif it.ns == best.ns:
-            a = (it.ops.add, it.ops.mul, it.ops.div, it.ops.sqrt)
-            b = (best.ops.add, best.ops.mul, best.ops.div, best.ops.sqrt)
-            if a > b:
-                best = it
-    return best
+# ---------------------------------------------------------------------------
+# operation census
+
+
+def _tridiag_census(k_dim: int) -> OpCount:
+    total = OpCount()
+    for k1 in range(1, k_dim):
+        for comp, _ in householder_step_counts(k_dim, k1):
+            total = total + comp
+    return total
+
+
+def _dc_census(ll: int, iters: int) -> OpCount:
+    """Merge tree over ``ll`` tridiagonal entries."""
+    if ll == 1:
+        return OpCount()
+    cut = (ll + 1) // 2
+    total = _dc_census(cut, iters) + _dc_census(ll - cut, iters)
+    # split, weight-sum tree and midpoints
+    total = total + OpCount(add=2 + (ll - 1) + ll)
+    total = total + OpCount(
+        add=(3 * ll + 10) * ll * iters,
+        mul=10 * ll * iters,
+        div=(2 * ll + 2) * ll * iters,
+        sqrt=ll * iters,
+    )
+    total = total + OpCount(add=(2 * ll - 1) * ll, mul=ll * ll, div=2 * ll * ll, sqrt=ll)
+    for half in (cut, ll - cut):
+        if half > 1:
+            # scaled squared weights, then the product with the dense half's vectors
+            total = total + OpCount(add=half * (half - 1) * ll, mul=2 * half + half * half * ll)
+    return total
+
+
+def _qr_census(k_dim: int, sweeps: int) -> OpCount:
+    # every rotation after the first also rescales the deferred bulge
+    rotations = OpCount(add=8, mul=16, div=2, sqrt=1).scaled(k_dim - 1) + OpCount(mul=2 * (k_dim - 2))
+    # eigenvector accumulation from the identity, skipping structural
+    # zeros and ones: sweep s still meets r_s = max(K - s, 0) zero rows
+    mul, add = (k_dim - 2) * (k_dim + 1), 0
+    for s in range(2, sweeps + 1):
+        r = max(k_dim - s, 0)
+        mul += 4 * k_dim * (k_dim - 1) - 2 * r * r
+        add += 2 * k_dim * (k_dim - 1) - r * (r + 1)
+    return rotations.scaled(sweeps) + OpCount(add=add, mul=mul)
+
+
+def _gk_census(m_dim: int, k_dim: int, sweeps: int) -> OpCount:
+    def step(n, width):
+        # a reflector of length n > 1, or a bare phase at n == 1, applied
+        # to ``width`` rows and columns of the work matrix and its factor
+        if n > 1:
+            return OpCount(add=2 * n + 3 + (10 * n - 2) * width, mul=2 * n + 4 + 12 * n * width,
+                           div=2 * n + 2, sqrt=3)
+        return OpCount(add=1 + 2 * width, mul=2 + 4 * width, div=2, sqrt=1)
+
+    total = OpCount()
+    for j in range(k_dim):
+        total = total + step(m_dim - j, k_dim - j - 1 + m_dim)
+        if j < k_dim - 1:
+            r = k_dim - 1 - j
+            # a bare row phase leaves the pivot row alone
+            total = total + step(r, (m_dim - j if r > 1 else m_dim - j - 1) + k_dim)
+    per_pair = OpCount(mul=16 + 8 * (k_dim + m_dim), add=6 + 4 * (k_dim + m_dim), sqrt=2, div=4)
+    return total + per_pair.scaled((k_dim - 1) * sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +135,12 @@ def _dmax(*items: "_Depth | None") -> "_Depth | None":
 
 
 def _tridiag_model(k_dim: int, prof: HardwareProfile):
-    """Returns (comp, d_depths, e_depths, chain_end)."""
-    comp = OpCount()
+    """Returns (d_depths, e_depths, chain_end)."""
     d_dep = [_Depth.zero() for _ in range(k_dim)]
     e_dep: list = [None] * max(k_dim - 1, 0)
     chain = _Depth.zero()
     for k1 in range(1, k_dim):
         stages = householder_step_counts(k_dim, k1)
-        for c, _ in stages:
-            comp = comp + c
         s1 = stages[0][1]
         e_dep[k1 - 1] = chain.plus(s1, prof)
         step_time = s1
@@ -83,7 +148,7 @@ def _tridiag_model(k_dim: int, prof: HardwareProfile):
             step_time = step_time + stages[idx][1]
         chain = chain.plus(step_time, prof)
         d_dep[k1] = chain
-    return comp, d_dep, e_dep, chain
+    return d_dep, e_dep, chain
 
 
 # ---------------------------------------------------------------------------
@@ -95,42 +160,23 @@ def _dc_iter_path(ll: int) -> OpCount:
 
 
 def _dc_model(iters: int, d_dep: list, e_dep: list, prof: HardwareProfile):
-    """Returns (comp, final_q_depth) for the merge tree over the inputs."""
+    """Returns the final eigenvector depth of the merge tree over the inputs."""
 
     def rec(ds, es):
         ll = len(ds)
         if ll == 1:
-            return OpCount(), ds[0], None
+            return ds[0], None
         cut = (ll + 1) // 2
         alpha = es[cut - 1]
         dl = list(ds[:cut])
-        dl[-1] = _dmax(dl[-1], alpha).plus(_A1, prof)
+        dl[-1] = max(dl[-1], alpha).plus(_A1, prof)
         dr = list(ds[cut:])
-        dr[0] = _dmax(dr[0], alpha).plus(_A1, prof)
-        comp = OpCount(add=2)
-        comp1, lam1, q1 = rec(dl, es[: cut - 1])
-        comp2, lam2, q2 = rec(dr, es[cut:])
-        comp = comp + comp1 + comp2
-        l1, l2 = cut, ll - cut
-        dense = (l1 if l1 > 1 else 0) + (l2 if l2 > 1 else 0)
+        dr[0] = max(dr[0], alpha).plus(_A1, prof)
+        lam1, q1 = rec(dl, es[: cut - 1])
+        lam2, q2 = rec(dr, es[cut:])
+        l1 = cut
 
-        comp = comp + OpCount(mul=2 * dense)          # scaled squared weights
-        comp = comp + OpCount(add=ll - 1)             # weight-sum tree
-        comp = comp + OpCount(add=ll)                 # midpoints
-        itc = OpCount(
-            add=(3 * ll + 10) * ll * iters,
-            mul=10 * ll * iters,
-            div=(2 * ll + 2) * ll * iters,
-            sqrt=ll * iters,
-        )
-        comp = comp + itc
-        comp = comp + OpCount(add=(2 * ll - 1) * ll, mul=ll * ll, div=2 * ll * ll, sqrt=ll)
-        if l1 > 1:
-            comp = comp + OpCount(mul=l1 * l1 * ll, add=l1 * (l1 - 1) * ll)
-        if l2 > 1:
-            comp = comp + OpCount(mul=l2 * l2 * ll, add=l2 * (l2 - 1) * ll)
-
-        lam_in = _dmax(lam1, lam2)
+        lam_in = max(lam1, lam2)
         if q1 is None and q2 is None:
             rho = alpha.plus(_A1, prof)
         else:
@@ -141,50 +187,25 @@ def _dc_model(iters: int, d_dep: list, e_dep: list, prof: HardwareProfile):
                 cands.append(q2.plus(OpCount(mul=2), prof))
             if q1 is None or q2 is None:
                 cands.append(alpha)
-            rho = _dmax(*cands).plus(OpCount(add=ceil_log2(ll)), prof)
-        base = _dmax(lam_in, rho)
+            rho = max(cands).plus(OpCount(add=ceil_log2(ll)), prof)
+        base = max(lam_in, rho)
         lam = base.plus(_A1, prof).plus(_dc_iter_path(ll).scaled(iters), prof)
         eigp = OpCount(add=1 + ceil_log2(ll), mul=1, div=2, sqrt=1)
         q_depth = lam.plus(eigp, prof)
         if l1 > 1:
             q_depth = q_depth.plus(OpCount(add=ceil_log2(l1), mul=1), prof)
-        return comp, lam, q_depth
+        return lam, q_depth
 
-    comp, lam, q = rec(list(d_dep), list(e_dep))
-    return comp, (q if q is not None else lam)
+    lam, q = rec(list(d_dep), list(e_dep))
+    return q if q is not None else lam
 
 
 # ---------------------------------------------------------------------------
 # QR iteration
 
 
-def _qr_accum_census(k_dim: int, sweeps: int) -> OpCount:
-    """Eigenvector accumulation cost with identity-start structural skips."""
-    zero, gen = 0, 2
-    state = [[gen if r == c else zero for r in range(k_dim)] for c in range(k_dim)]
-    # a fresh identity column is a single structural one
-    for c in range(k_dim):
-        for r in range(k_dim):
-            state[c][r] = 1 if r == c else 0
-    add = mul = 0
-    for _ in range(sweeps):
-        for j in range(k_dim - 1):
-            ca, cb = state[j], state[j + 1]
-            for r in range(k_dim):
-                x, y = ca[r], cb[r]
-                if x == 0 and y == 0:
-                    continue
-                mul += 2 * (1 if x == 2 else 0) + 2 * (1 if y == 2 else 0)
-                if x != 0 and y != 0:
-                    add += 2
-                ca[r] = 2
-                cb[r] = 2
-    return OpCount(add=add, mul=mul)
-
-
 def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, prof: HardwareProfile):
-    """Returns (comp, path_depth) for ``sweeps`` pipelined plain QR sweeps."""
-    comp = OpCount()
+    """Returns the path depth of ``sweeps`` pipelined plain QR sweeps."""
     d = list(d_dep)
     e = list(e_dep)
     for _ in range(sweeps):
@@ -192,33 +213,28 @@ def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, prof: HardwareP
         cd_prev = None
         for j in range(k_dim - 1):
             if j > 0:
-                z = _dmax(cd_prev, e[j]).plus(_M1, prof)
+                z = max(cd_prev, e[j]).plus(_M1, prof)
                 e_eff = z
-                comp = comp + OpCount(mul=2)
             else:
                 z = e[0]
                 e_eff = e[0]
-            comp = comp + OpCount(mul=2, add=1, sqrt=1, div=2)
-            r = _dmax(x.plus(_M1, prof), z.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
+            r = max(x.plus(_M1, prof), z.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
             cd = r.plus(_D1, prof)
             if j > 0:
                 e[j - 1] = r
-            p1 = _dmax(_dmax(cd, d[j]).plus(_M1, prof), _dmax(cd, e_eff).plus(_M1, prof)).plus(_A1, prof)
-            p2 = _dmax(_dmax(cd, e_eff).plus(_M1, prof), _dmax(cd, d[j + 1]).plus(_M1, prof)).plus(_A1, prof)
+            p1 = max(max(cd, d[j]).plus(_M1, prof), max(cd, e_eff).plus(_M1, prof)).plus(_A1, prof)
+            p2 = max(max(cd, e_eff).plus(_M1, prof), max(cd, d[j + 1]).plus(_M1, prof)).plus(_A1, prof)
             q1 = p1
             q2 = p2
-            dj = _dmax(_dmax(cd, p1).plus(_M1, prof), _dmax(cd, p2).plus(_M1, prof)).plus(_A1, prof)
+            dj = max(max(cd, p1).plus(_M1, prof), max(cd, p2).plus(_M1, prof)).plus(_A1, prof)
             ej = dj
-            dj1 = _dmax(_dmax(cd, q2).plus(_M1, prof), _dmax(cd, q1).plus(_M1, prof)).plus(_A1, prof)
-            comp = comp + OpCount(mul=14, add=7)
+            dj1 = max(max(cd, q2).plus(_M1, prof), max(cd, q1).plus(_M1, prof)).plus(_A1, prof)
             d[j] = dj
             e[j] = ej
             d[j + 1] = dj1
             x = ej
             cd_prev = cd
-    comp = comp + _qr_accum_census(k_dim, sweeps)
-    path = _dmax(*d, *e)
-    return comp, path
+    return max(d + e)
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +242,17 @@ def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, prof: HardwareP
 
 
 def _gk_bidiag_model(m_dim: int, k_dim: int, prof: HardwareProfile):
-    """Returns (comp, d_depths, e_depths, loose_end) of the bidiagonalization.
+    """Returns (d_depths, e_depths, loose_end) of the bidiagonalization.
 
     ``loose_end`` is the reflector tail of a final column step that has no
-    trailing columns left: it feeds only the overlapped transform update,
-    but its own nodes still carry weight and can end the critical path.
+    trailing columns left (zero when there is none): it feeds only the
+    overlapped transform update, but its own nodes still carry weight and
+    can end the critical path.
     """
-    comp = OpCount()
     d_dep: list = [None] * k_dim
     e_dep: list = [None] * max(k_dim - 1, 0)
     block = _Depth.zero()
-    loose_end = None
-
-    def head_census(n):
-        return (
-            OpCount(add=2 * n - 1, mul=2 * n, sqrt=1)
-            + OpCount(div=2, sqrt=1)
-            + OpCount(add=2, mul=2)
-            + OpCount(add=2, mul=2, div=2 * n, sqrt=1)
-        )
+    loose_end = _Depth.zero()
 
     def head_s1(n):
         return OpCount(add=ceil_log2(n - 1) + 2, mul=1, sqrt=1)
@@ -261,9 +269,6 @@ def _gk_bidiag_model(m_dim: int, k_dim: int, prof: HardwareProfile):
         i = m_dim - j
         cc = k_dim - j - 1
         if i > 1:
-            comp = comp + head_census(i)
-            comp = comp + OpCount(add=(10 * i - 2) * cc, mul=12 * i * cc)
-            comp = comp + OpCount(add=(10 * i - 2) * m_dim, mul=12 * i * m_dim)
             d_dep[j] = block.plus(head_s1(i), prof)
             if cc > 0:
                 block = block.plus(head_chain(i), prof)
@@ -272,62 +277,49 @@ def _gk_bidiag_model(m_dim: int, k_dim: int, prof: HardwareProfile):
                     OpCount(add=1, mul=1) + OpCount(add=2, mul=1, div=1, sqrt=1), prof
                 )
         else:
-            comp = comp + OpCount(add=1, mul=2, sqrt=1) + OpCount(div=2)
-            comp = comp + OpCount(add=2 * cc, mul=4 * cc)
-            comp = comp + OpCount(add=2 * m_dim, mul=4 * m_dim)
             d_dep[j] = block.plus(OpCount(add=1, mul=1, sqrt=1), prof)
             if cc > 0:
-                block = _dmax(block, d_dep[j]).plus(OpCount(add=1, mul=1), prof)
+                block = max(block, d_dep[j]).plus(OpCount(add=1, mul=1), prof)
         if j < k_dim - 2:
             r = k_dim - 1 - j
-            comp = comp + head_census(r)
-            comp = comp + OpCount(add=(10 * r - 2) * (m_dim - j), mul=12 * r * (m_dim - j))
-            comp = comp + OpCount(add=(10 * r - 2) * k_dim, mul=12 * r * k_dim)
             e_dep[j] = block.plus(head_s1(r), prof)
             block = block.plus(head_chain(r), prof)
         elif j == k_dim - 2:
-            comp = comp + OpCount(add=1, mul=2, sqrt=1) + OpCount(div=2)
-            comp = comp + OpCount(add=2 * (m_dim - j - 1), mul=4 * (m_dim - j - 1))
-            comp = comp + OpCount(add=2 * k_dim, mul=4 * k_dim)
             e_dep[j] = block.plus(OpCount(add=1, mul=1, sqrt=1), prof)
-            block = _dmax(block, e_dep[j]).plus(OpCount(add=1, mul=1), prof)
-    return comp, d_dep, e_dep, loose_end
+            block = max(block, e_dep[j]).plus(OpCount(add=1, mul=1), prof)
+    return d_dep, e_dep, loose_end
 
 
-def _gk_sweep_model(m_dim, k_dim, sweeps, d_dep, e_dep, prof):
-    """Returns (comp, path) for pipelined zero-shift bidiagonal sweeps."""
-    comp = OpCount()
-    per_pair = OpCount(mul=16, add=6, sqrt=2, div=4)
-    accum = OpCount(mul=8 * (k_dim + m_dim), add=4 * (k_dim + m_dim))
-    comp = comp + (per_pair + accum).scaled((k_dim - 1) * sweeps)
+def _gk_sweep_model(k_dim, sweeps, d_dep, e_dep, prof):
+    """Returns the path depth of pipelined zero-shift bidiagonal sweeps."""
     d = list(d_dep)
     e = list(e_dep)
     for _ in range(sweeps):
         f = d[0].plus(_M1, prof)
-        g = _dmax(d[0], e[0]).plus(_M1, prof)
+        g = max(d[0], e[0]).plus(_M1, prof)
         c2p = None
         for j in range(k_dim - 1):
             if j > 0:
-                g = _dmax(c2p, e[j]).plus(_M1, prof)
-                e_eff = _dmax(c2p, e[j]).plus(_M1, prof)
+                g = max(c2p, e[j]).plus(_M1, prof)
+                e_eff = max(c2p, e[j]).plus(_M1, prof)
             else:
                 e_eff = e[j]
-            r1 = _dmax(f.plus(_M1, prof), g.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
+            r1 = max(f.plus(_M1, prof), g.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
             cd = r1.plus(_D1, prof)
             if j > 0:
                 e[j - 1] = r1
-            f = _dmax(_dmax(cd, d[j]).plus(_M1, prof), _dmax(cd, e_eff).plus(_M1, prof)).plus(_A1, prof)
+            f = max(max(cd, d[j]).plus(_M1, prof), max(cd, e_eff).plus(_M1, prof)).plus(_A1, prof)
             e_tmp = f
-            g2 = _dmax(cd, d[j + 1]).plus(_M1, prof)
+            g2 = max(cd, d[j + 1]).plus(_M1, prof)
             dj1 = g2
-            r2 = _dmax(f.plus(_M1, prof), g2.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
+            r2 = max(f.plus(_M1, prof), g2.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
             c2 = r2.plus(_D1, prof)
             d[j] = r2
-            f = _dmax(_dmax(c2, e_tmp).plus(_M1, prof), _dmax(c2, dj1).plus(_M1, prof)).plus(_A1, prof)
+            f = max(max(c2, e_tmp).plus(_M1, prof), max(c2, dj1).plus(_M1, prof)).plus(_A1, prof)
             d[j + 1] = f
             c2p = c2
         e[k_dim - 2] = f
-    return comp, _dmax(*d, *e)
+    return max(d + e)
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +336,34 @@ def _resolve(algorithm: str) -> str:
     return algorithm
 
 
-def _model(algorithm: str, dims, iters: int, prof: HardwareProfile):
+def _checked(algorithm: str, dims, iters: int):
+    """Returns (algorithm, M, K) with the alias resolved and the inputs checked."""
     alg = _resolve(algorithm)
     m_dim, k_dim = dims
     if m_dim < 1 or k_dim < 1:
         raise DimensionError(f"dims must be positive, got {dims}")
     if iters < 1:
         raise ValidationError("iteration count must be >= 1")
+    if alg == "gk" and m_dim < k_dim:
+        raise DimensionError(f"gk expects rows >= cols, got {dims}")
+    return alg, m_dim, k_dim
+
+
+def _model(alg: str, m_dim: int, k_dim: int, iters: int, prof: HardwareProfile):
+    """Returns (front, path): the depth at the end of the reduction phase
+    and the depth of the whole schedule."""
     if alg == "gk":
-        if m_dim < k_dim:
-            raise DimensionError(f"gk expects rows >= cols, got {dims}")
-        comp, d_dep, e_dep, loose = _gk_bidiag_model(m_dim, k_dim, prof)
+        d_dep, e_dep, loose = _gk_bidiag_model(m_dim, k_dim, prof)
+        front = max(d_dep + e_dep + [loose])
         if k_dim == 1:
-            return comp, _dmax(d_dep[0], loose)
-        scomp, path = _gk_sweep_model(m_dim, k_dim, iters, d_dep, e_dep, prof)
-        return comp + scomp, _dmax(path, loose)
-    comp, d_dep, e_dep, chain = _tridiag_model(k_dim, prof)
+            return front, front
+        return front, max(_gk_sweep_model(k_dim, iters, d_dep, e_dep, prof), loose)
+    d_dep, e_dep, chain = _tridiag_model(k_dim, prof)
     if alg == "tridiag" or k_dim == 1:
-        return comp, chain
+        return chain, chain
     if alg == "4step-dc":
-        dcomp, path = _dc_model(iters, d_dep, e_dep, prof)
-        return comp + dcomp, path
-    qcomp, path = _qr_model(k_dim, iters, d_dep, e_dep, prof)
-    return comp + qcomp, path
+        return chain, _dc_model(iters, d_dep, e_dep, prof)
+    return chain, _qr_model(k_dim, iters, d_dep, e_dep, prof)
 
 
 def analytic_latency(algorithm: str, dims, iters: int, profile: HardwareProfile) -> LatencyEstimate:
@@ -376,26 +373,31 @@ def analytic_latency(algorithm: str, dims, iters: int, profile: HardwareProfile)
     for gk. ``iters`` is the per-algorithm iteration count (secular steps
     per root, or sweeps).
     """
-    _, path = _model(algorithm, dims, iters, profile)
+    _, path = _model(*_checked(algorithm, dims, iters), iters, profile)
     return LatencyEstimate.from_path_counts(path.ops, profile)
 
 
 def total_ops(algorithm: str, dims, iters: int = 1) -> OpCount:
     """Total expanded real-operation count of ``algorithm`` on M x K."""
-    comp, _ = _model(algorithm, dims, iters, BUILTIN_PROFILES["zynq-fp32"])
-    return comp
+    alg, m_dim, k_dim = _checked(algorithm, dims, iters)
+    if alg == "gk":
+        return _gk_census(m_dim, k_dim, iters)
+    total = _tridiag_census(k_dim)
+    if alg == "tridiag" or k_dim == 1:
+        return total
+    if alg == "4step-dc":
+        return total + _dc_census(k_dim, iters)
+    return total + _qr_census(k_dim, iters)
 
 
 def latency_breakdown(algorithm: str, dims, iters: int, profile: HardwareProfile) -> dict:
     """Per-phase critical-path latency in ns: the direct reduction phase
     and the iterative diagonalization on top of it."""
-    alg = _resolve(algorithm)
-    total = analytic_latency(alg, dims, iters, profile).ns
+    alg, m_dim, k_dim = _checked(algorithm, dims, iters)
+    front, path = _model(alg, m_dim, k_dim, iters, profile)
+    front, total = front.ns, path.ns
     if alg == "gk":
-        comp, d_dep, e_dep, loose = _gk_bidiag_model(dims[0], dims[1], profile)
-        front = _dmax(*(d_dep + [x for x in e_dep if x is not None]), loose).ns
         return {"bidiagonalization": front, "sweeps": max(total - front, 0.0), "total": total}
-    front = analytic_latency("tridiag", dims, 1, profile).ns
     if alg == "tridiag":
         return {"tridiagonalization": front, "total": front}
     return {"tridiagonalization": front, "diagonalization": max(total - front, 0.0), "total": total}

@@ -26,8 +26,10 @@ Structural bookkeeping:
   nothing.
 
 Convergence checks never gate the arithmetic here: iterative stages run
-a fixed number of iterations/sweeps so the graph shape depends only on
-the problem dimensions, never on the input values.
+a fixed number of iterations/sweeps, so the node count and the census
+depend only on the problem dimensions, never on the input values. The
+edges mostly do not either; the exception is divide and conquer, whose
+merges pair their adder trees in the sorted order of the values.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from ..errors import DimensionError, TraceLimitError, ValidationError
 from ..gram_svd import HermitianMatrix
 from ..matrix_core import as_matrix
+from .analytic import _resolve
 from .dfg import Dfg, DfgNode
 
 EXPLICIT_TRACE_LIMIT = 32
@@ -184,17 +187,7 @@ class TraceBuilder:
         return TracedReal(a.value * factor, a.node, _GENERIC)
 
     def tree_sum(self, items) -> TracedReal:
-        work = list(items)
-        if not work:
-            return ZERO
-        while len(work) > 1:
-            nxt = []
-            for i in range(0, len(work) - 1, 2):
-                nxt.append(self.add(work[i], work[i + 1]))
-            if len(work) % 2:
-                nxt.append(work[-1])
-            work = nxt
-        return work[0]
+        return _pairwise(items, self.add, ZERO)
 
     # -- complex helpers
 
@@ -228,20 +221,23 @@ class TraceBuilder:
         return TracedComplex(self.div(x.re, r), self.div(x.im, r))
 
     def ctree_sum(self, items) -> TracedComplex:
-        work = list(items)
-        if not work:
-            return CZERO
-        while len(work) > 1:
-            nxt = []
-            for i in range(0, len(work) - 1, 2):
-                nxt.append(self.cadd(work[i], work[i + 1]))
-            if len(work) % 2:
-                nxt.append(work[-1])
-            work = nxt
-        return work[0]
+        return _pairwise(items, self.cadd, CZERO)
 
     def cshift(self, x: TracedComplex, factor: float) -> TracedComplex:
         return TracedComplex(self.shift(x.re, factor), self.shift(x.im, factor))
+
+
+def _pairwise(items, combine, empty):
+    # balanced reduction tree: adjacent pairs, an odd tail carried up
+    work = list(items)
+    if not work:
+        return empty
+    while len(work) > 1:
+        nxt = [combine(work[i], work[i + 1]) for i in range(0, len(work) - 1, 2)]
+        if len(work) % 2:
+            nxt.append(work[-1])
+        work = nxt
+    return work[0]
 
 
 def _real_entry(re: TracedReal) -> TracedComplex:
@@ -249,6 +245,32 @@ def _real_entry(re: TracedReal) -> TracedComplex:
     # part rides along as a plain zero constant so multiplications with
     # these entries still price as full complex products
     return TracedComplex(re, const(0.0))
+
+
+def _reflect(tb: TraceBuilder, xs, label: tuple):
+    """Head of every Householder reflection, stages 1-4 under ``label + (stage,)``:
+    norm, pivot phase, reflector numerator and normalized reflector."""
+    with tb.label(label + (1,)):
+        sq = [tb.cabs2(xe) for xe in xs]
+        if len(xs) >= 2:
+            partial = tb.tree_sum(sq[1:])
+            total = tb.add(sq[0], partial)
+        else:
+            partial = None
+            total = sq[0]
+        xnorm = tb.sqrt(total)
+    with tb.label(label + (2,)), tb.overlapped():
+        absx1 = tb.sqrt(sq[0])
+        phase = TracedComplex(tb.div(xs[0].re, absx1), tb.div(xs[0].im, absx1))
+    with tb.label(label + (3,)):
+        v1 = tb.cadd(xs[0], tb.cscale(phase, xnorm))
+    with tb.label(label + (4,)):
+        vnsq = tb.cabs2(v1)
+        if partial is not None:
+            vnsq = tb.add(vnsq, partial)
+        vnorm = tb.sqrt(vnsq)
+        v = [tb.cdivr(v1, vnorm)] + [tb.cdivr(xe, vnorm) for xe in xs[1:]]
+    return xnorm, phase, v
 
 
 # ---------------------------------------------------------------------------
@@ -276,31 +298,8 @@ def trace_tridiagonalize(tb: TraceBuilder, bmat: np.ndarray):
     for step in range(k - 1):
         i = k - 1 - step
         x = [entry(r, step) for r in range(step + 1, k)]
-
-        with tb.label(("tridiag", step, 1)):
-            sq = [tb.cabs2(xe) for xe in x]
-            if i >= 2:
-                partial = tb.tree_sum(sq[1:])
-                total = tb.add(sq[0], partial)
-            else:
-                partial = None
-                total = sq[0]
-            xnorm = tb.sqrt(total)
+        xnorm, phase, v = _reflect(tb, x, ("tridiag", step))
         off.append(xnorm)
-
-        with tb.label(("tridiag", step, 2)), tb.overlapped():
-            absx1 = tb.sqrt(sq[0])
-            phase = TracedComplex(tb.div(x[0].re, absx1), tb.div(x[0].im, absx1))
-
-        with tb.label(("tridiag", step, 3)):
-            v1 = tb.cadd(x[0], tb.cscale(phase, xnorm))
-
-        with tb.label(("tridiag", step, 4)):
-            vnsq = tb.cabs2(v1)
-            if partial is not None:
-                vnsq = tb.add(vnsq, partial)
-            vnorm = tb.sqrt(vnsq)
-            v = [tb.cdivr(v1, vnorm)] + [tb.cdivr(xe, vnorm) for xe in x[1:]]
 
         with tb.label(("tridiag", step, 5)):
             p_vec = []
@@ -352,8 +351,9 @@ def trace_dc(tb: TraceBuilder, diag, offdiag, iters: int):
     """Traced divide-and-conquer on traced tridiagonal values.
 
     Every secular root takes exactly ``iters`` rational-model steps; the
-    bracket safeguard is a free clamp, so the graph shape depends only on
-    the matrix size and the iteration budget.
+    bracket safeguard is a free clamp, so the node count depends only on
+    the matrix size and the iteration budget. Each merge sorts its poles
+    by value, so which nodes its adder trees pair follows the input.
     """
 
     def rec(d, e):
@@ -526,35 +526,11 @@ def trace_gk_bidiagonalize(tb: TraceBuilder, amat: np.ndarray):
     dvals = [None] * k
     evals = [None] * max(k - 1, 0)
 
-    def reflect(xs, lab_stage):
-        # shared head of every reflection: norm, phase, reflector build
-        with tb.label(lab_stage(1)):
-            sq = [tb.cabs2(xe) for xe in xs]
-            if len(xs) >= 2:
-                partial = tb.tree_sum(sq[1:])
-                total = tb.add(sq[0], partial)
-            else:
-                partial = None
-                total = sq[0]
-            xnorm = tb.sqrt(total)
-        with tb.label(lab_stage(2)), tb.overlapped():
-            absx1 = tb.sqrt(sq[0])
-            phase = TracedComplex(tb.div(xs[0].re, absx1), tb.div(xs[0].im, absx1))
-        with tb.label(lab_stage(3)):
-            v1 = tb.cadd(xs[0], tb.cscale(phase, xnorm))
-        with tb.label(lab_stage(4)):
-            vnsq = tb.cabs2(v1)
-            if partial is not None:
-                vnsq = tb.add(vnsq, partial)
-            vnorm = tb.sqrt(vnsq)
-            v = [tb.cdivr(v1, vnorm)] + [tb.cdivr(xe, vnorm) for xe in xs[1:]]
-        return xnorm, phase, v
-
     for j in range(k):
         i = m - j
         if i > 1:
             xs = [work[r][j] for r in range(j, m)]
-            xnorm, phase, v = reflect(xs, lambda s: ("gk-bidiag", j, "col", s))
+            xnorm, phase, v = _reflect(tb, xs, ("gk-bidiag", j, "col"))
             nphase = tb.cneg(tb.conj(phase))
             with tb.label(("gk-bidiag", j, "col", 5)):
                 for c in range(j + 1, k):
@@ -596,7 +572,7 @@ def trace_gk_bidiagonalize(tb: TraceBuilder, amat: np.ndarray):
 
         if j < k - 2:
             row = [tb.conj(work[j][c]) for c in range(j + 1, k)]
-            xnorm, phase, v = reflect(row, lambda s: ("gk-bidiag", j, "row", s))
+            xnorm, phase, v = _reflect(tb, row, ("gk-bidiag", j, "row"))
             nphase = tb.cneg(phase)
             rr = k - 1 - j
             with tb.label(("gk-bidiag", j, "row", 5)):
@@ -709,8 +685,9 @@ def trace_run(algorithm: str, matrix, iters: int = 4) -> Dfg:
     """Run an instrumented solver on a concrete matrix and return its DFG.
 
     ``iters`` fixes the iteration budget: rational-model steps per secular
-    root (4step), sweeps (4step-qr, gk). The graph shape is
-    input-independent for a given size and budget. Sizes above
+    root (4step), sweeps (4step-qr, gk). For a given size and budget the
+    node count and the census do not depend on the input; the edges of
+    the D&C merges follow the sorted order of the values. Sizes above
     EXPLICIT_TRACE_LIMIT are rejected; use the closed-form model instead.
     """
     a = as_matrix(matrix)
@@ -721,46 +698,24 @@ def trace_run(algorithm: str, matrix, iters: int = 4) -> Dfg:
             f"matrix {a.shape} exceeds the explicit trace limit "
             f"({EXPLICIT_TRACE_LIMIT}); use analytic_latency for larger sizes"
         )
+    alg = _resolve(algorithm)
     tb = TraceBuilder()
-    if algorithm in ("tridiag", "4step", "4step-dc", "4step-qr"):
-        herm = HermitianMatrix.from_matrix(a)
-        diag, off, _ = trace_tridiagonalize(tb, herm.mat)
-        if algorithm == "tridiag":
-            for t in diag + off:
-                tb.output(t)
-        elif algorithm in ("4step", "4step-dc"):
-            if herm.dim == 1:
-                tb.output(diag[0])
-            else:
-                lams, qrows = trace_dc(tb, diag, off, iters)
-                for t in lams:
-                    tb.output(t)
-                for row in qrows:
-                    for t in row:
-                        tb.output(t)
-        else:
-            if herm.dim == 1:
-                tb.output(diag[0])
-            else:
-                d, e, qcols = trace_qr_sweeps(tb, diag, off, iters)
-                for t in d:
-                    tb.output(t)
-                for col in qcols:
-                    for t in col:
-                        tb.output(t)
-    elif algorithm == "gk":
+    if alg == "gk":
         if a.shape[0] < a.shape[1]:
             raise DimensionError(f"gk trace expects rows >= cols, got {a.shape}")
-        dv, ev, umat, vmat = trace_gk_bidiagonalize(tb, a)
-        if a.shape[1] == 1:
-            tb.output(dv[0])
-        else:
-            d, e, ucols, vcols = trace_gk_sweeps(tb, dv, ev, iters, a.shape[0])
-            for t in d:
-                tb.output(t)
+        dv, ev, _, _ = trace_gk_bidiagonalize(tb, a)
+        outs = dv if a.shape[1] == 1 else trace_gk_sweeps(tb, dv, ev, iters, a.shape[0])[0]
     else:
-        raise ValidationError(
-            f"unknown trace algorithm {algorithm!r}: "
-            "expected tridiag, 4step, 4step-dc, 4step-qr, or gk"
-        )
+        herm = HermitianMatrix.from_matrix(a)
+        diag, off, _ = trace_tridiagonalize(tb, herm.mat)
+        if alg == "tridiag" or herm.dim == 1:
+            outs = diag + off
+        elif alg == "4step-dc":
+            lams, qrows = trace_dc(tb, diag, off, iters)
+            outs = lams + [t for row in qrows for t in row]
+        else:
+            d, _, qcols = trace_qr_sweeps(tb, diag, off, iters)
+            outs = d + [t for col in qcols for t in col]
+    for t in outs:
+        tb.output(t)
     return tb.to_dfg()

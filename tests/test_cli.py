@@ -171,6 +171,27 @@ def test_channel_config_duplicate_key(tmp_path, capsys):
     assert f"{cfg_path}:3:" in err and "duplicate" in err
 
 
+def test_channel_config_seed(tmp_path, capsys):
+    # precedence: --seed, then the file's seed, then 0
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("m 8\nk 4\ntrials 2\n")
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text("m 8\nk 4\ntrials 2\nseed 5\n")
+
+    def rates(*argv):
+        code, out, _ = run_cli(
+            capsys, "mimo-mmimo", *argv, "--budgets", "1", "--algs", "gk", "--format", "csv"
+        )
+        assert code == 0
+        return out
+
+    unseeded = rates("--config", str(plain))
+    assert unseeded == rates("--config", str(plain), "--seed", "0")
+    assert rates("--config", str(seeded)) != unseeded
+    assert rates("--config", str(seeded)) == rates("--config", str(plain), "--seed", "5")
+    assert rates("--config", str(seeded), "--seed", "0") == unseeded
+
+
 def test_eig_command(capsys):
     code, out, _ = run_cli(capsys, "eig", "--random", "5x5", "--seed", "4", "--format", "json")
     assert code == 0

@@ -17,6 +17,7 @@ from parsvd.latency_model import (
     total_ops,
     trace_run,
 )
+from parsvd.latency_model.analytic import latency_breakdown
 from parsvd.latency_model.trace import TraceBuilder
 
 from conftest import rand_complex
@@ -215,23 +216,133 @@ def test_tridiag_stage_census_matches_table(rng, k_dim):
             assert got == stages[s - 1][0], f"step {step + 1} stage {s}"
 
 
-@pytest.mark.parametrize("profile", [FP, FXP], ids=["fp", "fxp"])
-@pytest.mark.parametrize("algorithm", ["tridiag", "4step-dc", "4step-qr", "gk"])
-@pytest.mark.parametrize("k_dim", [2, 4, 8])
-def test_trace_equals_analytic(rng, profile, algorithm, k_dim):
-    iters = 3
+def _traced_and_dims(rng, algorithm, k_dim):
     if algorithm == "gk":
-        mat = rand_complex(rng, k_dim + 3, k_dim)
-        dims = (k_dim + 3, k_dim)
-    else:
-        mat = gram(rand_complex(rng, k_dim + 2, k_dim)).mat
-        dims = (k_dim, k_dim)
-    dfg = trace_run(algorithm, mat, iters=iters)
-    assert dfg.census() == total_ops(algorithm, dims, iters)
-    got = critical_path(dfg, profile)
-    want = analytic_latency(algorithm, dims, iters, profile)
-    assert got.critical_path == want.critical_path
-    assert got.ns == pytest.approx(want.ns, abs=1e-9)
+        return rand_complex(rng, k_dim + 3, k_dim), (k_dim + 3, k_dim)
+    return gram(rand_complex(rng, k_dim + 2, k_dim)).mat, (k_dim, k_dim)
+
+
+def _is_power_of_two(n):
+    return n & (n - 1) == 0
+
+
+# the 4step-dc path is exact only at powers of two; elsewhere see
+# test_dc_closed_form_bounds_trace
+_EXACT_PATH_CASES = [
+    (k_dim, algorithm)
+    for k_dim in range(1, 13)
+    for algorithm in ("tridiag", "4step-dc", "4step-qr", "gk")
+    if algorithm != "4step-dc" or _is_power_of_two(k_dim)
+]
+
+
+@pytest.mark.parametrize("profile", [FP, FXP], ids=["fp", "fxp"])
+@pytest.mark.parametrize("k_dim,algorithm", _EXACT_PATH_CASES)
+def test_trace_equals_analytic(rng, profile, algorithm, k_dim):
+    for iters in (1, 3):
+        mat, dims = _traced_and_dims(rng, algorithm, k_dim)
+        dfg = trace_run(algorithm, mat, iters=iters)
+        assert dfg.census() == total_ops(algorithm, dims, iters)
+        got = critical_path(dfg, profile)
+        want = analytic_latency(algorithm, dims, iters, profile)
+        assert got.critical_path == want.critical_path
+        assert got.ns == pytest.approx(want.ns, abs=1e-9)
+
+
+@pytest.mark.parametrize("k_dim", [k for k in range(1, 13) if not _is_power_of_two(k)])
+def test_dc_closed_form_bounds_trace(rng, k_dim):
+    # the traced merges pair their adder trees in the sorted order of the
+    # values, so the traced path varies with the input; the closed form's
+    # balanced-tree depths bound it from above, op by op
+    for iters in (1, 3):
+        mat, dims = _traced_and_dims(rng, "4step-dc", k_dim)
+        dfg = trace_run("4step-dc", mat, iters=iters)
+        assert dfg.census() == total_ops("4step-dc", dims, iters)
+        for profile in (FP, FXP):
+            got = critical_path(dfg, profile)
+            want = analytic_latency("4step-dc", dims, iters, profile)
+            assert want.ns >= got.ns
+            for kind in ("add", "mul", "div", "sqrt"):
+                assert getattr(want.critical_path, kind) >= getattr(got.critical_path, kind), kind
+
+
+# Closed forms beyond the explicit trace limit, at the iteration budgets of
+# the latency-model benchmark: total_ops as (add, mul, div, sqrt), then the
+# zynq-fp32 critical path in ns and ops, then latency_breakdown.
+_PINNED = {
+    ("tridiag", (64, 64), 4): (
+        (1981118, 2251452, 4158, 189), 36937.635, (1693, 441, 63, 126),
+        {"tridiagonalization": 36937.635, "total": 36937.635},
+    ),
+    ("tridiag", (256, 256), 4): (
+        (128166654, 145074940, 65790, 765), 172655.475, (8405, 1785, 255, 510),
+        {"tridiagonalization": 172655.475, "total": 172655.475},
+    ),
+    ("tridiag", (1024, 1024), 4): (
+        (8224680958, 9300519932, 1049598, 3069), 784589.9549999998, (39885, 7161, 1023, 2046),
+        {"tridiagonalization": 784589.9549999998, "total": 784589.9549999998},
+    ),
+    ("4step-dc", (64, 64), 4): (
+        (2276477, 2450108, 87870, 2109), 47436.090000000004, (2014, 534, 171, 156),
+        {"tridiagonalization": 36937.635, "diagonalization": 10498.455000000002,
+         "total": 47436.090000000004},
+    ),
+    ("4step-dc", (256, 256), 4): (
+        (141132797, 156475132, 1387774, 11005), 187502.43399999998, (8889, 1910, 399, 550),
+        {"tridiagonalization": 172655.475, "diagonalization": 14846.958999999973,
+         "total": 187502.43399999998},
+    ),
+    ("4step-dc", (1024, 1024), 4): (
+        (8968165373, 10018868220, 22082558, 54269), 804202.8979999999, (40560, 7318, 1203, 2096),
+        {"tridiagonalization": 784589.9549999998, "diagonalization": 19612.943000000087,
+         "total": 804202.8979999999},
+    ),
+    ("4step-qr", (64, 64), 8): (
+        (2016790, 2328644, 5166, 693), 38503.619000000006, (1724, 478, 70, 139),
+        {"tridiagonalization": 36937.635, "diagonalization": 1565.984000000004,
+         "total": 38503.619000000006},
+    ),
+    ("4step-qr", (256, 256), 8): (
+        (128654102, 146122692, 69870, 2805), 174221.459, (8436, 1822, 262, 523),
+        {"tridiagonalization": 172655.475, "diagonalization": 1565.9839999999967,
+         "total": 174221.459},
+    ),
+    ("4step-qr", (1024, 1024), 8): (
+        (8232136470, 9316509124, 1065966, 11253), 786155.9390000001, (39916, 7198, 1030, 2059),
+        {"tridiagonalization": 784589.9549999998, "diagonalization": 1565.9840000002878,
+         "total": 786155.9390000001},
+    ),
+    ("gk", (64, 64), 8): (
+        (4613049, 5774176, 10458, 1385), 59458.42999999999, (2425, 798, 141, 274),
+        {"bidiagonalization": 57148.183, "sweeps": 2310.2469999999958, "total": 59458.42999999999},
+    ),
+    ("gk", (512, 64), 8): (
+        (179639869, 216653668, 67804, 1387), 66999.41399999999, (2933, 798, 140, 274),
+        {"bidiagonalization": 64855.57000000001, "sweeps": 2143.8439999999828,
+         "total": 66999.41399999999},
+    ),
+    ("gk", (256, 256), 8): (
+        (283545529, 344059744, 140250, 5609), 264543.374, (11761, 3102, 525, 1042),
+        {"bidiagonalization": 262233.127, "sweeps": 2310.247000000032, "total": 264543.374},
+    ),
+    ("gk", (1024, 1024), 8): (
+        (17958584249, 21611134816, 2133978, 22505), 1176848.0300000003, (55273, 12318, 2061, 4114),
+        {"bidiagonalization": 1174537.7829999998, "sweeps": 2310.2470000004396,
+         "total": 1176848.0300000003},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm,dims,iters", list(_PINNED), ids=[f"{a}-{m}x{k}" for a, (m, k), _ in _PINNED]
+)
+def test_closed_forms_pinned(algorithm, dims, iters):
+    ops, ns, path, phases = _PINNED[(algorithm, dims, iters)]
+    assert total_ops(algorithm, dims, iters) == OpCount(*ops)
+    est = analytic_latency(algorithm, dims, iters, FP)
+    assert est.ns == ns
+    assert est.critical_path == OpCount(*path)
+    assert latency_breakdown(algorithm, dims, iters, FP) == phases
 
 
 def test_pivot_phase_off_critical_path(rng):
