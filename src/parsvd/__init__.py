@@ -11,7 +11,6 @@ from .gram_svd import (
     gram,
     householder_vector,
     recover_svd,
-    secular_solve,
     split,
     svd_4step,
     tridiagonalize,
@@ -31,7 +30,6 @@ __all__ = [
     "gram",
     "householder_vector",
     "recover_svd",
-    "secular_solve",
     "split",
     "svd_4step",
     "tridiagonalize",

@@ -4,10 +4,19 @@ Pipeline: form B = A^H A, reduce B to real symmetric tridiagonal form with
 Householder reflections, diagonalize the tridiagonal matrix with a
 divide-and-conquer rank-1 eigensolver, then recover U, sigma, V.
 
+Each merge of the divide and conquer deflates negligible weights and
+coincident poles, then solves every secular root on its own with one
+scalar function (a midpoint probe, then a bracketed two-pole rational
+iteration). From the roots it recomputes the rank-1 weights
+(Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16(1), 1995), so that the
+eigenvectors come out orthogonal; the weights, the eigenvector columns
+and the interlacing check are whole-array expressions over the
+root-by-pole differences.
+
 Everything operates on numpy arrays; all functions are pure and the merge
-step of the eigensolver treats its inputs as read-only, so subproblems of
-one merge could run concurrently under any schedule without changing the
-result. Single-threaded execution is used here.
+step treats its inputs as read-only, so the roots of one merge, and the
+subproblems of one level, could run concurrently under any schedule
+without changing the result. Single-threaded execution is used here.
 """
 
 from __future__ import annotations
@@ -107,27 +116,6 @@ class HouseholderStep:
         return -np.conj(self.phase) * (y - proj * self.v)
 
 
-@dataclass(frozen=True)
-class SecularSystem:
-    """Rank-1 modified diagonal eigenproblem diag(d) + alpha * u u^T."""
-
-    d: np.ndarray
-    alpha: float
-    u: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.float64)
-        u = np.asarray(self.u, dtype=np.float64)
-        if d.shape != u.shape or d.ndim != 1:
-            raise DimensionError("d and u must be 1-D arrays of equal length")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def size(self) -> int:
-        return self.d.size
-
-
 @dataclass
 class DcDiagnostics:
     """Counters collected while running the divide-and-conquer eigensolver."""
@@ -182,12 +170,6 @@ class SvdResult:
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.conj().T
-
-
-@dataclass(frozen=True)
-class SecularRoot:
-    value: float
-    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -332,46 +314,55 @@ def _stable_quadratic(aq: float, bq: float, cq: float) -> tuple[float, float]:
     return big, other
 
 
-def _secular_root_shifted(
-    dd: np.ndarray,
-    asq: np.ndarray,
-    p1: int,
-    p2: int,
-    lo: float,
-    hi: float,
-    tol: float,
-    max_iters: int,
-    cap: int | None,
-) -> tuple[float, int]:
-    """Root of 1 + sum(asq_j / (dd_j - tau)) in the open interval (lo, hi).
+def _secular_root(
+    d: np.ndarray, asq: np.ndarray, i: int, tol: float, max_iters: int, cap: int | None
+) -> tuple[int, float, int]:
+    """Root i of 1 + sum(asq_j / (d_j - lam)), the deflated secular equation
+    with ascending poles ``d`` and alpha folded into ``asq``.
 
-    ``dd`` holds pole offsets relative to the chosen origin, ``p1``/``p2``
-    index the poles of the local two-pole rational model. The iterate starts
-    at the interval midpoint and every step is clamped to the current
-    bisection bracket, so the search cannot escape. Returns (tau, iterations).
+    Returns (origin, tau, iterations) with lam = d[origin] + tau. An
+    interior root first probes the secular function at the midpoint of its
+    poles and takes the nearer pole as origin, so the pole difference that
+    dominates the eigenvector stays fully accurate; the last root keeps its
+    left pole (its upper bound d[-1] + sum(asq) is not a pole). The search
+    starts at the middle of the remaining bracket, fits a two-pole rational
+    model at the poles on either side, and clamps every step to the
+    bisection bracket, so it cannot escape.
+
+    The probe counts as one iteration against ``cap`` but not against
+    ``max_iters``. Without a cap, a root still open after ``max_iters``
+    model steps raises ConvergenceError with its bracket; with one, the
+    last iterate is returned.
     """
-
-    blo, bhi = lo, hi
+    n = d.size
+    if n == 1:
+        return 0, float(asq[0]), 0
+    if i == n - 1:
+        origin, lo, hi, probe = i, 0.0, float(asq.sum()), 0
+        p1 = i - 1
+    else:
+        gap = float(d[i + 1] - d[i])
+        if cap is not None and cap <= 1:
+            return i, 0.5 * gap, 1
+        fmid = 1.0 + float(np.sum(asq / ((d - d[i]) - 0.5 * gap)))
+        origin, lo, hi = (i, 0.0, 0.5 * gap) if fmid >= 0.0 else (i + 1, -0.5 * gap, 0.0)
+        probe, p1 = 1, i
+    p2 = p1 + 1
+    dd = d - d[origin]
+    limit = max_iters if cap is None else min(max_iters, cap - probe)
     tau = 0.5 * (lo + hi)
-    iters = 0
-    limit = max_iters if cap is None else min(max_iters, cap)
-    converged = False
-    while iters < limit:
-        iters += 1
+    for it in range(1, limit + 1):
         delta = dd - tau
         t = asq / delta
         fval = 1.0 + t.sum()
-        weight = 1.0 + np.abs(t).sum()
-        if abs(fval) <= tol * weight:
-            converged = True
-            break
+        if abs(fval) <= tol * (1.0 + np.abs(t).sum()):
+            return origin, tau, it + probe
         if fval < 0.0:
-            blo = tau
+            lo = tau
         else:
-            bhi = tau
-        if (bhi - blo) <= 2.0 * _EPS * (abs(blo) + abs(bhi)):
-            converged = True
-            break
+            hi = tau
+        if (hi - lo) <= 2.0 * _EPS * (abs(lo) + abs(hi)):
+            return origin, tau, it + probe
         # two-pole rational model: the local poles keep their exact
         # weights scaled by beta to match f'; the rest is the constant c3
         s = t / delta
@@ -383,151 +374,15 @@ def _secular_root_shifted(
         c1 = beta * asq[p1]
         c2 = beta * asq[p2]
         c3 = fval - beta * (t[p1] + t[p2])
-        aq = c3
         bq = c3 * (d1 + d2) + c1 + c2
         cq = c3 * d1 * d2 + c1 * d2 + c2 * d1
-        r1, r2 = _stable_quadratic(aq, bq, cq)
-        tau_new = math.nan
-        for eta in (r1, r2):
-            cand = tau + eta
-            if math.isfinite(cand) and blo < cand < bhi:
-                if not math.isfinite(tau_new) or abs(cand - tau) < abs(tau_new - tau):
-                    tau_new = cand
-        if not math.isfinite(tau_new):
-            tau_new = 0.5 * (blo + bhi)
-        tau = tau_new
-    else:
-        converged = cap is not None
-    if not converged and cap is None:
+        steps = [tau + eta for eta in _stable_quadratic(c3, bq, cq) if lo < tau + eta < hi]
+        tau = min(steps, key=lambda c: abs(c - tau)) if steps else 0.5 * (lo + hi)
+    if cap is None:
         raise ConvergenceError(
-            f"secular root did not converge in {max_iters} iterations",
-            bracket=(blo, bhi),
+            f"secular root did not converge in {max_iters} iterations", bracket=(lo, hi)
         )
-    return tau, iters
-
-
-def _solve_one_root(
-    d: np.ndarray,
-    asq: np.ndarray,
-    i: int,
-    tol: float,
-    max_iters: int,
-    cap: int | None,
-) -> tuple[int, float, int]:
-    """Solve root i of the deflated system; returns (origin, tau, iters).
-
-    Interior roots probe the secular function at the bracket midpoint and
-    anchor the shifted representation at the nearer pole, so the pole
-    difference that dominates the eigenvector stays fully accurate. The
-    last root keeps its left pole as origin (its upper bound is not a
-    pole). The probe counts as one iteration.
-    """
-    n = d.size
-    if n == 1:
-        return 0, float(asq[0]), 0
-    if i == n - 1:
-        dd = d - d[n - 1]
-        lo, hi = 0.0, float(asq.sum())
-        ti, it = _secular_root_shifted(dd, asq, n - 2, n - 1, lo, hi, tol, max_iters, cap)
-        return n - 1, ti, it
-    gap = float(d[i + 1] - d[i])
-    dd_left = d - d[i]
-    tau_mid = 0.5 * gap
-    fmid = 1.0 + float(np.sum(asq / (dd_left - tau_mid)))
-    if cap is not None and cap <= 1:
-        return i, tau_mid, 1
-    remaining = None if cap is None else cap - 1
-    if fmid >= 0.0:
-        dd, lo, hi = dd_left, 0.0, tau_mid
-        o = i
-    else:
-        dd = d - d[i + 1]
-        lo, hi = -0.5 * gap, 0.0
-        o = i + 1
-    ti, it = _secular_root_shifted(dd, asq, i, i + 1, lo, hi, tol, max_iters, remaining)
-    return o, ti, it + 1
-
-
-def _solve_all_roots(
-    d: np.ndarray,
-    asq: np.ndarray,
-    tol: float,
-    max_iters: int,
-    cap: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve every root of the deflated secular system (alpha folded into asq).
-
-    Returns (lam, origin, tau, iters) where lam_i = d[origin_i] + tau_i; the
-    shifted representation keeps pole differences accurate for the
-    eigenvector formulas.
-    """
-    n = d.size
-    lam = np.empty(n)
-    origin = np.empty(n, dtype=np.int64)
-    tau = np.empty(n)
-    iters = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        o, ti, it = _solve_one_root(d, asq, i, tol, max_iters, cap)
-        origin[i] = o
-        tau[i] = ti
-        lam[i] = d[o] + ti
-        iters[i] = it
-    return lam, origin, tau, iters
-
-
-def _recomputed_weights(
-    d: np.ndarray, origin: np.ndarray, tau: np.ndarray, u_sign: np.ndarray
-) -> np.ndarray:
-    """Modified rank-1 weights that make the eigenvectors mutually orthogonal.
-
-    Uses the product formula linking the computed roots back to consistent
-    weights; magnitudes come from the roots, signs from the original u.
-    """
-    n = d.size
-    uhat = np.empty(n)
-    for i in range(n):
-        # lam_j - d_i evaluated through each root's shifted representation
-        diffs = (d[origin] - d[i]) + tau
-        num_left = diffs[:i]
-        num_right = diffs[i + 1 :]
-        den_left = d[:i] - d[i]
-        den_right = d[i + 1 :] - d[i]
-        prod = diffs[i]
-        if i > 0:
-            prod *= np.prod(num_left / den_left)
-        if i < n - 1:
-            prod *= np.prod(num_right / den_right)
-        uhat[i] = math.sqrt(max(prod, 0.0))
-    return uhat * u_sign
-
-
-def secular_solve(sys: SecularSystem, interval: int, cfg: DcConfig | None = None) -> SecularRoot:
-    """Solve for the ``interval``-th root (0-based) of the secular equation.
-
-    The system must already be deflated: d strictly ascending, every u
-    component nonzero beyond the deflation tolerance, and alpha > 0.
-    """
-    cfg = cfg or DcConfig()
-    d = sys.d
-    u = sys.u
-    n = sys.size
-    if not 0 <= interval < n:
-        raise DimensionError(f"interval must lie in [0, {n - 1}], got {interval}")
-    if sys.alpha <= 0.0:
-        raise ValidationError("secular_solve requires alpha > 0; mirror the system first")
-    unorm = float(np.sqrt(np.sum(u * u)))
-    if n > 1:
-        gaps = np.diff(d)
-        scale = max(abs(d[0]), abs(d[-1]), 1e-300)
-        if np.any(gaps <= cfg.deflation_tol * scale):
-            raise ValidationError("secular system is not deflated: poles too close")
-    if np.any(np.abs(u) <= cfg.deflation_tol * unorm):
-        raise ValidationError("secular system is not deflated: tiny u component")
-    asq = sys.alpha * u * u
-    o, tau, iters = _solve_one_root(
-        d, asq, interval, cfg.secular_tol, cfg.max_newton_iters, None
-    )
-    return SecularRoot(value=float(d[o] + tau), iterations=iters)
+    return origin, tau, limit + probe
 
 
 def _rank1_eigen(
@@ -584,48 +439,55 @@ def _rank1_eigen(
     if n_keep > 0:
         dk = ds[keep]
         asq = rho * us[keep] * us[keep]
-        lam_k, origin, tau, iters = _solve_all_roots(
-            dk, asq, cfg.secular_tol, cfg.max_newton_iters, cap
-        )
+        roots = [
+            _secular_root(dk, asq, i, cfg.secular_tol, cfg.max_newton_iters, cap)
+            for i in range(n_keep)
+        ]
+        origin, tau, iters = (np.array(col) for col in zip(*roots))
+        lam_all[:n_keep] = dk[origin] + tau
         diag.newton_iterations_total += int(iters.sum())
-        if iters.size:
-            diag.newton_iterations_max_per_root = max(
-                diag.newton_iterations_max_per_root, int(iters.max())
-            )
+        diag.newton_iterations_max_per_root = max(
+            diag.newton_iterations_max_per_root, int(iters.max())
+        )
         # strict interlacing, verified on the shifted (origin, tau) values
         # where pole differences are exact; a single surviving component is
         # the closed-form case whose root sits exactly on the upper bound
         if n_keep > 1:
-            for i in range(n_keep):
-                if origin[i] == i:
-                    hi_i = (dk[i + 1] - dk[i]) if i + 1 < n_keep else float(asq.sum())
-                    ok = 0.0 < tau[i] < hi_i
-                else:
-                    ok = -(dk[i + 1] - dk[i]) < tau[i] < 0.0
-                if not ok:
-                    diag.interlacing_violations += 1
-        uhat = _recomputed_weights(dk, origin, tau, np.sign(us[keep]))
-        for i in range(n_keep):
-            delta = (dk - dk[origin[i]]) - tau[i]
-            w = uhat / (-delta)
-            w /= math.sqrt(float(np.sum(w * w)))
-            s_hat[keep, i] = w
-        lam_all[:n_keep] = lam_k
+            hi = np.append(np.diff(dk), asq.sum())
+            ok = np.where(
+                origin == np.arange(n_keep), (0.0 < tau) & (tau < hi), (-hi < tau) & (tau < 0.0)
+            )
+            diag.interlacing_violations += int(np.count_nonzero(~ok))
+        # Gu-Eisenstat: rank-1 weights recomputed from the roots make the
+        # eigenvectors mutually orthogonal; magnitudes come from the
+        # product formula, signs from u. Row i holds lam_j - d_i, each
+        # lam_j through its shifted representation.
+        diffs = (dk[origin] - dk[:, None]) + tau
+        den = dk - dk[:, None]
+        np.fill_diagonal(den, 1.0)
+        ratio = diffs / den
+        left = np.tri(n_keep, k=-1, dtype=bool)
+        prod = np.diagonal(diffs) * np.where(left, ratio, 1.0).prod(axis=1)
+        prod = prod * np.where(left.T, ratio, 1.0).prod(axis=1)
+        # clamp as max(prod, 0.0) does: NaN and -0.0 pass through
+        uhat = np.sqrt(np.where(prod < 0.0, 0.0, prod)) * np.sign(us[keep])
+        # row i is the eigenvector of root i over the kept components
+        w = uhat / -((dk - dk[origin][:, None]) - tau[:, None])
+        w /= np.sqrt(np.sum(w * w, axis=1))[:, None]
+        s_hat[keep, :n_keep] = w.T
     lam_all[n_keep:] = ds[drop]
-    for idx, j in enumerate(drop):
-        s_hat[j, n_keep + idx] = 1.0
+    s_hat[drop, np.arange(n_keep, n)] = 1.0
 
     # map eigenvectors back through the deflation rotations (apply R, the
     # inverse of the R^T that zeroed the duplicate-pole weights)
-    s_rot = s_hat
     for c, j, cs, sn in reversed(rots):
-        row_c = s_rot[c, :].copy()
-        row_j = s_rot[j, :].copy()
-        s_rot[c, :] = cs * row_c + sn * row_j
-        s_rot[j, :] = -sn * row_c + cs * row_j
+        row_c = s_hat[c, :].copy()
+        row_j = s_hat[j, :].copy()
+        s_hat[c, :] = cs * row_c + sn * row_j
+        s_hat[j, :] = -sn * row_c + cs * row_j
 
-    s_orig = np.empty_like(s_rot)
-    s_orig[p, :] = s_rot
+    s_orig = np.empty_like(s_hat)
+    s_orig[p, :] = s_hat
     order = np.argsort(lam_all, kind="stable")
     return lam_all[order], s_orig[:, order]
 
@@ -658,6 +520,12 @@ def _dc_recurse(
     return lam, q, depth
 
 
+def _dc(t: TridiagonalReal, cfg: DcConfig | None, cap: int | None) -> EigenDecomposition:
+    diag = DcDiagnostics()
+    lam, q, diag.recursion_depth = _dc_recurse(t, cfg or DcConfig(), cap, diag)
+    return EigenDecomposition(lam=lam, q=q.astype(np.complex128), diagnostics=diag)
+
+
 def dc_eigen(t: TridiagonalReal, cfg: DcConfig | None = None) -> EigenDecomposition:
     """Divide-and-conquer eigendecomposition of a real symmetric tridiagonal.
 
@@ -665,34 +533,29 @@ def dc_eigen(t: TridiagonalReal, cfg: DcConfig | None = None) -> EigenDecomposit
     rank-1 merge (with deflation of negligible components and coincident
     poles), and accumulates eigenvectors level by level. Eigenvalues come
     out ascending; the eigenvector matrix is real-valued but returned with
-    complex dtype for uniformity with the rest of the pipeline.
+    complex dtype for uniformity with the rest of the pipeline. A secular
+    root that does not converge in ``cfg.max_newton_iters`` model steps
+    raises ConvergenceError.
     """
-    cfg = cfg or DcConfig()
-    diag = DcDiagnostics()
-    lam, q, depth = _dc_recurse(t, cfg, None, diag)
-    diag.recursion_depth = depth
-    return EigenDecomposition(
-        lam=lam, q=q.astype(np.complex128), diagnostics=diag
-    )
+    return _dc(t, cfg, None)
 
 
 def truncated_dc_eigen(
     t: TridiagonalReal, cfg: DcConfig | None = None, iter_budget: int = 1
 ) -> EigenDecomposition:
-    """dc_eigen with each secular root capped at ``iter_budget`` Newton steps.
+    """dc_eigen with each secular root capped at ``iter_budget`` iterations.
 
-    With a budget at or above the convergence limit the output is identical
-    to dc_eigen; small budgets trade accuracy for fewer sequential steps.
+    An interior root's midpoint probe counts as one iteration against the
+    budget, but not against ``cfg.max_newton_iters``, which bounds the
+    model steps after it. From a budget of ``max_newton_iters + 1`` on, the
+    output therefore equals dc_eigen's whenever dc_eigen converges; where
+    it would raise ConvergenceError, the capped solve keeps the last
+    iterate instead. Small budgets trade accuracy for fewer sequential
+    steps.
     """
     if iter_budget < 1:
         raise ValidationError("iter_budget must be >= 1")
-    cfg = cfg or DcConfig()
-    diag = DcDiagnostics()
-    lam, q, depth = _dc_recurse(t, cfg, iter_budget, diag)
-    diag.recursion_depth = depth
-    return EigenDecomposition(
-        lam=lam, q=q.astype(np.complex128), diagnostics=diag
-    )
+    return _dc(t, cfg, iter_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +596,9 @@ def svd_4step(a, cfg: DcConfig | None = None, iter_budget: int | None = None) ->
     """Full pipeline: Gram matrix, tridiagonalization, divide-and-conquer
     diagonalization, and SVD recovery.
 
-    ``iter_budget`` caps the Newton iterations per secular root (used for
-    accuracy-versus-latency sweeps); None means run to convergence.
+    ``iter_budget`` caps the iterations per secular root as in
+    truncated_dc_eigen (used for accuracy-versus-latency sweeps); None
+    means run to convergence.
     """
     cfg = cfg or DcConfig()
     a = as_matrix(a)

@@ -66,21 +66,18 @@ def _parse_profile_file(path: str) -> HardwareProfile:
     )
 
 
-def load_profile(source: str, search_dirs: list[str] | None = None) -> HardwareProfile:
+def load_profile(source: str) -> HardwareProfile:
     """Resolve a builtin profile name or load a profile file.
 
-    File lookup order: the literal path, then each directory in
-    ``search_dirs``, then the PARSVD_PROFILE_DIR environment variable.
+    File lookup order: the literal path, then the directory named by the
+    PARSVD_PROFILE_DIR environment variable.
     """
     if source in BUILTIN_PROFILES:
         return BUILTIN_PROFILES[source]
     candidates = [source]
-    dirs = list(search_dirs or [])
     env_dir = os.environ.get("PARSVD_PROFILE_DIR")
     if env_dir:
-        dirs.append(env_dir)
-    for d in dirs:
-        candidates.append(os.path.join(d, source))
+        candidates.append(os.path.join(env_dir, source))
     for cand in candidates:
         if os.path.isfile(cand):
             return _parse_profile_file(cand)

@@ -10,14 +10,16 @@ are aggregated in fixed index order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
-from .gram_svd import DcConfig, SvdResult, gram, recover_svd, svd_4step, tridiagonalize, truncated_dc_eigen
+from .gram_svd import SvdResult, gram, recover_svd, svd_4step, tridiagonalize, truncated_dc_eigen
 from .latency_model import analytic_latency, ceil_log2, total_ops
+from .latency_model.analytic import _resolve
 from .matrix_core import as_matrix
 from .reference_solvers import (
     gk_bidiagonalize,
@@ -122,40 +124,53 @@ def dimension_reduce(h, t: int, svd: SvdResult) -> ReducedChannel:
     return ReducedChannel(w=w, h_reduced=w @ h)
 
 
-def _truncated_svd(h, algorithm: str, budget: int | None, cfg_dc: DcConfig) -> SvdResult:
+def _mimo_algorithm(algorithm: str) -> str:
+    """The MIMO_ALGORITHMS name of ``algorithm``, with "4step" resolved."""
+    alg = _resolve(algorithm)
+    if alg not in MIMO_ALGORITHMS:
+        raise ValidationError(
+            f"algorithm {algorithm!r} is not one of {', '.join(MIMO_ALGORITHMS)}"
+        )
+    return alg
+
+
+def _mimo_budget(eig_budget) -> int | None:
+    """None for "exact", else the iteration budget, which must be an int >= 1."""
+    if eig_budget == "exact":
+        return None
+    if isinstance(eig_budget, bool) or not isinstance(eig_budget, numbers.Integral) or eig_budget < 1:
+        raise ValidationError(f"eig_budget must be 'exact' or an integer >= 1, got {eig_budget!r}")
+    return int(eig_budget)
+
+
+def _truncated_svd(h, algorithm: str, budget: int | None) -> SvdResult:
     """Decompose h with the given algorithm and iteration budget.
 
-    Budget semantics: rational-model steps per secular root (4step-dc) or
-    plain sweeps (4step-qr, gk); None runs to convergence with the default
-    production solver.
+    Budget semantics: iterations per secular root, the midpoint probe
+    included (4step-dc), or plain sweeps (4step-qr, gk); None runs to
+    convergence with the default production solver.
     """
     if budget is None:
-        return svd_4step(h, cfg_dc)
+        return svd_4step(h)
     if algorithm == "4step-dc":
-        return svd_4step(h, cfg_dc, iter_budget=budget)
+        return svd_4step(h, iter_budget=budget)
     if algorithm == "4step-qr":
-        b = gram(h)
-        t, q_t = tridiagonalize(b)
-        eig = qr_fixed_sweeps(t, budget)
-        return recover_svd(h, eig, q_t, cfg_dc)
-    if algorithm == "gk":
-        bd = gk_bidiagonalize(h)
-        return gk_fixed_sweeps(bd, budget)
-    raise ValidationError(f"unknown algorithm {algorithm!r}")
+        t, q_t = tridiagonalize(gram(h))
+        return recover_svd(h, qr_fixed_sweeps(t, budget), q_t)
+    return gk_fixed_sweeps(gk_bidiagonalize(h), budget)
 
 
-def _trial_mean(cfg: ChannelConfig, eig_budget, caller: str, trial_value) -> CapacityPoint:
-    """Mean of ``trial_value(trial, budget)`` over cfg.trials trials.
+def _trial_mean(cfg: ChannelConfig, caller: str, trial_value) -> CapacityPoint:
+    """Mean of ``trial_value(trial)`` over cfg.trials trials.
 
-    ``eig_budget`` is "exact" (budget None) or an iteration budget. Trials
-    that raise ConvergenceError or ValidationError are skipped and counted.
+    Trials that raise ConvergenceError or ValidationError are skipped and
+    counted.
     """
-    budget = None if eig_budget == "exact" else int(eig_budget)
     values = []
     failed = 0
     for trial in range(cfg.trials):
         try:
-            values.append(trial_value(trial, budget))
+            values.append(trial_value(trial))
         except (ConvergenceError, ValidationError):
             failed += 1
     if not values:
@@ -168,26 +183,27 @@ def dmimo_capacity(
     t: int,
     eig_budget: int | str = "exact",
     algorithm: str = "4step-dc",
-    dc_config: DcConfig | None = None,
 ) -> CapacityPoint:
     """Mean capacity of the stacked dimension-reduced multi-panel channel.
 
     Per trial: draw one channel per panel, decompose it (possibly with a
     truncated iteration budget), keep the T dominant left directions per
     panel, stack the reduced channels, and evaluate the log-det capacity.
-    Failed trials are skipped and counted.
+    Failed trials are skipped and counted. An algorithm outside
+    MIMO_ALGORITHMS (after the "4step" alias) or a budget other than
+    "exact" or an int >= 1 raises ValidationError before any trial runs.
     """
-    dc_config = dc_config or DcConfig()
+    alg, budget = _mimo_algorithm(algorithm), _mimo_budget(eig_budget)
 
-    def capacity(trial, budget):
+    def capacity(trial):
         blocks = []
         for panel in range(cfg.panels):
             h = gen_iid_channel(cfg, panel, trial)
-            svd = _truncated_svd(h, algorithm, budget, dc_config)
+            svd = _truncated_svd(h, alg, budget)
             blocks.append(dimension_reduce(h, t, svd).h_reduced)
         return capacity_logdet(np.vstack(blocks), cfg.snr_per_link)
 
-    return _trial_mean(cfg, eig_budget, "dmimo_capacity", capacity)
+    return _trial_mean(cfg, "dmimo_capacity", capacity)
 
 
 def achievable_rate(h, u_est, v_est, rho: float) -> float:
@@ -210,17 +226,19 @@ def mmimo_rate(
     cfg: ChannelConfig,
     eig_budget: int | str = "exact",
     algorithm: str = "4step-dc",
-    dc_config: DcConfig | None = None,
 ) -> CapacityPoint:
-    """Mean achievable rate over trials with possibly-truncated factors."""
-    dc_config = dc_config or DcConfig()
+    """Mean achievable rate over trials with possibly-truncated factors.
 
-    def rate(trial, budget):
+    Inputs are checked as in dmimo_capacity, before any trial runs.
+    """
+    alg, budget = _mimo_algorithm(algorithm), _mimo_budget(eig_budget)
+
+    def rate(trial):
         h = gen_iid_channel(cfg, 0, trial)
-        svd = _truncated_svd(h, algorithm, budget, dc_config)
+        svd = _truncated_svd(h, alg, budget)
         return achievable_rate(h, svd.u, svd.v, cfg.snr_per_link)
 
-    return _trial_mean(cfg, eig_budget, "mmimo_rate", rate)
+    return _trial_mean(cfg, "mmimo_rate", rate)
 
 
 def sv_mse(estimate, reference) -> float:
@@ -236,10 +254,10 @@ def _lam_to_sigma(lam):
     return np.sqrt(np.maximum(lam[::-1], 0.0))
 
 
-def _dc_sigma_history(t, budget_cap: int, cfg_dc: DcConfig):
+def _dc_sigma_history(t, budget_cap: int):
     """Yield the singular values of capped D&C solves at budgets 1, 2, ..."""
     for budget in range(1, budget_cap + 1):
-        yield _lam_to_sigma(truncated_dc_eigen(t, cfg_dc, budget).lam)
+        yield _lam_to_sigma(truncated_dc_eigen(t, iter_budget=budget).lam)
 
 
 def iterations_to_mse(
@@ -248,7 +266,6 @@ def iterations_to_mse(
     mse_target: float,
     budget_cap: int = 64,
     sweep_cap: int = 800,
-    dc_config: DcConfig | None = None,
 ) -> IterationSearch:
     """Smallest iteration budget whose mean singular-value MSE meets the
     target, measured against converged decompositions over cfg.trials
@@ -262,24 +279,22 @@ def iterations_to_mse(
     """
     if mse_target <= 0:
         raise ValidationError("mse_target must be positive")
-    dc_config = dc_config or DcConfig()
+    alg = _mimo_algorithm(algorithm)
     channels = [gen_iid_channel(cfg, 0, trial) for trial in range(cfg.trials)]
-    refs = [svd_4step(h, dc_config).sigma for h in channels]
+    refs = [svd_4step(h).sigma for h in channels]
 
-    if algorithm in ("4step-dc", "4step"):
-        hists = [_dc_sigma_history(tridiagonalize(gram(h))[0], budget_cap, dc_config) for h in channels]
+    if alg == "4step-dc":
+        hists = [_dc_sigma_history(tridiagonalize(gram(h))[0], budget_cap) for h in channels]
         per_budget, cap = max(ceil_log2(cfg.k), 1), f"dc budget cap {budget_cap}"
-    elif algorithm == "4step-qr":
+    elif alg == "4step-qr":
         hists = [
             map(_lam_to_sigma, qr_eigenvalue_history(tridiagonalize(gram(h))[0], sweep_cap))
             for h in channels
         ]
         per_budget, cap = 1, f"sweep cap {sweep_cap}"
-    elif algorithm == "gk":
+    else:
         hists = [gk_singular_value_history(gk_bidiagonalize(h), sweep_cap) for h in channels]
         per_budget, cap = 1, f"sweep cap {sweep_cap}"
-    else:
-        raise ValidationError(f"unknown algorithm {algorithm!r}")
 
     # the histories are lazy: each runs only up to the first budget that meets the target
     achieved = math.inf
@@ -340,9 +355,13 @@ def _budget_sweep(cfg: ChannelConfig, budgets, algorithms, point) -> SweepResult
     The reference is the exact (converged) point. The x axis carries the
     raw budgets; ``meta["reported"]`` holds the reported-iteration counts
     per algorithm (budget times recursion depth for the divide-and-conquer
-    path).
+    path). Every name and budget is checked before the first point runs;
+    names are resolved, so "4step" is keyed and counted as "4step-dc".
     """
     budgets = list(budgets)
+    algorithms = [_mimo_algorithm(alg) for alg in algorithms]
+    if any(_mimo_budget(b) is None for b in budgets):
+        raise ValidationError("sweep budgets must be integers >= 1; the exact point is the reference")
     ref = point("exact", "4step-dc").value
     depth = max(ceil_log2(cfg.k), 1)
     series = {alg: [point(b, alg).value for b in budgets] for alg in algorithms}
@@ -355,13 +374,12 @@ def capacity_vs_iterations(
     t: int,
     budgets,
     algorithms=MIMO_ALGORITHMS,
-    dc_config: DcConfig | None = None,
 ) -> SweepResult:
     """Dimension-reduction capacity as the iteration budget grows, against
     the perfect-SVD capacity; ``meta["t"]`` records T."""
     sweep = _budget_sweep(
         cfg, budgets, algorithms,
-        lambda b, alg: dmimo_capacity(cfg, t, b, algorithm=alg, dc_config=dc_config),
+        lambda b, alg: dmimo_capacity(cfg, t, b, algorithm=alg),
     )
     sweep.meta["t"] = t
     return sweep
@@ -371,10 +389,9 @@ def rate_vs_iterations(
     cfg: ChannelConfig,
     budgets,
     algorithms=MIMO_ALGORITHMS,
-    dc_config: DcConfig | None = None,
 ) -> SweepResult:
     """Massive-MIMO achievable rate as the iteration budget grows."""
     return _budget_sweep(
         cfg, budgets, algorithms,
-        lambda b, alg: mmimo_rate(cfg, b, algorithm=alg, dc_config=dc_config),
+        lambda b, alg: mmimo_rate(cfg, b, algorithm=alg),
     )

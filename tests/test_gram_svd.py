@@ -1,21 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from parsvd.errors import DimensionError, ValidationError
 from parsvd.gram_svd import (
     DcConfig,
+    DcDiagnostics,
     HermitianMatrix,
-    SecularSystem,
     TridiagonalReal,
     dc_eigen,
     gram,
     householder_vector,
-    secular_solve,
     split,
     svd_4step,
     tridiagonalize,
     truncated_dc_eigen,
 )
+from parsvd.gram_svd import _rank1_eigen, _secular_root
 from parsvd.matrix_core import fro_norm
 from parsvd.reference_solvers import gk_svd, jacobi_eigen_oracle
 
@@ -164,7 +166,7 @@ def test_vector_update_equals_explicit_reflection(rng):
 
 
 # ---------------------------------------------------------------------------
-# split / secular
+# split
 
 
 def test_split_2x2():
@@ -210,46 +212,6 @@ def test_split_range_check():
         split(t, 2)
 
 
-def test_secular_scalar():
-    sys = SecularSystem(d=[2.0], alpha=0.5, u=[3.0])
-    root = secular_solve(sys, 0)
-    assert root.value == pytest.approx(2.0 + 0.5 * 9.0, rel=1e-14)
-    assert root.iterations == 0
-
-
-def test_secular_2x2_closed_form():
-    # eigenvalues of [[1.5, 0.5], [0.5, 2.5]]
-    sys = SecularSystem(d=[1.0, 2.0], alpha=1.0, u=[1.0 / np.sqrt(2), 1.0 / np.sqrt(2)])
-    lo = secular_solve(sys, 0).value
-    hi = secular_solve(sys, 1).value
-    assert lo == pytest.approx(2.0 - np.sqrt(0.5), rel=1e-12)
-    assert hi == pytest.approx(2.0 + np.sqrt(0.5), rel=1e-12)
-
-
-def test_secular_interlacing(rng):
-    d = np.sort(rng.standard_normal(6))
-    u = rng.standard_normal(6) + np.sign(rng.standard_normal(6)) * 0.2
-    sys = SecularSystem(d=d, alpha=0.7, u=u)
-    rho_sum = 0.7 * np.sum(u * u)
-    for i in range(6):
-        lam = secular_solve(sys, i).value
-        lo = d[i]
-        hi = d[i + 1] if i < 5 else d[5] + rho_sum
-        assert lo < lam < hi
-
-
-def test_secular_rejects_undeflated():
-    sys = SecularSystem(d=[1.0, 1.0], alpha=1.0, u=[1.0, 1.0])
-    with pytest.raises(ValidationError):
-        secular_solve(sys, 0)
-    sys2 = SecularSystem(d=[1.0, 2.0], alpha=1.0, u=[1.0, 0.0])
-    with pytest.raises(ValidationError):
-        secular_solve(sys2, 0)
-    sys3 = SecularSystem(d=[1.0, 2.0], alpha=-1.0, u=[1.0, 1.0])
-    with pytest.raises(ValidationError):
-        secular_solve(sys3, 0)
-
-
 # ---------------------------------------------------------------------------
 # divide and conquer
 
@@ -266,6 +228,30 @@ def test_dc_diagonal_full_deflation():
     # permutation matrix columns
     q = np.abs(eig.q)
     assert np.all(np.isin(q.round(12), [0.0, 1.0]))
+
+
+def test_dc_2x2_closed_form():
+    # one rank-1 merge: the secular equation of diag(1, 2) + 1 * u u^T with
+    # u = (1, 1)/sqrt(2), whose roots are the eigenvalues 2 -/+ sqrt(0.5)
+    eig = dc_eigen(TridiagonalReal(diag=[1.5, 2.5], offdiag=[0.5]))
+    assert eig.lam[0] == pytest.approx(2.0 - np.sqrt(0.5), rel=1e-12)
+    assert eig.lam[1] == pytest.approx(2.0 + np.sqrt(0.5), rel=1e-12)
+
+
+def test_secular_interlacing(rng):
+    # every root of the secular equation lies strictly between its poles;
+    # the last one below d[-1] + alpha * |u|^2
+    d = np.sort(rng.standard_normal(6))
+    u = rng.standard_normal(6) + np.sign(rng.standard_normal(6)) * 0.2
+    asq = 0.7 * u * u
+    rho_sum = float(np.sum(asq))
+    cfg = DcConfig()
+    for i in range(6):
+        origin, tau, _ = _secular_root(d, asq, i, cfg.secular_tol, cfg.max_newton_iters, None)
+        lam = d[origin] + tau
+        lo = d[i]
+        hi = d[i + 1] if i < 5 else d[5] + rho_sum
+        assert lo < lam < hi
 
 
 def test_dc_2x2_analytic():
@@ -310,6 +296,7 @@ def test_dc_orthonormality_and_residual(rng):
         assert dev <= 1e-10 * np.sqrt(k)
         assert residual(t, eig) <= 1e-10 * np.max(np.abs(eig.lam))
         assert eig.diagnostics.recursion_depth == int(np.ceil(np.log2(k)))
+        assert eig.diagnostics.interlacing_violations == 0
 
 
 def test_dc_deflation_paths():
@@ -322,6 +309,75 @@ def test_dc_deflation_paths():
     t2 = TridiagonalReal(diag=[2.0, 5.0], offdiag=[1e-300])
     eig2 = dc_eigen(t2)
     np.testing.assert_allclose(eig2.lam, [2.0, 5.0], atol=1e-12)
+
+
+def test_merge_matches_per_root_loops(rng):
+    # the recomputed weights and the eigenvector columns of a merge are
+    # whole-array expressions; per-root loops with the same order of
+    # operations are the reference and must give the same bits
+    n = 40
+    d = np.sort(rng.standard_normal(n))
+    u = rng.standard_normal(n)
+    rho = 0.7
+    cfg = DcConfig()
+    lam, s = _rank1_eigen(d, u, rho, cfg, None, DcDiagnostics())
+    asq = rho * u * u
+    roots = [_secular_root(d, asq, i, cfg.secular_tol, cfg.max_newton_iters, None) for i in range(n)]
+    uhat = np.empty(n)
+    for i in range(n):
+        diffs = np.array([(d[o] - d[i]) + tau for o, tau, _ in roots])
+        prod = diffs[i]
+        if i > 0:
+            prod *= np.prod(diffs[:i] / (d[:i] - d[i]))
+        if i < n - 1:
+            prod *= np.prod(diffs[i + 1 :] / (d[i + 1 :] - d[i]))
+        uhat[i] = math.sqrt(max(prod, 0.0))
+    uhat *= np.sign(u)
+    want = np.empty((n, n))
+    for i, (o, tau, _) in enumerate(roots):
+        w = uhat / -((d - d[o]) - tau)
+        want[:, i] = w / math.sqrt(float(np.sum(w * w)))
+    np.testing.assert_array_equal(lam, [d[o] + tau for o, tau, _ in roots])
+    np.testing.assert_array_equal(s, want)
+
+
+def _haar_columns(rng, m, k):
+    q, r = np.linalg.qr(rand_complex(rng, m, k))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize(
+    "spectrum, budget, want",
+    [
+        ("gaussian", None, (770, 8, 5, 0, 0)),
+        ("gaussian", 1, (160, 1, 5, 0, 0)),
+        ("gaussian", 4, (592, 4, 5, 0, 0)),
+        ("gaussian", 60, (770, 8, 5, 0, 0)),
+        ("one-cluster", None, (401, 7, 5, 76, 0)),
+    ],
+)
+def test_dc_counts_pinned(spectrum, budget, want):
+    # DcDiagnostics (iterations total and max per root, depth, deflations,
+    # interlacing violations) on the Gram tridiagonal of a 64x32 input,
+    # recorded before the secular solver was merged into one function
+    rng = np.random.default_rng(11)
+    if spectrum == "gaussian":
+        a = rand_complex(rng, 64, 32)
+    else:
+        sigma = np.concatenate([np.ones(16), np.linspace(0.9, 0.1, 16)])
+        a = (_haar_columns(rng, 64, 32) * sigma) @ _haar_columns(rng, 32, 32).conj().T
+    t, _ = tridiagonalize(gram(a))
+    eig = dc_eigen(t) if budget is None else truncated_dc_eigen(t, DcConfig(), budget)
+    d = eig.diagnostics
+    got = (
+        d.newton_iterations_total,
+        d.newton_iterations_max_per_root,
+        d.recursion_depth,
+        d.deflation_count,
+        d.interlacing_violations,
+    )
+    assert got == want
 
 
 def test_truncated_budget_not_binding(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parsvd import mimo_harness
 from parsvd.errors import ConvergenceError, ValidationError
 from parsvd.gram_svd import gram, svd_4step
 from parsvd.mimo_harness import (
@@ -13,6 +14,7 @@ from parsvd.mimo_harness import (
     dmimo_capacity,
     gen_iid_channel,
     iterations_to_mse,
+    mmimo_rate,
     rate_vs_iterations,
     sv_mse,
 )
@@ -269,6 +271,57 @@ def test_rate_sweep_converges():
         assert gaps[-1] <= gaps[0]
     assert abs(sweep.series["4step-dc"][-1] - sweep.reference) <= 1e-6
     assert sweep.meta["reported"]["4step-dc"] == [2, 4, 12, 24]
+
+
+@pytest.mark.parametrize(
+    "entry, budget, algorithm, named",
+    [
+        ("mmimo", "exact", "bogus", "'bogus'"),
+        ("mmimo", 2, "bogus", "'bogus'"),
+        ("mmimo", 2, "tridiag", "'tridiag'"),
+        ("mmimo", "exacto", "4step-dc", "'exacto'"),
+        ("mmimo", 0, "4step-dc", "got 0"),
+        ("mmimo", 0, "gk", "got 0"),
+        ("dmimo", 2, "bogus", "'bogus'"),
+        ("dmimo", "exacto", "gk", "'exacto'"),
+        ("dmimo", 0, "gk", "got 0"),
+        ("dmimo", 2.0, "4step-qr", "got 2.0"),
+        ("rate-sweep", 2, "bogus", "'bogus'"),
+        ("rate-sweep", 0, "gk", "got 0"),
+        ("capacity-sweep", 2, "bogus", "'bogus'"),
+        ("capacity-sweep", "exact", "gk", "integers >= 1"),
+        ("iterations", None, "bogus", "'bogus'"),
+    ],
+)
+def test_mimo_inputs_checked_before_any_trial(monkeypatch, entry, budget, algorithm, named):
+    # a bad name or budget is a ValidationError that names it, raised
+    # before a channel is drawn: not a value computed with the default
+    # solver, and not "every trial failed"
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mimo_harness, "gen_iid_channel", no_trial)
+    cfg = ChannelConfig(m=16, k=4, trials=2)
+    with pytest.raises(ValidationError, match=named):
+        if entry == "mmimo":
+            mmimo_rate(cfg, budget, algorithm)
+        elif entry == "dmimo":
+            dmimo_capacity(cfg, 2, budget, algorithm)
+        elif entry == "rate-sweep":
+            rate_vs_iterations(cfg, [budget], algorithms=(algorithm,))
+        elif entry == "capacity-sweep":
+            capacity_vs_iterations(cfg, 2, [budget], algorithms=(algorithm,))
+        else:
+            iterations_to_mse(algorithm, cfg, 1e-4)
+
+
+def test_4step_alias_is_4step_dc():
+    cfg = ChannelConfig(m=16, k=4, trials=2)
+    assert mmimo_rate(cfg, 2, "4step") == mmimo_rate(cfg, 2, "4step-dc")
+    sweep = rate_vs_iterations(cfg, [1, 2], algorithms=("4step",))
+    assert list(sweep.series) == ["4step-dc"]
+    assert sweep.meta["reported"] == {"4step-dc": [2, 4]}
+    assert iterations_to_mse("4step", cfg, 1e-4) == iterations_to_mse("4step-dc", cfg, 1e-4)
 
 
 def test_sweep_result_validation():
