@@ -1,8 +1,9 @@
 """Four-step SVD of a complex matrix via its Gram matrix.
 
 Pipeline: form B = A^H A, reduce B to real symmetric tridiagonal form with
-Householder reflections, diagonalize the tridiagonal matrix with a
-divide-and-conquer rank-1 eigensolver, then recover U, sigma, V.
+Householder reflections (applied in panels, with one matrix-matrix update
+of the trailing block per panel), diagonalize the tridiagonal matrix with
+a divide-and-conquer rank-1 eigensolver, then recover U, sigma, V.
 
 Each merge of the divide and conquer deflates negligible weights and
 coincident poles, then solves every secular root on its own with one
@@ -22,7 +23,7 @@ without changing the result. Single-threaded execution is used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,11 +87,9 @@ class TridiagonalReal:
         return self.diag.size
 
     def to_dense(self) -> np.ndarray:
-        t = np.diag(self.diag).astype(np.float64)
-        k = self.dim
-        for j in range(k - 1):
-            t[j, j + 1] = self.offdiag[j]
-            t[j + 1, j] = self.offdiag[j]
+        t = np.diag(self.diag)
+        j = np.arange(self.dim - 1)
+        t[j, j + 1] = t[j + 1, j] = self.offdiag
         return t
 
 
@@ -179,9 +178,9 @@ class SvdResult:
 def gram(a) -> HermitianMatrix:
     """Form B = A^H A for an M x K matrix with M >= K.
 
-    Only the upper triangle is computed explicitly; the lower triangle is
-    mirrored and the diagonal forced real, so the result is Hermitian by
-    construction.
+    The full product is formed; its strict upper triangle is kept and
+    mirrored into the lower one, and the diagonal is forced real, so the
+    result is Hermitian by construction.
     """
     a = as_matrix(a)
     m, k = a.shape
@@ -207,67 +206,109 @@ def householder_vector(x, k: int = 0) -> HouseholderStep:
     nonnegative leading entry. A zero column yields a skip step.
     """
     x = as_vector(x)
-    xnorm = float(np.sqrt(np.sum(x.real**2 + x.imag**2)))
+    xnorm = float(np.sqrt((x.real**2 + x.imag**2).sum()))
     if xnorm == 0.0:
         return HouseholderStep(k=k, v=None, phase=1.0 + 0.0j, xnorm=0.0, skip=True)
     a1 = np.abs(x[0])
     phase = x[0] / a1 if a1 > 0.0 else complex(1.0)
     w = x.copy()
     w[0] = x[0] + phase * xnorm
-    wnorm = float(np.sqrt(np.sum(w.real**2 + w.imag**2)))
+    wnorm = float(np.sqrt((w.real**2 + w.imag**2).sum()))
     v = w / wnorm
     return HouseholderStep(k=k, v=v, phase=complex(phase), xnorm=xnorm, skip=False)
+
+
+# reflectors per panel of the blocked reduction (LAPACK's zhetrd default)
+_PANEL = 32
+
+
+def _pair_swap(y: np.ndarray) -> np.ndarray:
+    """Swap the entries of each consecutive pair: (a, b, c, d) -> (b, a, d, c)."""
+    return y.reshape(-1, 2)[:, ::-1].ravel()
 
 
 def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
     """Reduce a Hermitian matrix to real symmetric tridiagonal form.
 
-    Returns (T, Q_T) with Q_T^H B Q_T = T. The trailing submatrix is
-    updated in vector form, B' = B - v w^H - w v^H with p = 2 B v and
-    w = p - (p^H v) v; only one triangle is formed and then mirrored.
+    Returns (T, Q_T) with Q_T^H B Q_T = T. Only the strictly lower
+    triangle of B and the real part of its diagonal are read: they are
+    mirrored once into a work copy, which is then updated in place, so B
+    is left unchanged. An imaginary part of the diagonal, in B or in the
+    reduced matrix, above 1e-10 of B's norm raises ValidationError.
+
+    Step j reflects column j with H = I - 2 v v^H, p = 2 B v and
+    w = p - (v^H p) v, so that H B H = B - v w^H - w v^H. Steps run in
+    panels of ``_PANEL`` (Dongarra, Sorensen & Hammarling, J. Comput. Appl.
+    Math. 27, 1989, as in LAPACK zhetrd/zlatrd): inside a panel, column j
+    and its product B v are corrected on the fly by the panel's earlier
+    V W^H + W V^H, and after the panel one rank-2nb product
+    X = V W^H updates the trailing block, B -= X + X^H. Q_T is built
+    backward from the same panels, each as I - V S V^H in compact-WY form
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10(1), 1989). The
+    unit phase that makes each off-diagonal entry real and nonnegative is
+    a diagonal factor that commutes to the right, so all of them become
+    one final column scaling of Q_T.
     """
     if isinstance(b, HermitianMatrix):
         bh = b
     else:
         bh = HermitianMatrix.from_matrix(b)
     k = bh.dim
-    work = bh.mat.copy()
-    q = np.eye(k, dtype=np.complex128)
-    diag = np.empty(k, dtype=np.float64)
-    off = np.empty(max(k - 1, 0), dtype=np.float64)
-    imag_bound = 1e-10 * max(fro_norm(bh.mat), 1.0)
+    work = np.tril(bh.mat, -1)
+    work += work.conj().T
+    np.fill_diagonal(work, bh.mat.diagonal().real)
+    diag = np.empty(k, dtype=np.complex128)
+    off = np.zeros(k - 1, dtype=np.float64)
+    # -phase of each reflection, 1 for a skipped (zero) column
+    turn = np.ones(k - 1, dtype=np.complex128)
+    panels = []
 
-    for j in range(k - 1):
-        x = work[j + 1 :, j].copy()
-        step = householder_vector(x, k=j)
-        off[j] = step.xnorm
-        if step.skip:
-            continue
-        v = step.v
-        sub = work[j + 1 :, j + 1 :]
-        p = 2.0 * (sub @ v)
-        w = p - (np.vdot(v, p)) * v
-        sub = sub - np.outer(v, w.conj()) - np.outer(w, v.conj())
-        # retain one triangle, mirror, and force the diagonal real
-        upper = np.triu(sub, 1)
-        dvals = np.diag(sub)
-        if np.max(np.abs(dvals.imag)) > imag_bound:
-            raise ValidationError("tridiagonalization produced a complex diagonal")
-        work[j + 1 :, j + 1 :] = upper + upper.conj().T + np.diag(dvals.real)
-        work[j + 1, j] = step.xnorm
-        work[j, j + 1] = step.xnorm
-        if j + 2 < k:
-            work[j + 2 :, j] = 0.0
-            work[j, j + 2 :] = 0.0
-        # Q_T' = Q_T P^H, P = -conj(phase) (I - 2 v v^H)
-        block = q[:, j + 1 :]
-        q[:, j + 1 :] = -step.phase * (block - 2.0 * np.outer(block @ v, v.conj()))
-
-    dw = np.diag(work)
-    if np.max(np.abs(dw.imag)) > imag_bound:
+    for j0 in range(0, k - 1, _PANEL):
+        j1 = min(j0 + _PANEL, k - 1)
+        # column 2c holds the panel's reflector v_c, column 2c + 1 its w_c
+        vw = np.zeros((k, 2 * (j1 - j0)), dtype=np.complex128)
+        for c, j in enumerate(range(j0, j1)):
+            col = work[j:, j]
+            done = vw[j:, : 2 * c]
+            if c:
+                # V conj(W_j) + W conj(V_j), row j of V W^H + W V^H
+                col -= done @ _pair_swap(done[0]).conj()
+            diag[j] = col[0]
+            step = householder_vector(col[1:], k=j)
+            off[j] = step.xnorm
+            if step.skip:
+                continue
+            v = step.v
+            turn[j] = -step.phase
+            p = work[j + 1 :, j + 1 :] @ v
+            if c:
+                # (V W^H + W V^H) v
+                p -= done[1:] @ _pair_swap(v.conj() @ done[1:]).conj()
+            p *= 2.0
+            vw[j + 1 :, 2 * c] = v
+            vw[j + 1 :, 2 * c + 1] = p - np.vdot(v, p) * v
+        x = vw[j1:, 0::2] @ vw[j1:, 1::2].conj().T
+        work[j1:, j1:] -= x + x.conj().T
+        panels.append((j0, vw[:, 0::2]))
+    diag[k - 1] = work[k - 1, k - 1]
+    imag = np.abs(diag.imag) + np.abs(bh.mat.diagonal().imag)
+    if np.max(imag) > 1e-10 * max(fro_norm(bh.mat), 1.0):
         raise ValidationError("tridiagonalization produced a complex diagonal")
-    diag[:] = dw.real
-    return TridiagonalReal(diag=diag, offdiag=off), q
+
+    # Q_T = H_0 H_1 ... H_{k-2} diag(phases); each panel's product of
+    # reflections is I - V S V^H with S upper triangular (a skipped step's
+    # v is zero, so its entries of S never reach the product)
+    q = np.eye(k, dtype=np.complex128)
+    for j0, vs in reversed(panels):
+        nb = vs.shape[1]
+        gv = vs.conj().T @ vs
+        s = 2.0 * np.eye(nb, dtype=np.complex128)
+        for c in range(1, nb):
+            s[:c, c] = -2.0 * (s[:c, :c] @ gv[:c, c])
+        vb = vs[j0 + 1 :]
+        q[j0 + 1 :, j0 + 1 :] -= vb @ (s @ (vb.conj().T @ q[j0 + 1 :, j0 + 1 :]))
+    q[:, 1:] *= np.cumprod(turn)
+    return TridiagonalReal(diag=diag.real, offdiag=off), q
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +633,36 @@ def recover_svd(a, eig: EigenDecomposition, q_t, cfg: DcConfig | None = None) ->
     return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=eig.diagnostics)
 
 
+# svd_4step scales A only when its largest part lies outside 2**(+-_SAFE_EXP)
+_SAFE_EXP = 256
+
+
+def _pow2_exponent(a: np.ndarray) -> int:
+    """e such that the largest real or imaginary part of a * 2**-e lies in
+    [0.5, 1) (0 for a zero matrix)."""
+    big = max(a.real.max(), -a.real.min(), a.imag.max(), -a.imag.min())
+    return math.frexp(float(big))[1]
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2**e, exact unless an entry leaves the normal range."""
+    return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
+
+
 def svd_4step(a, cfg: DcConfig | None = None, iter_budget: int | None = None) -> SvdResult:
     """Full pipeline: Gram matrix, tridiagonalization, divide-and-conquer
     diagonalization, and SVD recovery.
+
+    When the largest real or imaginary part of A lies outside
+    [2**-_SAFE_EXP, 2**_SAFE_EXP], A is first scaled by the power of two
+    2**-e that brings it into [0.5, 1), so that A^H A neither overflows
+    nor underflows, and sigma is scaled back by 2**e at the end; U is
+    then formed from the scaled copy as A_s V / sigma_s, which equals
+    A V / sigma because the scale is exact. Inside that range A is used
+    as it is (LAPACK zgesvd also scales only outside a safe range): the
+    Gram matrix and everything derived from it stay far from overflow and
+    from the subnormal range, where a power-of-two scale changes no
+    rounding and would only cost a copy of A.
 
     ``iter_budget`` caps the iterations per secular root as in
     truncated_dc_eigen (used for accuracy-versus-latency sweeps); None
@@ -602,10 +670,14 @@ def svd_4step(a, cfg: DcConfig | None = None, iter_budget: int | None = None) ->
     """
     cfg = cfg or DcConfig()
     a = as_matrix(a)
-    b = gram(a)
+    e = _pow2_exponent(a)
+    e = e if abs(e) > _SAFE_EXP else 0
+    a_s = _ldexp(a, -e) if e else a
+    b = gram(a_s)
     t, q_t = tridiagonalize(b)
     if iter_budget is None:
         eig = dc_eigen(t, cfg)
     else:
         eig = truncated_dc_eigen(t, cfg, iter_budget)
-    return recover_svd(a, eig, q_t, cfg)
+    res = recover_svd(a_s, eig, q_t, cfg)
+    return replace(res, sigma=np.ldexp(res.sigma, e))

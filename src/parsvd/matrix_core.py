@@ -23,7 +23,7 @@ def as_matrix(data) -> np.ndarray:
         raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"matrix dimensions must be >= 1, got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     return a
 
@@ -35,7 +35,7 @@ def as_vector(data) -> np.ndarray:
         raise DimensionError(f"expected a 1-D vector, got ndim={v.ndim}")
     if v.shape[0] < 1:
         raise DimensionError("vector length must be >= 1")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValidationError("vector contains NaN or Inf entries")
     return v
 

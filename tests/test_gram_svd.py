@@ -17,7 +17,7 @@ from parsvd.gram_svd import (
     tridiagonalize,
     truncated_dc_eigen,
 )
-from parsvd.gram_svd import _rank1_eigen, _secular_root
+from parsvd.gram_svd import _PANEL, _rank1_eigen, _secular_root
 from parsvd.matrix_core import fro_norm
 from parsvd.reference_solvers import gk_svd, jacobi_eigen_oracle
 
@@ -148,6 +148,92 @@ def test_tridiagonalize_eigenvalues_match_jacobi(rng):
 def test_tridiagonalize_rejects_non_hermitian(rng):
     with pytest.raises(ValidationError):
         tridiagonalize(rand_complex(rng, 3, 3))
+
+
+def test_tridiagonalize_rejects_complex_diagonal():
+    # built without from_matrix's check, so the imaginary part gets through
+    b = HermitianMatrix(mat=np.diag([1.0 + 1e-3j, 2.0, 3.0]))
+    with pytest.raises(ValidationError, match="complex diagonal"):
+        tridiagonalize(b)
+
+
+def _per_step_tridiagonalize(b):
+    # the unblocked reduction: one reflection, one full trailing update
+    # B' = B - v w^H - w v^H and one update of Q_T per step
+    k = b.shape[0]
+    work = b.copy()
+    q = np.eye(k, dtype=complex)
+    off = np.zeros(k - 1)
+    for j in range(k - 1):
+        step = householder_vector(work[j + 1 :, j], k=j)
+        off[j] = step.xnorm
+        if step.skip:
+            continue
+        v = step.v
+        sub = work[j + 1 :, j + 1 :]
+        p = 2.0 * (sub @ v)
+        w = p - np.vdot(v, p) * v
+        work[j + 1 :, j + 1 :] = sub - np.outer(v, w.conj()) - np.outer(w, v.conj())
+        block = q[:, j + 1 :]
+        q[:, j + 1 :] = -step.phase * (block - 2.0 * np.outer(block @ v, v.conj()))
+    return np.diag(work).real, off, q
+
+
+def _check_blocked_reduction(b):
+    # similarity, unitarity and sign bounds, agreement with the per-step
+    # loop, and an input left as it was by the in-place update
+    k = b.shape[0]
+    herm = HermitianMatrix.from_matrix(b)
+    before = herm.mat.copy()
+    t, q = tridiagonalize(herm)
+    np.testing.assert_array_equal(herm.mat, before)
+    scale = fro_norm(b)
+    assert fro_norm(q.conj().T @ b @ q - t.to_dense()) <= 1e-11 * scale
+    assert fro_norm(q.conj().T @ q - np.eye(k)) <= 1e-11
+    assert np.all(t.offdiag >= 0.0)
+    d_ref, e_ref, q_ref = _per_step_tridiagonalize(herm.mat)
+    assert np.max(np.abs(t.diag - d_ref), initial=0.0) <= 1e-11 * scale
+    assert np.max(np.abs(t.offdiag - e_ref), initial=0.0) <= 1e-11 * scale
+    assert fro_norm(q - q_ref) <= 1e-11 * k
+    return t
+
+
+@pytest.mark.parametrize("k", [1, 2, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1, 100])
+def test_tridiagonalize_blocked_sizes(k):
+    rng = np.random.default_rng(100 + k)
+    _check_blocked_reduction(rand_hermitian(rng, k))
+
+
+def test_tridiagonalize_skips_inside_a_panel(rng):
+    # decoupled blocks and diagonal entries make columns 5, 6, 7, 19,
+    # _PANEL - 1 and _PANEL zero below the subdiagonal: they skip inside
+    # the first panel, at its last step and at the first step of the second
+    k, edge = 2 * _PANEL + 4, _PANEL
+    b = np.zeros((k, k), dtype=complex)
+    b[:6, :6] = rand_hermitian(rng, 6)
+    b[6:8, 6:8] = np.diag([2.0, -1.0])
+    b[8:20, 8:20] = rand_hermitian(rng, 12)
+    b[20:edge, 20:edge] = rand_hermitian(rng, edge - 20)
+    b[edge, edge] = 0.5
+    b[edge + 1 :, edge + 1 :] = rand_hermitian(rng, k - edge - 1)
+    skips = [5, 6, 7, 19, edge - 1, edge]
+    t = _check_blocked_reduction(b)
+    np.testing.assert_array_equal(t.offdiag[skips], 0.0)
+    assert np.all(np.delete(t.offdiag, skips) > 0.0)
+
+
+def test_tridiagonalize_nearly_hermitian_input(rng):
+    # within from_matrix's tolerance: an anti-Hermitian deviation and an
+    # imaginary diagonal just under 1e-12 of the norm; the lower triangle
+    # and the real diagonal are what gets reduced
+    k = _PANEL + 9
+    b = rand_hermitian(rng, k)
+    noise = rand_complex(rng, k, k)
+    noise = noise - noise.conj().T
+    b = b + 0.4e-12 * fro_norm(b) / fro_norm(noise) * noise
+    assert fro_norm(b - b.conj().T) > 0.0
+    assert np.max(np.abs(np.diag(b).imag)) > 0.0
+    _check_blocked_reduction(b)
 
 
 def test_vector_update_equals_explicit_reflection(rng):
@@ -431,6 +517,17 @@ def test_recover_zero_matrix_rank_zero():
     np.testing.assert_array_equal(res.sigma, [0.0, 0.0])
     assert not np.any(res.valid)
     np.testing.assert_array_equal(res.u, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e-160, 1e-170])
+def test_extreme_scaling(factor):
+    # A^H A of these overflows or underflows unless A is scaled first
+    a = rand_complex(np.random.default_rng(16), 16, 8) * factor
+    res = svd_4step(a)
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert np.max(np.abs(res.sigma - ref)) <= 1e-9 * ref[0]
+    assert np.all(res.valid)
+    assert fro_norm(res.u.conj().T @ res.u - np.eye(8)) <= 1e-10 * np.sqrt(8)
 
 
 def test_identity_sigma():
