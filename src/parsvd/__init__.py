@@ -1,7 +1,6 @@
 """Parallel Gram-based SVD, baseline solvers, latency model, MIMO harness."""
 
 from .gram_svd import (
-    DcConfig,
     DcDiagnostics,
     EigenDecomposition,
     HermitianMatrix,
@@ -19,7 +18,6 @@ from .gram_svd import (
 from .matrix_core import fro_norm
 
 __all__ = [
-    "DcConfig",
     "DcDiagnostics",
     "EigenDecomposition",
     "HermitianMatrix",

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gram_svd
 from .errors import ParsvdError, ValidationError
-from .gram_svd import DcConfig, HermitianMatrix, svd_4step, tridiagonalize
+from .gram_svd import HermitianMatrix, svd_4step, tridiagonalize
 from .kvfile import read_flat_kv
 from .latency_model import (
     analytic_latency,
@@ -214,8 +214,7 @@ def _sweep_payload(sweep: SweepResult) -> dict:
 
 def _cmd_svd(args):
     a = _load_input(args, square_hermitian=False)
-    cfg = DcConfig(sv_threshold=args.sv_threshold)
-    res = svd_4step(a, cfg, iter_budget=args.budget)
+    res = svd_4step(a, args.budget, sv_threshold=args.sv_threshold)
     residual = fro_norm(a - res.reconstruct()) / max(fro_norm(a), 1e-300)
     diag = res.diagnostics
     payload = {
@@ -238,7 +237,7 @@ def _cmd_svd(args):
 def _cmd_eig(args):
     b = _load_input(args, square_hermitian=True)
     t, q_t = tridiagonalize(HermitianMatrix.from_matrix(b))
-    eig = gram_svd.dc_eigen(t, DcConfig())
+    eig = gram_svd.dc_eigen(t)
     vecs = q_t @ eig.q
     res = fro_norm(b @ vecs - vecs * eig.lam) / max(fro_norm(b), 1e-300)
     payload = {

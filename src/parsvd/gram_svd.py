@@ -28,9 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
-from .matrix_core import as_matrix, as_vector, fro_norm
+from .matrix_core import as_matrix, as_vector, fro_norm, pow2_scale
 
 _EPS = np.finfo(np.float64).eps
+_HERMITIAN_TOL = 1e-12  # relative deviation from Hermitian that from_matrix accepts
+_SECULAR_TOL = 1e-13  # a root converges at |f| <= _SECULAR_TOL * (1 + sum |terms|)
+_MAX_NEWTON_ITERS = 50  # model steps per secular root before ConvergenceError
+_DEFLATION_TOL = 1e-14  # merge weights and pole gaps below this, relative, deflate
+_SV_THRESHOLD = 1e-10  # default relative sigma below which U gets no column
 
 
 # ---------------------------------------------------------------------------
@@ -48,15 +53,17 @@ class HermitianMatrix:
         return self.mat.shape[0]
 
     @classmethod
-    def from_matrix(cls, mat, tol: float = 1e-12) -> "HermitianMatrix":
+    def from_matrix(cls, mat) -> "HermitianMatrix":
+        """Accept a square matrix within 1e-12 of Hermitian, relative to its norm."""
         m = as_matrix(mat)
         if m.shape[0] != m.shape[1]:
             raise DimensionError(f"Hermitian matrix must be square, got {m.shape}")
-        scale = fro_norm(m)
-        dev = fro_norm(m - m.conj().T)
-        if dev > tol * max(scale, 1.0):
+        s, _ = pow2_scale(m)
+        scale = fro_norm(s)
+        dev = fro_norm(s - s.conj().T)
+        if dev > _HERMITIAN_TOL * scale:
             raise ValidationError(
-                f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e} * norm"
+                f"matrix is not Hermitian: relative deviation {dev / scale:.3e} exceeds 1e-12"
             )
         return cls(mat=m)
 
@@ -100,7 +107,6 @@ class HouseholderStep:
     ``skip`` marks the degenerate zero-column case where P is the identity.
     """
 
-    k: int
     v: np.ndarray | None
     phase: complex
     xnorm: float
@@ -124,24 +130,6 @@ class DcDiagnostics:
     recursion_depth: int = 0
     deflation_count: int = 0
     interlacing_violations: int = 0
-
-
-@dataclass(frozen=True)
-class DcConfig:
-    """Tolerances and budgets for the divide-and-conquer eigensolver."""
-
-    secular_tol: float = 1e-13
-    max_newton_iters: int = 50
-    deflation_tol: float = 1e-14
-    sv_threshold: float = 1e-10
-
-    def __post_init__(self):
-        if self.secular_tol <= 0 or self.deflation_tol <= 0:
-            raise ValidationError("tolerances must be positive")
-        if self.max_newton_iters < 1:
-            raise ValidationError("max_newton_iters must be >= 1")
-        if not 0 < self.sv_threshold < 1:
-            raise ValidationError("sv_threshold must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -198,7 +186,7 @@ def gram(a) -> HermitianMatrix:
 # step 2: Householder tridiagonalization
 
 
-def householder_vector(x, k: int = 0) -> HouseholderStep:
+def householder_vector(x) -> HouseholderStep:
     """Build the unit reflector v for a column x.
 
     With phase = x_1/|x_1| (phase = 1 when x_1 = 0), the reflection
@@ -208,14 +196,14 @@ def householder_vector(x, k: int = 0) -> HouseholderStep:
     x = as_vector(x)
     xnorm = float(np.sqrt((x.real**2 + x.imag**2).sum()))
     if xnorm == 0.0:
-        return HouseholderStep(k=k, v=None, phase=1.0 + 0.0j, xnorm=0.0, skip=True)
+        return HouseholderStep(v=None, phase=1.0 + 0.0j, xnorm=0.0, skip=True)
     a1 = np.abs(x[0])
     phase = x[0] / a1 if a1 > 0.0 else complex(1.0)
     w = x.copy()
     w[0] = x[0] + phase * xnorm
     wnorm = float(np.sqrt((w.real**2 + w.imag**2).sum()))
     v = w / wnorm
-    return HouseholderStep(k=k, v=v, phase=complex(phase), xnorm=xnorm, skip=False)
+    return HouseholderStep(v=v, phase=complex(phase), xnorm=xnorm, skip=False)
 
 
 # reflectors per panel of the blocked reduction (LAPACK's zhetrd default)
@@ -274,7 +262,7 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
                 # V conj(W_j) + W conj(V_j), row j of V W^H + W V^H
                 col -= done @ _pair_swap(done[0]).conj()
             diag[j] = col[0]
-            step = householder_vector(col[1:], k=j)
+            step = householder_vector(col[1:])
             off[j] = step.xnorm
             if step.skip:
                 continue
@@ -292,7 +280,8 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
         panels.append((j0, vw[:, 0::2]))
     diag[k - 1] = work[k - 1, k - 1]
     imag = np.abs(diag.imag) + np.abs(bh.mat.diagonal().imag)
-    if np.max(imag) > 1e-10 * max(fro_norm(bh.mat), 1.0):
+    b_s, e = pow2_scale(bh.mat)
+    if np.ldexp(np.max(imag), -e) > 1e-10 * fro_norm(b_s):
         raise ValidationError("tridiagonalization produced a complex diagonal")
 
     # Q_T = H_0 H_1 ... H_{k-2} diag(phases); each panel's product of
@@ -355,9 +344,7 @@ def _stable_quadratic(aq: float, bq: float, cq: float) -> tuple[float, float]:
     return big, other
 
 
-def _secular_root(
-    d: np.ndarray, asq: np.ndarray, i: int, tol: float, max_iters: int, cap: int | None
-) -> tuple[int, float, int]:
+def _secular_root(d: np.ndarray, asq: np.ndarray, i: int, cap: int | None) -> tuple[int, float, int]:
     """Root i of 1 + sum(asq_j / (d_j - lam)), the deflated secular equation
     with ascending poles ``d`` and alpha folded into ``asq``.
 
@@ -371,8 +358,8 @@ def _secular_root(
     bisection bracket, so it cannot escape.
 
     The probe counts as one iteration against ``cap`` but not against
-    ``max_iters``. Without a cap, a root still open after ``max_iters``
-    model steps raises ConvergenceError with its bracket; with one, the
+    ``_MAX_NEWTON_ITERS``. Without a cap, a root still open after
+    ``_MAX_NEWTON_ITERS`` model steps raises ConvergenceError with its bracket; with one, the
     last iterate is returned.
     """
     n = d.size
@@ -390,13 +377,13 @@ def _secular_root(
         probe, p1 = 1, i
     p2 = p1 + 1
     dd = d - d[origin]
-    limit = max_iters if cap is None else min(max_iters, cap - probe)
+    limit = _MAX_NEWTON_ITERS if cap is None else min(_MAX_NEWTON_ITERS, cap - probe)
     tau = 0.5 * (lo + hi)
     for it in range(1, limit + 1):
         delta = dd - tau
         t = asq / delta
         fval = 1.0 + t.sum()
-        if abs(fval) <= tol * (1.0 + np.abs(t).sum()):
+        if abs(fval) <= _SECULAR_TOL * (1.0 + np.abs(t).sum()):
             return origin, tau, it + probe
         if fval < 0.0:
             lo = tau
@@ -421,23 +408,18 @@ def _secular_root(
         tau = min(steps, key=lambda c: abs(c - tau)) if steps else 0.5 * (lo + hi)
     if cap is None:
         raise ConvergenceError(
-            f"secular root did not converge in {max_iters} iterations", bracket=(lo, hi)
+            f"secular root did not converge in {_MAX_NEWTON_ITERS} iterations", bracket=(lo, hi)
         )
     return origin, tau, limit + probe
 
 
 def _rank1_eigen(
-    d: np.ndarray,
-    u: np.ndarray,
-    rho: float,
-    cfg: DcConfig,
-    cap: int | None,
-    diag: DcDiagnostics,
+    d: np.ndarray, u: np.ndarray, rho: float, cap: int | None, diag: DcDiagnostics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigen decomposition of diag(d) + rho * u u^T (d in any order)."""
     n = d.size
     if rho < 0.0:
-        lam_m, s_m = _rank1_eigen(-d[::-1], u[::-1], -rho, cfg, cap, diag)
+        lam_m, s_m = _rank1_eigen(-d[::-1], u[::-1], -rho, cap, diag)
         return -lam_m[::-1], s_m[::-1, ::-1]
 
     p = np.argsort(d, kind="stable")
@@ -447,17 +429,17 @@ def _rank1_eigen(
     unorm = float(np.sqrt(np.sum(us * us)))
 
     deflated = np.zeros(n, dtype=bool)
-    if rho == 0.0 or unorm == 0.0 or rho * unorm * unorm <= cfg.deflation_tol * scale:
+    if rho == 0.0 or unorm == 0.0 or rho * unorm * unorm <= _DEFLATION_TOL * scale:
         deflated[:] = True
     else:
-        deflated = np.abs(us) <= cfg.deflation_tol * unorm
+        deflated = np.abs(us) <= _DEFLATION_TOL * unorm
 
     rots: list[tuple[int, int, float, float]] = []
     prev = -1
     for j in range(n):
         if deflated[j]:
             continue
-        if prev >= 0 and ds[j] - ds[prev] <= cfg.deflation_tol * scale:
+        if prev >= 0 and ds[j] - ds[prev] <= _DEFLATION_TOL * scale:
             r = math.hypot(us[prev], us[j])
             cs = us[j] / r
             sn = us[prev] / r
@@ -480,10 +462,7 @@ def _rank1_eigen(
     if n_keep > 0:
         dk = ds[keep]
         asq = rho * us[keep] * us[keep]
-        roots = [
-            _secular_root(dk, asq, i, cfg.secular_tol, cfg.max_newton_iters, cap)
-            for i in range(n_keep)
-        ]
+        roots = [_secular_root(dk, asq, i, cap) for i in range(n_keep)]
         origin, tau, iters = (np.array(col) for col in zip(*roots))
         lam_all[:n_keep] = dk[origin] + tau
         diag.newton_iterations_total += int(iters.sum())
@@ -534,15 +513,15 @@ def _rank1_eigen(
 
 
 def _dc_recurse(
-    t: TridiagonalReal, cfg: DcConfig, cap: int | None, diag: DcDiagnostics
+    t: TridiagonalReal, cap: int | None, diag: DcDiagnostics
 ) -> tuple[np.ndarray, np.ndarray, int]:
     k = t.dim
     if k == 1:
         return t.diag.copy(), np.ones((1, 1)), 0
     cut = (k + 1) // 2
     t1, t2, alpha = split(t, cut)
-    lam1, q1, dep1 = _dc_recurse(t1, cfg, cap, diag)
-    lam2, q2, dep2 = _dc_recurse(t2, cfg, cap, diag)
+    lam1, q1, dep1 = _dc_recurse(t1, cap, diag)
+    lam2, q2, dep2 = _dc_recurse(t2, cap, diag)
     depth = 1 + max(dep1, dep2)
 
     d0 = np.concatenate([lam1, lam2])
@@ -554,20 +533,20 @@ def _dc_recurse(
         qq[t1.dim :, t1.dim :] = q2
         return d0[order], qq[:, order], depth
 
-    lam, s = _rank1_eigen(d0, u0, alpha, cfg, cap, diag)
+    lam, s = _rank1_eigen(d0, u0, alpha, cap, diag)
     q = np.zeros((k, k))
     q[: t1.dim, :] = q1 @ s[: t1.dim, :]
     q[t1.dim :, :] = q2 @ s[t1.dim :, :]
     return lam, q, depth
 
 
-def _dc(t: TridiagonalReal, cfg: DcConfig | None, cap: int | None) -> EigenDecomposition:
+def _dc(t: TridiagonalReal, cap: int | None) -> EigenDecomposition:
     diag = DcDiagnostics()
-    lam, q, diag.recursion_depth = _dc_recurse(t, cfg or DcConfig(), cap, diag)
+    lam, q, diag.recursion_depth = _dc_recurse(t, cap, diag)
     return EigenDecomposition(lam=lam, q=q.astype(np.complex128), diagnostics=diag)
 
 
-def dc_eigen(t: TridiagonalReal, cfg: DcConfig | None = None) -> EigenDecomposition:
+def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
     """Divide-and-conquer eigendecomposition of a real symmetric tridiagonal.
 
     Splits at the middle recursively, solves the secular equation of each
@@ -575,43 +554,49 @@ def dc_eigen(t: TridiagonalReal, cfg: DcConfig | None = None) -> EigenDecomposit
     poles), and accumulates eigenvectors level by level. Eigenvalues come
     out ascending; the eigenvector matrix is real-valued but returned with
     complex dtype for uniformity with the rest of the pipeline. A secular
-    root that does not converge in ``cfg.max_newton_iters`` model steps
+    root that does not converge in ``_MAX_NEWTON_ITERS`` (50) model steps
     raises ConvergenceError.
     """
-    return _dc(t, cfg, None)
+    return _dc(t, None)
 
 
-def truncated_dc_eigen(
-    t: TridiagonalReal, cfg: DcConfig | None = None, iter_budget: int = 1
-) -> EigenDecomposition:
+def truncated_dc_eigen(t: TridiagonalReal, iter_budget: int) -> EigenDecomposition:
     """dc_eigen with each secular root capped at ``iter_budget`` iterations.
 
     An interior root's midpoint probe counts as one iteration against the
-    budget, but not against ``cfg.max_newton_iters``, which bounds the
-    model steps after it. From a budget of ``max_newton_iters + 1`` on, the
-    output therefore equals dc_eigen's whenever dc_eigen converges; where
-    it would raise ConvergenceError, the capped solve keeps the last
-    iterate instead. Small budgets trade accuracy for fewer sequential
-    steps.
+    budget, but not against ``_MAX_NEWTON_ITERS`` (50), which bounds the
+    model steps after it. From a budget of ``_MAX_NEWTON_ITERS + 1`` (51)
+    on, the output therefore does not depend on the budget, and equals
+    dc_eigen's whenever dc_eigen converges; where it would raise
+    ConvergenceError, the capped solve keeps the last iterate instead.
+    Small budgets trade accuracy for fewer sequential steps.
     """
     if iter_budget < 1:
         raise ValidationError("iter_budget must be >= 1")
-    return _dc(t, cfg, iter_budget)
+    return _dc(t, iter_budget)
 
 
 # ---------------------------------------------------------------------------
 # step 4: SVD recovery
 
 
-def recover_svd(a, eig: EigenDecomposition, q_t, cfg: DcConfig | None = None) -> SvdResult:
+def _check_sv_threshold(sv_threshold: float) -> None:
+    if not 0 < sv_threshold < 1:
+        raise ValidationError("sv_threshold must lie in (0, 1)")
+
+
+def recover_svd(
+    a, eig: EigenDecomposition, q_t, *, sv_threshold: float = _SV_THRESHOLD
+) -> SvdResult:
     """Recover U, sigma, V from the eigendecomposition of the Gram matrix.
 
     sigma_i = sqrt(max(lambda_i, 0)) sorted descending, V = Q_T Q_D with
     columns permuted to match, and U columns A v_i / sigma_i computed only
-    where sigma_i stays above the relative threshold; the rest are flagged
-    invalid. A zero matrix yields a rank-zero result rather than an error.
+    where sigma_i > sv_threshold * sigma_max (sv_threshold in (0, 1),
+    else ValidationError); the rest are flagged invalid. A zero matrix
+    yields a rank-zero result rather than an error.
     """
-    cfg = cfg or DcConfig()
+    _check_sv_threshold(sv_threshold)
     a = as_matrix(a)
     q_t = as_matrix(q_t)
     v0 = q_t @ eig.q
@@ -624,7 +609,7 @@ def recover_svd(a, eig: EigenDecomposition, q_t, cfg: DcConfig | None = None) ->
     m = a.shape[0]
     sig_max = sigma[0] if k else 0.0
     if sig_max > 0.0:
-        valid = sigma > cfg.sv_threshold * sig_max
+        valid = sigma > sv_threshold * sig_max
     else:
         valid = np.zeros(k, dtype=bool)
     u = np.zeros((m, k), dtype=np.complex128)
@@ -633,51 +618,35 @@ def recover_svd(a, eig: EigenDecomposition, q_t, cfg: DcConfig | None = None) ->
     return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=eig.diagnostics)
 
 
-# svd_4step scales A only when its largest part lies outside 2**(+-_SAFE_EXP)
-_SAFE_EXP = 256
-
-
-def _pow2_exponent(a: np.ndarray) -> int:
-    """e such that the largest real or imaginary part of a * 2**-e lies in
-    [0.5, 1) (0 for a zero matrix)."""
-    big = max(a.real.max(), -a.real.min(), a.imag.max(), -a.imag.min())
-    return math.frexp(float(big))[1]
-
-
-def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
-    """a * 2**e, exact unless an entry leaves the normal range."""
-    return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
-
-
-def svd_4step(a, cfg: DcConfig | None = None, iter_budget: int | None = None) -> SvdResult:
+def svd_4step(
+    a, iter_budget: int | None = None, *, sv_threshold: float = _SV_THRESHOLD
+) -> SvdResult:
     """Full pipeline: Gram matrix, tridiagonalization, divide-and-conquer
     diagonalization, and SVD recovery.
 
     When the largest real or imaginary part of A lies outside
-    [2**-_SAFE_EXP, 2**_SAFE_EXP], A is first scaled by the power of two
-    2**-e that brings it into [0.5, 1), so that A^H A neither overflows
-    nor underflows, and sigma is scaled back by 2**e at the end; U is
-    then formed from the scaled copy as A_s V / sigma_s, which equals
-    A V / sigma because the scale is exact. Inside that range A is used
-    as it is (LAPACK zgesvd also scales only outside a safe range): the
-    Gram matrix and everything derived from it stay far from overflow and
-    from the subnormal range, where a power-of-two scale changes no
-    rounding and would only cost a copy of A.
+    [2**-256, 2**256], A is first scaled by the power of two 2**-e that
+    brings it into [0.5, 1) (matrix_core.pow2_scale), so that A^H A
+    neither overflows nor underflows, and sigma is scaled back by 2**e at
+    the end; U is then formed from the scaled copy as A_s V / sigma_s,
+    which equals A V / sigma because the scale is exact. Inside that range
+    A is used as it is (LAPACK zgesvd also scales only outside a safe
+    range): the Gram matrix and everything derived from it stay far from
+    overflow and from the subnormal range, where a power-of-two scale
+    changes no rounding and would only cost a copy of A.
 
     ``iter_budget`` caps the iterations per secular root as in
     truncated_dc_eigen (used for accuracy-versus-latency sweeps); None
-    means run to convergence.
+    means run to convergence. ``sv_threshold`` is recover_svd's; it is
+    checked before any work is done.
     """
-    cfg = cfg or DcConfig()
-    a = as_matrix(a)
-    e = _pow2_exponent(a)
-    e = e if abs(e) > _SAFE_EXP else 0
-    a_s = _ldexp(a, -e) if e else a
+    _check_sv_threshold(sv_threshold)
+    a_s, e = pow2_scale(as_matrix(a))
     b = gram(a_s)
     t, q_t = tridiagonalize(b)
     if iter_budget is None:
-        eig = dc_eigen(t, cfg)
+        eig = dc_eigen(t)
     else:
-        eig = truncated_dc_eigen(t, cfg, iter_budget)
-    res = recover_svd(a_s, eig, q_t, cfg)
+        eig = truncated_dc_eigen(t, iter_budget)
+    res = recover_svd(a_s, eig, q_t, sv_threshold=sv_threshold)
     return replace(res, sigma=np.ldexp(res.sigma, e))

@@ -52,10 +52,6 @@ class OpCount:
     def as_dict(self) -> dict:
         return {"add": self.add, "mul": self.mul, "div": self.div, "sqrt": self.sqrt}
 
-    @classmethod
-    def from_dict(cls, d) -> "OpCount":
-        return cls(**{k: int(v) for k, v in d.items()})
-
 
 @dataclass(frozen=True)
 class DfgNode:

@@ -8,6 +8,8 @@ concurrent contexts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, ValidationError
@@ -44,4 +46,20 @@ def fro_norm(a) -> float:
     """Frobenius norm, sqrt(sum |a_ij|^2)."""
     a = as_matrix(a)
     return float(np.sqrt(np.sum(a.real * a.real + a.imag * a.imag)))
+
+
+_SAFE_EXP = 256
+
+
+def pow2_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2**-e, e) with e bringing the largest real or imaginary part of a
+    into [0.5, 1) when it lies outside 2**(+-_SAFE_EXP), else (a, 0), no copy.
+
+    Products of the result's largest entries stay far from overflow and
+    underflow; the power-of-two scale is exact."""
+    big = max(a.real.max(), -a.real.min(), a.imag.max(), -a.imag.min())
+    e = math.frexp(float(big))[1]
+    if abs(e) <= _SAFE_EXP:
+        return a, 0
+    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
 

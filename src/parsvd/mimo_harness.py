@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
 from .gram_svd import SvdResult, gram, recover_svd, svd_4step, tridiagonalize, truncated_dc_eigen
+from .gram_svd import _MAX_NEWTON_ITERS
 from .latency_model import analytic_latency, ceil_log2, total_ops
 from .latency_model.analytic import _resolve
 from .matrix_core import as_matrix
@@ -254,9 +255,10 @@ def _lam_to_sigma(lam):
     return np.sqrt(np.maximum(lam[::-1], 0.0))
 
 
-def _dc_sigma_history(t, budget_cap: int):
-    """Yield the singular values of capped D&C solves at budgets 1, 2, ..."""
-    for budget in range(1, budget_cap + 1):
+def _dc_sigma_history(t):
+    """Yield the singular values of capped D&C solves at budgets 1, 2, ...
+    up to _MAX_NEWTON_ITERS + 1, beyond which a capped solve no longer changes."""
+    for budget in range(1, _MAX_NEWTON_ITERS + 2):
         yield _lam_to_sigma(truncated_dc_eigen(t, iter_budget=budget).lam)
 
 
@@ -264,7 +266,6 @@ def iterations_to_mse(
     algorithm: str,
     cfg: ChannelConfig,
     mse_target: float,
-    budget_cap: int = 64,
     sweep_cap: int = 800,
 ) -> IterationSearch:
     """Smallest iteration budget whose mean singular-value MSE meets the
@@ -275,7 +276,8 @@ def iterations_to_mse(
     recursion depth for the divide-and-conquer solver, so counts are
     comparable across algorithms; ``budget`` is the raw knob. Sweeps are
     counted in the plain (unshifted) iteration mode that the latency model
-    prices.
+    prices. A target not met by a D&C budget of 51 (see truncated_dc_eigen)
+    or by ``sweep_cap`` sweeps raises ConvergenceError.
     """
     if mse_target <= 0:
         raise ValidationError("mse_target must be positive")
@@ -284,8 +286,8 @@ def iterations_to_mse(
     refs = [svd_4step(h).sigma for h in channels]
 
     if alg == "4step-dc":
-        hists = [_dc_sigma_history(tridiagonalize(gram(h))[0], budget_cap) for h in channels]
-        per_budget, cap = max(ceil_log2(cfg.k), 1), f"dc budget cap {budget_cap}"
+        hists = [_dc_sigma_history(tridiagonalize(gram(h))[0]) for h in channels]
+        per_budget, cap = max(ceil_log2(cfg.k), 1), f"dc budget cap {_MAX_NEWTON_ITERS + 1}"
     elif alg == "4step-qr":
         hists = [
             map(_lam_to_sigma, qr_eigenvalue_history(tridiagonalize(gram(h))[0], sweep_cap))
@@ -312,8 +314,6 @@ def sweep_latency_vs_size(
     profile,
     trials: int = 5,
     seed: int = 0,
-    snr_per_link: float = 1.0,
-    budget_cap: int = 64,
     sweep_cap: int = 800,
 ) -> SweepResult:
     """Latency and op-count comparison across matrix sizes.
@@ -331,13 +331,9 @@ def sweep_latency_vs_size(
         series[alg] = []
         series[f"{alg}:ops"] = []
     for m_dim, k_dim in sizes:
-        cfg = ChannelConfig(
-            m=m_dim, k=k_dim, panels=1, snr_per_link=snr_per_link, seed=seed, trials=trials
-        )
+        cfg = ChannelConfig(m=m_dim, k=k_dim, seed=seed, trials=trials)
         for alg in algorithms:
-            found = iterations_to_mse(
-                alg, cfg, mse_target, budget_cap=budget_cap, sweep_cap=sweep_cap
-            )
+            found = iterations_to_mse(alg, cfg, mse_target, sweep_cap=sweep_cap)
             est = analytic_latency(alg, (m_dim, k_dim), found.budget, profile)
             ops = total_ops(alg, (m_dim, k_dim), found.budget)
             series[alg].append(est.normalized_adders)

@@ -26,9 +26,12 @@ from .gram_svd import (
     TridiagonalReal,
     householder_vector,
 )
-from .matrix_core import as_matrix, fro_norm
+from .matrix_core import as_matrix, fro_norm, pow2_scale
 
 _EPS = np.finfo(np.float64).eps
+_SWEEP_TOL = 1e-12  # a converging solve stops at max |e| <= _SWEEP_TOL * max |d|
+_JACOBI_TOL = 1e-13  # the oracle stops at an off-diagonal mass of _JACOBI_TOL * norm
+_JACOBI_SWEEPS = 30
 
 
 @dataclass(frozen=True)
@@ -102,11 +105,18 @@ def _unreduced_blocks(d, e):
         lo = hi + 1
 
 
-def _converge(sweeper, tol: float, cap: int, failure: str) -> SweepReport:
-    """Sweep until max |e| <= tol * max |d|, raising ConvergenceError(failure)
-    after ``cap`` sweeps. A chase step costs ``sweeper.rotations_per_step``
+def _sweep_cap(k: int) -> int:
+    """6 K sweeps: LAPACK dbdsqr allows 6 K^2 inner steps (Demmel & Kahan,
+    SIAM J. Sci. Stat. Comput. 11(5), 1990), and a sweep chases about K."""
+    return 6 * k
+
+
+def _converge(sweeper, name: str) -> SweepReport:
+    """Sweep until max |e| <= _SWEEP_TOL * max |d|, raising ConvergenceError
+    after _sweep_cap(K) sweeps. A chase step costs ``rotations_per_step``
     rotations on the critical path: two for GK, one for QR."""
     d, e = sweeper.d, sweeper.e
+    cap = _sweep_cap(d.size)
 
     def metric():
         dmax = np.max(np.abs(d))
@@ -114,9 +124,11 @@ def _converge(sweeper, tol: float, cap: int, failure: str) -> SweepReport:
         return emax / dmax if dmax > 0 else 0.0
 
     report = SweepReport(offdiag_norm_history=[metric()])
-    while report.offdiag_norm_history[-1] > tol:
+    while report.offdiag_norm_history[-1] > _SWEEP_TOL:
         if report.sweeps >= cap:
-            raise ConvergenceError(failure, history=report.offdiag_norm_history)
+            raise ConvergenceError(
+                f"{name} did not converge in {cap} sweeps", history=report.offdiag_norm_history
+            )
         sweeper.sweep()
         report.sweeps += 1
         report.offdiag_norm_history.append(metric())
@@ -159,7 +171,7 @@ def gk_bidiagonalize(a) -> Bidiagonal:
         if x.size > 1 and _already_reduced(x):
             pass
         elif x.size > 1:
-            step = householder_vector(x, k=j)
+            step = householder_vector(x)
             if not step.skip:
                 v = step.v
                 block = work[j:, j:]
@@ -183,7 +195,7 @@ def gk_bidiagonalize(a) -> Bidiagonal:
             xr = work[j, j + 1 :]
             if _already_reduced(xr):
                 continue
-            step = householder_vector(np.conj(xr), k=j)
+            step = householder_vector(np.conj(xr))
             if not step.skip:
                 v = step.v
                 block = work[j:, j + 1 :]
@@ -205,10 +217,9 @@ def gk_bidiagonalize(a) -> Bidiagonal:
 
     diag = work[range(k), range(k)]
     sup = work[range(k - 1), range(1, k)]
-    bound = 1e-10 * max(fro_norm(a), 1.0)
-    if np.max(np.abs(diag.imag), initial=0.0) > bound or np.max(
-        np.abs(sup.imag), initial=0.0
-    ) > bound:
+    imag = max(np.max(np.abs(diag.imag)), np.max(np.abs(sup.imag), initial=0.0))
+    a_s, e = pow2_scale(a)
+    if np.ldexp(imag, -e) > 1e-10 * fro_norm(a_s):
         raise ValidationError("bidiagonalization left complex band entries")
     return Bidiagonal(diag=diag.real.copy(), superdiag=sup.real.copy(), u0=u0, v0=v0)
 
@@ -308,25 +319,23 @@ def _gk_result(sw: _GkSweeper) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=None)
 
 
-def gk_diagonalize(
-    bd: Bidiagonal, tol: float = 1e-12, max_sweeps: int = 500, shift: bool = True
-) -> tuple[SvdResult, SweepReport]:
-    """Diagonalize a bidiagonal factor with implicit QR sweeps.
+def gk_diagonalize(bd: Bidiagonal) -> tuple[SvdResult, SweepReport]:
+    """Diagonalize a bidiagonal factor with shifted implicit QR sweeps.
 
     One sweep chases a bulge across every unreduced block. Iterates until
-    the largest superdiagonal magnitude drops below tol times the largest
-    diagonal magnitude. Returns the economy SVD (sigma descending, signs
-    absorbed into U) together with a SweepReport.
+    the largest superdiagonal magnitude drops below 1e-12 times the
+    largest diagonal magnitude, and raises ConvergenceError after 6 K
+    sweeps. Returns the economy SVD (sigma descending, signs absorbed into
+    U) together with a SweepReport.
     """
-    sw = _GkSweeper(bd, shift)
-    failure = f"gk_diagonalize did not converge in {max_sweeps} sweeps"
-    report = _converge(sw, tol, max_sweeps, failure)
+    sw = _GkSweeper(bd, shift=True)
+    report = _converge(sw, "gk_diagonalize")
     return _gk_result(sw), report
 
 
-def gk_svd(a, tol: float = 1e-12, max_sweeps: int = 500) -> tuple[SvdResult, SweepReport]:
+def gk_svd(a) -> tuple[SvdResult, SweepReport]:
     """Convenience wrapper: bidiagonalize then diagonalize."""
-    return gk_diagonalize(gk_bidiagonalize(a), tol=tol, max_sweeps=max_sweeps)
+    return gk_diagonalize(gk_bidiagonalize(a))
 
 
 def gk_fixed_sweeps(bd: Bidiagonal, sweeps: int) -> SvdResult:
@@ -463,19 +472,16 @@ def qr_eigenvalue_history(t: TridiagonalReal, max_iters: int):
         yield _qr_result(sw).lam
 
 
-def qr_tridiag_eigen(
-    t: TridiagonalReal, tol: float = 1e-12, max_iters: int = 500, shift: bool = True
-) -> tuple[EigenDecomposition, SweepReport]:
-    """Symmetric tridiagonal eigensolver by implicit QR iteration.
+def qr_tridiag_eigen(t: TridiagonalReal) -> tuple[EigenDecomposition, SweepReport]:
+    """Symmetric tridiagonal eigensolver by Wilkinson-shifted implicit QR.
 
-    Wilkinson-shifted by default; pass shift=False for the plain sweeps
-    used in per-iteration cost studies. The eigenvector matrix exploits
-    its identity start: rotations only touch the filled band and the
-    skipped multiplications are reported.
+    Converges and fails as gk_diagonalize does (1e-12, 6 K sweeps); plain
+    sweeps are qr_fixed_sweeps and qr_eigenvalue_history. The eigenvector
+    matrix exploits its identity start: rotations only touch the filled
+    band and the skipped multiplications are reported.
     """
-    sw = _QrSweeper(t, shift)
-    failure = f"qr_tridiag_eigen did not converge in {max_iters} iterations"
-    report = _converge(sw, tol, max_iters, failure)
+    sw = _QrSweeper(t, shift=True)
+    report = _converge(sw, "qr_tridiag_eigen")
     report.trivial_mul_skips = sw.acc.skipped
     return _qr_result(sw), report
 
@@ -484,13 +490,13 @@ def qr_tridiag_eigen(
 # Jacobi oracle
 
 
-def jacobi_eigen_oracle(b, tol: float = 1e-13, max_sweeps: int = 30) -> EigenDecomposition:
+def jacobi_eigen_oracle(b) -> EigenDecomposition:
     """Cyclic two-sided complex Jacobi eigensolver for Hermitian matrices.
 
     Used as an independent oracle in tests: it shares no code with the
     tridiagonal pipeline. Sweeps rotate away each off-diagonal entry in
-    turn until the off-diagonal Frobenius mass is below tol relative to
-    the matrix norm.
+    turn until the off-diagonal Frobenius mass is below 1e-13 of the
+    matrix norm, and raise ConvergenceError after 30 sweeps.
     """
     if isinstance(b, HermitianMatrix):
         work = b.mat.copy()
@@ -506,8 +512,8 @@ def jacobi_eigen_oracle(b, tol: float = 1e-13, max_sweeps: int = 30) -> EigenDec
         o = work - np.diag(np.diag(work))
         return fro_norm(o)
 
-    for _ in range(max_sweeps):
-        if offnorm() <= tol * scale:
+    for _ in range(_JACOBI_SWEEPS):
+        if offnorm() <= _JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -542,7 +548,7 @@ def jacobi_eigen_oracle(b, tol: float = 1e-13, max_sweeps: int = 30) -> EigenDec
                 vec[:, q] = jq[0] * vp + jq[1] * vq
     else:
         raise ConvergenceError(
-            f"jacobi oracle did not converge in {max_sweeps} sweeps",
+            f"jacobi oracle did not converge in {_JACOBI_SWEEPS} sweeps",
             history=[offnorm() / scale],
         )
 

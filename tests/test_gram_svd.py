@@ -5,7 +5,6 @@ import pytest
 
 from parsvd.errors import DimensionError, ValidationError
 from parsvd.gram_svd import (
-    DcConfig,
     DcDiagnostics,
     HermitianMatrix,
     TridiagonalReal,
@@ -157,6 +156,26 @@ def test_tridiagonalize_rejects_complex_diagonal():
         tridiagonalize(b)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e200])
+def test_hermitian_checks_are_relative(scale):
+    # far from norm 1, each check must still compare a deviation with the
+    # matrix's own norm: no absolute floor below, no overflow above
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        HermitianMatrix.from_matrix(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # an imaginary diagonal a tenth of the scale
+    mat = scale * np.diag([1.0 + 0.1j, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        tridiagonalize(mat)
+    with pytest.raises(ValidationError, match="complex diagonal"):
+        tridiagonalize(HermitianMatrix(mat=mat))
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e200, 0.0])
+def test_from_matrix_accepts_scaled_hermitian(rng, scale):
+    b = scale * rand_hermitian(rng, 6)
+    np.testing.assert_array_equal(HermitianMatrix.from_matrix(b).mat, b)
+
+
 def _per_step_tridiagonalize(b):
     # the unblocked reduction: one reflection, one full trailing update
     # B' = B - v w^H - w v^H and one update of Q_T per step
@@ -165,7 +184,7 @@ def _per_step_tridiagonalize(b):
     q = np.eye(k, dtype=complex)
     off = np.zeros(k - 1)
     for j in range(k - 1):
-        step = householder_vector(work[j + 1 :, j], k=j)
+        step = householder_vector(work[j + 1 :, j])
         off[j] = step.xnorm
         if step.skip:
             continue
@@ -331,9 +350,8 @@ def test_secular_interlacing(rng):
     u = rng.standard_normal(6) + np.sign(rng.standard_normal(6)) * 0.2
     asq = 0.7 * u * u
     rho_sum = float(np.sum(asq))
-    cfg = DcConfig()
     for i in range(6):
-        origin, tau, _ = _secular_root(d, asq, i, cfg.secular_tol, cfg.max_newton_iters, None)
+        origin, tau, _ = _secular_root(d, asq, i, None)
         lam = d[origin] + tau
         lo = d[i]
         hi = d[i + 1] if i < 5 else d[5] + rho_sum
@@ -405,10 +423,9 @@ def test_merge_matches_per_root_loops(rng):
     d = np.sort(rng.standard_normal(n))
     u = rng.standard_normal(n)
     rho = 0.7
-    cfg = DcConfig()
-    lam, s = _rank1_eigen(d, u, rho, cfg, None, DcDiagnostics())
+    lam, s = _rank1_eigen(d, u, rho, None, DcDiagnostics())
     asq = rho * u * u
-    roots = [_secular_root(d, asq, i, cfg.secular_tol, cfg.max_newton_iters, None) for i in range(n)]
+    roots = [_secular_root(d, asq, i, None) for i in range(n)]
     uhat = np.empty(n)
     for i in range(n):
         diffs = np.array([(d[o] - d[i]) + tau for o, tau, _ in roots])
@@ -454,7 +471,7 @@ def test_dc_counts_pinned(spectrum, budget, want):
         sigma = np.concatenate([np.ones(16), np.linspace(0.9, 0.1, 16)])
         a = (_haar_columns(rng, 64, 32) * sigma) @ _haar_columns(rng, 32, 32).conj().T
     t, _ = tridiagonalize(gram(a))
-    eig = dc_eigen(t) if budget is None else truncated_dc_eigen(t, DcConfig(), budget)
+    eig = dc_eigen(t) if budget is None else truncated_dc_eigen(t, budget)
     d = eig.diagnostics
     got = (
         d.newton_iterations_total,
@@ -471,14 +488,14 @@ def test_truncated_budget_not_binding(rng):
     e = rng.standard_normal(7)
     t = TridiagonalReal(diag=d, offdiag=e)
     full = dc_eigen(t)
-    capped = truncated_dc_eigen(t, DcConfig(), iter_budget=60)
+    capped = truncated_dc_eigen(t, iter_budget=60)
     np.testing.assert_array_equal(full.lam, capped.lam)
     np.testing.assert_array_equal(full.q, capped.q)
 
 
 def test_truncated_single_step_2x2():
     t = TridiagonalReal(diag=[1.0, 2.0], offdiag=[1.0])
-    one = truncated_dc_eigen(t, DcConfig(), iter_budget=1)
+    one = truncated_dc_eigen(t, iter_budget=1)
     full = dc_eigen(t)
     # a single midpoint-probe step lands inside the bracket, not converged
     assert np.max(np.abs(one.lam - full.lam)) < 0.7
@@ -493,7 +510,7 @@ def test_truncated_mse_trend(rng):
     t = TridiagonalReal(diag=d, offdiag=e)
     ref = dc_eigen(t).lam
     for budget in range(1, 11):
-        lam = truncated_dc_eigen(t, DcConfig(), budget).lam
+        lam = truncated_dc_eigen(t, budget).lam
         errs.append(np.mean((lam - ref) ** 2))
     assert errs[-1] <= 1e-18 or errs[-1] < errs[0] * 1e-6
     assert errs[5] <= errs[0]
@@ -585,8 +602,4 @@ def test_determinism(rng):
 
 def test_dc_config_validation():
     with pytest.raises(ValidationError):
-        DcConfig(secular_tol=0.0)
-    with pytest.raises(ValidationError):
-        DcConfig(sv_threshold=2.0)
-    with pytest.raises(ValidationError):
-        DcConfig(max_newton_iters=0)
+        svd_4step(np.eye(2), sv_threshold=2.0)

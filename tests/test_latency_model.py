@@ -423,4 +423,3 @@ def test_opcount_helpers():
     assert y.add == 3 and y.total() == 8
     assert x.scaled(2).mul == 6
     assert x.lut_weighted(FP) == 2 * 341 + 3 * 660 + 757 + 409
-    assert OpCount.from_dict(x.as_dict()) == x

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from parsvd.errors import ConvergenceError
+from parsvd import reference_solvers
+from parsvd.errors import ConvergenceError, ValidationError
 from parsvd.gram_svd import HermitianMatrix, TridiagonalReal, dc_eigen, gram, svd_4step, tridiagonalize
 from parsvd.matrix_core import fro_norm
 from parsvd.reference_solvers import (
     Bidiagonal,
     _apply_col_rotations,
+    _converge,
+    _QrSweeper,
     gk_bidiagonalize,
     gk_diagonalize,
     gk_fixed_sweeps,
@@ -44,6 +47,13 @@ def test_bidiagonalize_residual_and_band(rng):
         assert res <= 1e-11 * fro_norm(a)
         assert fro_norm(bd.u0.conj().T @ bd.u0 - np.eye(m)) <= 1e-11
         assert fro_norm(bd.v0.conj().T @ bd.v0 - np.eye(k)) <= 1e-11
+
+
+def test_bidiagonalize_rejects_underflowed_band(rng):
+    # the reflector norms underflow, so the band keeps complex entries of
+    # the input's own size; the bound is relative to that size
+    with pytest.raises(ValidationError, match="complex band"):
+        gk_bidiagonalize(1e-170 * rand_complex(rng, 16, 8))
 
 
 def test_permutation_matrix_singular_values():
@@ -107,11 +117,23 @@ def test_gk_pipeline_count(rng):
     assert rep.effective_pipeline_iterations == 2 * (k - 1) + 4 * (rep.sweeps - 1)
 
 
-def test_gk_nonconvergence_raises(rng):
+def test_gk_nonconvergence_raises(rng, monkeypatch):
+    monkeypatch.setattr(reference_solvers, "_sweep_cap", lambda k: 1)
     a = rand_complex(rng, 8, 8)
     with pytest.raises(ConvergenceError) as err:
-        gk_diagonalize(gk_bidiagonalize(a), tol=1e-14, max_sweeps=1)
+        gk_diagonalize(gk_bidiagonalize(a))
     assert err.value.history is not None
+
+
+def test_baselines_converge_at_k320():
+    # both need about 525 sweeps on this draw: the cap must grow with K
+    a = rand_complex(np.random.default_rng(0), 320, 320)
+    ref = np.linalg.svd(a, compute_uv=False)
+    gk_sig = gk_svd(a)[0].sigma
+    qr_lam = qr_tridiag_eigen(tridiagonalize(gram(a))[0])[0].lam
+    qr_sig = np.sqrt(np.maximum(qr_lam[::-1], 0.0))
+    for sig in (gk_sig, qr_sig):
+        assert np.max(np.abs(sig - ref)) <= 1e-9 * ref[0]
 
 
 def test_gk_fixed_sweeps_converges_to_full(rng):
@@ -169,12 +191,16 @@ def test_qr_pipeline_count(rng):
     assert rep.effective_pipeline_iterations == 7 + 2 * (rep.sweeps - 1)
 
 
-def test_qr_unshifted_mode_converges_slower(rng):
+def test_qr_unshifted_mode_converges_slower(rng, monkeypatch):
+    # plain sweeps converge linearly: this band needs 407 of them to reach
+    # 1e-10, and more than 500 for the converge mode's 1e-12
+    monkeypatch.setattr(reference_solvers, "_SWEEP_TOL", 1e-10)
+    monkeypatch.setattr(reference_solvers, "_sweep_cap", lambda k: 500)
     d = np.abs(rng.standard_normal(8)) * 3 + 1
     e = rng.standard_normal(7) * 0.5
     t = TridiagonalReal(diag=d, offdiag=e)
-    _, shifted = qr_tridiag_eigen(t, tol=1e-10)
-    _, plain = qr_tridiag_eigen(t, tol=1e-10, shift=False)
+    shifted = _converge(_QrSweeper(t, shift=True), "shifted")
+    plain = _converge(_QrSweeper(t, shift=False), "plain")
     assert plain.sweeps >= shifted.sweeps
 
 
