@@ -271,7 +271,7 @@ def _cmd_latency(args):
 
 
 def _cmd_ops(args):
-    alg = "tridiag" if args.stage == "tridiag" else _resolve_alg(args.alg)
+    alg = _resolve_alg(args.alg)
     dims = _parse_size(args.size)
     ops = total_ops(alg, dims, args.iters)
     payload = {
@@ -429,7 +429,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--alg", required=True)
     sp.add_argument("--size", required=True, metavar="MxK")
     sp.add_argument("--iters", type=int, default=4)
-    sp.add_argument("--stage", choices=("all", "tridiag"), default="all")
     sp.add_argument("--profile", default=None, help="adds a LUT-weighted total")
     sp.set_defaults(func=_cmd_ops)
 

@@ -254,39 +254,26 @@ def _gk_bidiag_model(m_dim: int, k_dim: int, prof: HardwareProfile):
     block = _Depth.zero()
     loose_end = _Depth.zero()
 
-    def head_s1(n):
-        return OpCount(add=ceil_log2(n - 1) + 2, mul=1, sqrt=1)
+    # a reflector's path from its norm to the normalized vector
+    to_vector = OpCount(add=3, mul=2, div=1, sqrt=1)
 
-    def head_chain(n):
-        return (
-            head_s1(n)
-            + OpCount(add=1, mul=1)
-            + OpCount(add=2, mul=1, div=1, sqrt=1)
-            + OpCount(add=4 + ceil_log2(n), mul=3)
-        )
+    def reduce(n, trailing):
+        # one column or row step on a length-n vector: the depths of the
+        # band entry it produces and of the trailing block after it
+        if n == 1:
+            head, tail = OpCount(add=1, mul=1, sqrt=1), OpCount(add=1, mul=1)
+        else:
+            head = OpCount(add=ceil_log2(n - 1) + 2, mul=1, sqrt=1)
+            tail = to_vector + OpCount(add=4 + ceil_log2(n), mul=3)
+        dep = block.plus(head, prof)
+        return dep, dep.plus(tail, prof) if trailing else block
 
     for j in range(k_dim):
-        i = m_dim - j
-        cc = k_dim - j - 1
-        if i > 1:
-            d_dep[j] = block.plus(head_s1(i), prof)
-            if cc > 0:
-                block = block.plus(head_chain(i), prof)
-            else:
-                loose_end = d_dep[j].plus(
-                    OpCount(add=1, mul=1) + OpCount(add=2, mul=1, div=1, sqrt=1), prof
-                )
-        else:
-            d_dep[j] = block.plus(OpCount(add=1, mul=1, sqrt=1), prof)
-            if cc > 0:
-                block = max(block, d_dep[j]).plus(OpCount(add=1, mul=1), prof)
-        if j < k_dim - 2:
-            r = k_dim - 1 - j
-            e_dep[j] = block.plus(head_s1(r), prof)
-            block = block.plus(head_chain(r), prof)
-        elif j == k_dim - 2:
-            e_dep[j] = block.plus(OpCount(add=1, mul=1, sqrt=1), prof)
-            block = max(block, e_dep[j]).plus(OpCount(add=1, mul=1), prof)
+        d_dep[j], block = reduce(m_dim - j, j < k_dim - 1)
+        if j < k_dim - 1:
+            e_dep[j], block = reduce(k_dim - 1 - j, True)
+        elif m_dim > k_dim:
+            loose_end = d_dep[j].plus(to_vector, prof)
     return d_dep, e_dep, loose_end
 
 

@@ -517,6 +517,28 @@ def trace_qr_sweeps(tb: TraceBuilder, diag, offdiag, sweeps: int):
 # Golub-Kahan schedule
 
 
+def _reflect_rows(tb: TraceBuilder, rows, lo: int, v, phase):
+    """Right-multiply each row's entries lo, lo + 1, ... by a reflector:
+    row <- -phase (row - 2 (row . v) v^H), in place."""
+    nphase = tb.cneg(phase)
+    n = len(v)
+    for row in rows:
+        seg = row[lo : lo + n]
+        dot = tb.cshift(tb.ctree_sum([tb.cmul(seg[t], v[t]) for t in range(n)]), 2.0)
+        for t in range(n):
+            row[lo + t] = tb.cmul(nphase, tb.csub(seg[t], tb.cmul(dot, tb.conj(v[t]))))
+
+
+def _bare_phase(tb: TraceBuilder, piv: TracedComplex, label: tuple):
+    """Head of a one-entry reduction, stages 1-2 under ``label + (stage,)``:
+    |piv| and the conjugated unit phase that maps piv onto it."""
+    with tb.label(label + (1,)):
+        ap = tb.sqrt(tb.cabs2(piv))
+    with tb.label(label + (2,)), tb.overlapped():
+        cph = TracedComplex(tb.div(piv.re, ap), tb.neg(tb.div(piv.im, ap)))
+    return ap, cph
+
+
 def trace_gk_bidiagonalize(tb: TraceBuilder, amat: np.ndarray):
     """Traced complex Householder bidiagonalization of an M x K matrix."""
     m, k = amat.shape
@@ -528,11 +550,12 @@ def trace_gk_bidiagonalize(tb: TraceBuilder, amat: np.ndarray):
 
     for j in range(k):
         i = m - j
+        col = ("gk-bidiag", j, "col")
         if i > 1:
             xs = [work[r][j] for r in range(j, m)]
-            xnorm, phase, v = _reflect(tb, xs, ("gk-bidiag", j, "col"))
+            xnorm, phase, v = _reflect(tb, xs, col)
             nphase = tb.cneg(tb.conj(phase))
-            with tb.label(("gk-bidiag", j, "col", 5)):
+            with tb.label(col + (5,)):
                 for c in range(j + 1, k):
                     colv = [work[r][c] for r in range(j, m)]
                     dot = tb.ctree_sum([tb.cmul(tb.conj(v[t]), colv[t]) for t in range(i)])
@@ -544,71 +567,35 @@ def trace_gk_bidiagonalize(tb: TraceBuilder, amat: np.ndarray):
             dvals[j] = xnorm
             for r in range(j + 1, m):
                 work[r][j] = CZERO
-            with tb.label(("gk-bidiag", j, "col", 6)), tb.overlapped():
-                ph = tb.cneg(phase)
-                for r in range(m):
-                    urow = [umat[r][c] for c in range(j, m)]
-                    ydot = tb.cshift(
-                        tb.ctree_sum([tb.cmul(urow[t], v[t]) for t in range(i)]), 2.0
-                    )
-                    for t in range(i):
-                        umat[r][j + t] = tb.cmul(
-                            ph, tb.csub(umat[r][j + t], tb.cmul(ydot, tb.conj(v[t])))
-                        )
+            with tb.label(col + (6,)), tb.overlapped():
+                _reflect_rows(tb, umat, j, v, phase)
         else:
-            with tb.label(("gk-bidiag", j, "col", 1)):
-                piv = work[j][j]
-                ap = tb.sqrt(tb.cabs2(piv))
-                dvals[j] = ap
-            with tb.label(("gk-bidiag", j, "col", 2)), tb.overlapped():
-                cph = TracedComplex(tb.div(piv.re, ap), tb.neg(tb.div(piv.im, ap)))
-            with tb.label(("gk-bidiag", j, "col", 5)):
+            dvals[j], cph = _bare_phase(tb, work[j][j], col)
+            with tb.label(col + (5,)):
                 for c in range(j + 1, k):
                     work[j][c] = tb.cmul(cph, work[j][c])
-            with tb.label(("gk-bidiag", j, "col", 6)), tb.overlapped():
+            with tb.label(col + (6,)), tb.overlapped():
                 phc = tb.conj(cph)
                 for r in range(m):
                     umat[r][j] = tb.cmul(phc, umat[r][j])
 
+        row = ("gk-bidiag", j, "row")
         if j < k - 2:
-            row = [tb.conj(work[j][c]) for c in range(j + 1, k)]
-            xnorm, phase, v = _reflect(tb, row, ("gk-bidiag", j, "row"))
-            nphase = tb.cneg(phase)
-            rr = k - 1 - j
-            with tb.label(("gk-bidiag", j, "row", 5)):
-                for r in range(j, m):
-                    rowv = [work[r][c] for c in range(j + 1, k)]
-                    dot = tb.cshift(
-                        tb.ctree_sum([tb.cmul(rowv[t], v[t]) for t in range(rr)]), 2.0
-                    )
-                    for t in range(rr):
-                        work[r][j + 1 + t] = tb.cmul(
-                            nphase, tb.csub(rowv[t], tb.cmul(dot, tb.conj(v[t])))
-                        )
+            xs = [tb.conj(work[j][c]) for c in range(j + 1, k)]
+            xnorm, phase, v = _reflect(tb, xs, row)
+            with tb.label(row + (5,)):
+                _reflect_rows(tb, work[j:], j + 1, v, phase)
             evals[j] = xnorm
             for c in range(j + 2, k):
                 work[j][c] = CZERO
-            with tb.label(("gk-bidiag", j, "row", 6)), tb.overlapped():
-                for r in range(k):
-                    rowv = [vmat[r][c] for c in range(j + 1, k)]
-                    dot = tb.cshift(
-                        tb.ctree_sum([tb.cmul(rowv[t], v[t]) for t in range(rr)]), 2.0
-                    )
-                    for t in range(rr):
-                        vmat[r][j + 1 + t] = tb.cmul(
-                            nphase, tb.csub(rowv[t], tb.cmul(dot, tb.conj(v[t])))
-                        )
+            with tb.label(row + (6,)), tb.overlapped():
+                _reflect_rows(tb, vmat, j + 1, v, phase)
         elif j == k - 2:
-            with tb.label(("gk-bidiag", j, "row", 1)):
-                piv = work[j][j + 1]
-                ap = tb.sqrt(tb.cabs2(piv))
-                evals[j] = ap
-            with tb.label(("gk-bidiag", j, "row", 2)), tb.overlapped():
-                cph = TracedComplex(tb.div(piv.re, ap), tb.neg(tb.div(piv.im, ap)))
-            with tb.label(("gk-bidiag", j, "row", 5)):
+            evals[j], cph = _bare_phase(tb, work[j][j + 1], row)
+            with tb.label(row + (5,)):
                 for r in range(j + 1, m):
                     work[r][j + 1] = tb.cmul(cph, work[r][j + 1])
-            with tb.label(("gk-bidiag", j, "row", 6)), tb.overlapped():
+            with tb.label(row + (6,)), tb.overlapped():
                 for r in range(k):
                     vmat[r][j + 1] = tb.cmul(cph, vmat[r][j + 1])
 

@@ -4,8 +4,8 @@ and a cyclic complex Jacobi eigensolver used as a brute-force test oracle.
 The Golub-Kahan (GK) path works directly on the rectangular matrix A
 (bidiagonalize, then Givens sweeps); the QR path diagonalizes the
 tridiagonal matrix produced by the Gram pipeline. Both chase implicit-shift
-bulges through the unreduced blocks of a real band and share one block
-scan and one convergence loop. Besides running to convergence, each runs a
+bulges through the unreduced blocks of a real band and share one sweeper,
+one block scan, one rotation accumulator and one convergence loop. Besides running to convergence, each runs a
 fixed budget of plain (unshifted) sweeps, or yields a lazy per-sweep
 history of plain-sweep estimates, so iteration-versus-accuracy searches
 stop at the first sweep count that meets their target.
@@ -14,7 +14,7 @@ stop at the first sweep count that meets their target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,22 +62,12 @@ class Bidiagonal:
 
 @dataclass
 class SweepReport:
-    """Iteration bookkeeping for the sweep-based solvers.
-
-    ``offdiag_norm_history`` records the convergence metric before the
-    first sweep and after each one. ``effective_pipeline_iterations``
-    counts the rotations left on the critical path once successive sweeps
-    are overlapped: each extra sweep costs four rotations on a bidiagonal
-    chase and two on a tridiagonal one, because a new sweep only waits
-    for the first couple of updates of the previous one.
-    ``trivial_mul_skips`` counts scalar multiplications avoided in the
-    eigenvector accumulation thanks to structural zeros and ones.
-    """
+    """Iteration bookkeeping for the sweep-based solvers: the number of
+    sweeps run, and the convergence metric before the first sweep and after
+    each one in ``offdiag_norm_history``."""
 
     sweeps: int = 0
     offdiag_norm_history: list[float] = field(default_factory=list)
-    effective_pipeline_iterations: int = 0
-    trivial_mul_skips: int = 0
 
 
 def _givens(a: float, b: float) -> tuple[float, float, float]:
@@ -113,18 +103,25 @@ def _sweep_cap(k: int) -> int:
 
 def _converge(sweeper, name: str) -> SweepReport:
     """Sweep until max |e| <= _SWEEP_TOL * max |d|, raising ConvergenceError
-    after _sweep_cap(K) sweeps. A chase step costs ``rotations_per_step``
-    rotations on the critical path: two for GK, one for QR."""
+    after _sweep_cap(K) sweeps, or as soon as the band holds a NaN or an
+    infinity."""
     d, e = sweeper.d, sweeper.e
     cap = _sweep_cap(d.size)
 
     def metric():
         dmax = np.max(np.abs(d))
-        emax = np.max(np.abs(e)) if e.size else 0.0
+        emax = np.max(np.abs(e), initial=0.0)
+        if not (np.isfinite(dmax) and np.isfinite(emax)):
+            return math.nan
         return emax / dmax if dmax > 0 else 0.0
 
     report = SweepReport(offdiag_norm_history=[metric()])
-    while report.offdiag_norm_history[-1] > _SWEEP_TOL:
+    while not report.offdiag_norm_history[-1] <= _SWEEP_TOL:
+        if math.isnan(report.offdiag_norm_history[-1]):
+            raise ConvergenceError(
+                f"{name} left a non-finite band after {report.sweeps} sweeps",
+                history=report.offdiag_norm_history,
+            )
         if report.sweeps >= cap:
             raise ConvergenceError(
                 f"{name} did not converge in {cap} sweeps", history=report.offdiag_norm_history
@@ -132,88 +129,100 @@ def _converge(sweeper, name: str) -> SweepReport:
         sweeper.sweep()
         report.sweeps += 1
         report.offdiag_norm_history.append(metric())
-    if report.sweeps:
-        k, r = d.size, sweeper.rotations_per_step
-        offset = r * min(2, max(k - 1, 1))
-        report.effective_pipeline_iterations = r * (k - 1) + offset * (report.sweeps - 1)
     return report
+
+
+def _apply_col_rotations(mat, rots):
+    """Rotate the column pairs (j, j + 1) of ``mat`` in place by each
+    (j, c, s) of ``rots``, in order."""
+    for j, c, s in rots:
+        cp = mat[:, j].copy()
+        cq = mat[:, j + 1]
+        mat[:, j] = c * cp + s * cq
+        mat[:, j + 1] = -s * cp + c * cq
+
+
+class _Sweeper:
+    """Working band (d, e) of a sweep solve and the matrices its rotations
+    accumulate into.
+
+    ``step(d, e, lo, hi, mu, *rots)`` chases one bulge over a block with
+    the shift ``shift(d, e, lo, hi)`` (zero when ``shift`` is None) and
+    appends its rotations to one list per matrix of ``factors``; an empty
+    ``factors`` keeps no vectors.
+    """
+
+    def __init__(self, d, e, step, shift, factors):
+        self.d = d.copy()
+        self.e = e.copy()
+        self.step = step
+        self.shift = shift
+        self.factors = factors
+
+    def sweep(self):
+        """Chase one bulge across every unreduced block, then rotate the
+        factors' columns."""
+        d, e = self.d, self.e
+        rots = [[] for _ in self.factors]
+        for lo, hi in _unreduced_blocks(d, e):
+            mu = self.shift(d, e, lo, hi) if self.shift else 0.0
+            self.step(d, e, lo, hi, mu, *rots)
+        for mat, r in zip(self.factors, rots):
+            _apply_col_rotations(mat, r)
 
 
 # ---------------------------------------------------------------------------
 # Golub-Kahan
 
 
+def _reduce_first_column(block, factor):
+    """Left-multiply ``block`` and ``factor`` in place by the unitary that
+    maps x = block[:, 0] onto (||x||, 0, ..., 0).
+
+    Nothing is done when x already has that form (a real nonnegative pivot
+    over exact zeros). A single row takes a bare phase; otherwise the
+    unitary is the reflection -conj(phase) (I - 2 v v^H) of
+    householder_vector, skipped when ||x|| underflows to zero.
+    """
+    x = block[:, 0]
+    if not np.any(x[1:]) and x[0].imag == 0.0 and x[0].real >= 0.0:
+        return
+    if x.size == 1:
+        xnorm = abs(x[0])
+        turn = np.conj(x[0] / xnorm)
+        block *= turn
+        factor *= turn
+    else:
+        step = householder_vector(x)
+        if step.skip:
+            return
+        v, turn, xnorm = step.v, -np.conj(step.phase), step.xnorm
+        block[:] = turn * (block - 2.0 * np.outer(v, v.conj() @ block))
+        factor[:] = turn * (factor - 2.0 * np.outer(v, v.conj() @ factor))
+        block[:, 0] = 0.0
+    block[0, 0] = xnorm
+
+
 def gk_bidiagonalize(a) -> Bidiagonal:
     """Reduce an M x K matrix (M >= K) to real upper bidiagonal form.
 
-    Alternating left and right Householder reflections with a unit-phase
-    factor that keeps the produced diagonal and superdiagonal real and
-    nonnegative. Zero columns/rows take the skip path.
+    Column j is reduced by a left unitary and row j by a right one, which
+    is a left unitary of the transposed view; both come from
+    _reduce_first_column, so the produced diagonal and superdiagonal are
+    real and nonnegative. U is accumulated as U^H and V as V^T, so that
+    every update of a factor is a left multiplication too.
     """
     a = as_matrix(a)
     m, k = a.shape
     if m < k:
         raise DimensionError(f"gk_bidiagonalize expects rows >= cols, got {m}x{k}")
     work = a.copy()
-    u0 = np.eye(m, dtype=np.complex128)
-    v0 = np.eye(k, dtype=np.complex128)
-
-    def _already_reduced(vec):
-        # pivot real nonnegative with exact zeros below: nothing to do
-        return (
-            np.all(vec[1:] == 0.0)
-            and vec[0].imag == 0.0
-            and vec[0].real >= 0.0
-        )
-
+    uh = np.eye(m, dtype=np.complex128)
+    vt = np.eye(k, dtype=np.complex128)
     for j in range(k):
-        x = work[j:, j]
-        if x.size > 1 and _already_reduced(x):
-            pass
-        elif x.size > 1:
-            step = householder_vector(x)
-            if not step.skip:
-                v = step.v
-                block = work[j:, j:]
-                # P = -conj(phase) (I - 2 v v^H) applied from the left
-                work[j:, j:] = -np.conj(step.phase) * (
-                    block - 2.0 * np.outer(v, v.conj() @ block)
-                )
-                work[j:, j] = 0.0
-                work[j, j] = step.xnorm
-                ub = u0[:, j:]
-                u0[:, j:] = -step.phase * (ub - 2.0 * np.outer(ub @ v, v.conj()))
-        else:
-            piv = work[j, j]
-            ap = abs(piv)
-            if ap > 0.0:
-                ph = piv / ap
-                work[j, j:] = np.conj(ph) * work[j, j:]
-                work[j, j] = ap
-                u0[:, j] = ph * u0[:, j]
-        if j < k - 2:
-            xr = work[j, j + 1 :]
-            if _already_reduced(xr):
-                continue
-            step = householder_vector(np.conj(xr))
-            if not step.skip:
-                v = step.v
-                block = work[j:, j + 1 :]
-                # right-multiply by P^H built from the conjugated row
-                work[j:, j + 1 :] = -step.phase * (
-                    block - 2.0 * np.outer(block @ v, v.conj())
-                )
-                work[j, j + 1 :] = 0.0
-                work[j, j + 1] = step.xnorm
-                vb = v0[:, j + 1 :]
-                v0[:, j + 1 :] = -step.phase * (vb - 2.0 * np.outer(vb @ v, v.conj()))
-        elif j == k - 2:
-            piv = work[j, j + 1]
-            ap = abs(piv)
-            if ap > 0.0:
-                ph = piv / ap
-                work[:, j + 1] = np.conj(ph) * work[:, j + 1]
-                v0[:, j + 1] = np.conj(ph) * v0[:, j + 1]
+        _reduce_first_column(work[j:, j:], uh[j:])
+        if j < k - 1:
+            _reduce_first_column(work.T[j + 1 :, j:], vt[j + 1 :])
 
     diag = work[range(k), range(k)]
     sup = work[range(k - 1), range(1, k)]
@@ -221,10 +230,10 @@ def gk_bidiagonalize(a) -> Bidiagonal:
     a_s, e = pow2_scale(a)
     if np.ldexp(imag, -e) > 1e-10 * fro_norm(a_s):
         raise ValidationError("bidiagonalization left complex band entries")
-    return Bidiagonal(diag=diag.real.copy(), superdiag=sup.real.copy(), u0=u0, v0=v0)
+    return Bidiagonal(diag=diag.real.copy(), superdiag=sup.real.copy(), u0=uh.conj().T, v0=vt.T)
 
 
-def _gk_step(d, e, lo, hi, mu, urot, vrot):
+def _gk_step(d, e, lo, hi, mu, urot=None, vrot=None):
     """One implicit-shift bulge chase over the block [lo, hi] of a bidiagonal.
 
     Rotations are appended to urot/vrot as (j, c, s) when provided.
@@ -270,51 +279,24 @@ def _gk_shift(d, e, lo, hi):
     return lam
 
 
-def _apply_col_rotations(mat, rots, base):
-    for j, c, s in rots:
-        p = base + j
-        cp = mat[:, p].copy()
-        cq = mat[:, p + 1]
-        mat[:, p] = c * cp + s * cq
-        mat[:, p + 1] = -s * cp + c * cq
+def _gk_sweeper(bd: Bidiagonal, shift: bool, vectors: bool = True) -> _Sweeper:
+    """Sweeper on a copy of ``bd``, with U and V accumulated unless
+    ``vectors`` is False."""
+    factors = (bd.u0[:, : bd.dim].copy(), bd.v0.copy()) if vectors else ()
+    return _Sweeper(bd.diag, bd.superdiag, _gk_step, _gk_shift if shift else None, factors)
 
 
-class _GkSweeper:
-    """Working bidiagonal (d, e) of a GK solve, with U and V accumulated
-    unless ``vectors`` is False."""
-
-    rotations_per_step = 2
-
-    def __init__(self, bd: Bidiagonal, shift: bool, vectors: bool = True):
-        self.d = bd.diag.copy()
-        self.e = bd.superdiag.copy()
-        self.shift = shift
-        k = self.d.size
-        self.u = bd.u0[:, :k].copy() if vectors else None
-        self.v = bd.v0.copy() if vectors else None
-
-    def sweep(self):
-        """Chase one bulge across every unreduced block."""
-        d, e = self.d, self.e
-        urot, vrot = ([], []) if self.u is not None else (None, None)
-        for lo, hi in _unreduced_blocks(d, e):
-            mu = _gk_shift(d, e, lo, hi) if self.shift else 0.0
-            _gk_step(d, e, lo, hi, mu, urot, vrot)
-        if self.u is not None:
-            _apply_col_rotations(self.u, urot, 0)
-            _apply_col_rotations(self.v, vrot, 0)
-
-
-def _gk_result(sw: _GkSweeper) -> SvdResult:
+def _gk_result(sw: _Sweeper) -> SvdResult:
     """Economy SVD of the current band: sigma descending, signs absorbed
     into U. U and V are None when the sweeper keeps no vectors."""
     sigma = np.abs(sw.d)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
     u = v = None
-    if sw.u is not None:
-        u = (sw.u * np.where(sw.d < 0, -1.0, 1.0))[:, order]
-        v = sw.v[:, order]
+    if sw.factors:
+        u, v = sw.factors
+        u = (u * np.where(sw.d < 0, -1.0, 1.0))[:, order]
+        v = v[:, order]
     valid = sigma > 0 if sigma.size and sigma[0] > 0 else np.zeros(sigma.size, dtype=bool)
     return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=None)
 
@@ -325,23 +307,26 @@ def gk_diagonalize(bd: Bidiagonal) -> tuple[SvdResult, SweepReport]:
     One sweep chases a bulge across every unreduced block. Iterates until
     the largest superdiagonal magnitude drops below 1e-12 times the
     largest diagonal magnitude, and raises ConvergenceError after 6 K
-    sweeps. Returns the economy SVD (sigma descending, signs absorbed into
+    sweeps or on a non-finite band. Returns the economy SVD (sigma descending, signs absorbed into
     U) together with a SweepReport.
     """
-    sw = _GkSweeper(bd, shift=True)
+    sw = _gk_sweeper(bd, shift=True)
     report = _converge(sw, "gk_diagonalize")
     return _gk_result(sw), report
 
 
 def gk_svd(a) -> tuple[SvdResult, SweepReport]:
-    """Convenience wrapper: bidiagonalize then diagonalize."""
-    return gk_diagonalize(gk_bidiagonalize(a))
+    """Bidiagonalize then diagonalize. A is first scaled by a power of two
+    as in svd_4step (matrix_core.pow2_scale), and sigma scaled back."""
+    a_s, e = pow2_scale(as_matrix(a))
+    res, report = gk_diagonalize(gk_bidiagonalize(a_s))
+    return replace(res, sigma=np.ldexp(res.sigma, e)), report
 
 
 def gk_fixed_sweeps(bd: Bidiagonal, sweeps: int) -> SvdResult:
     """Run exactly ``sweeps`` plain sweeps and return the (possibly
     unconverged) decomposition; used for accuracy-versus-iterations studies."""
-    sw = _GkSweeper(bd, shift=False)
+    sw = _gk_sweeper(bd, shift=False)
     for _ in range(sweeps):
         sw.sweep()
     return _gk_result(sw)
@@ -354,7 +339,7 @@ def gk_singular_value_history(bd: Bidiagonal, max_sweeps: int):
     Lazy, and runs without accumulating U/V, so it is cheap enough for
     Monte Carlo iteration-count measurements.
     """
-    sw = _GkSweeper(bd, shift=False, vectors=False)
+    sw = _gk_sweeper(bd, shift=False, vectors=False)
     for _ in range(max_sweeps):
         sw.sweep()
         yield _gk_result(sw).sigma
@@ -375,39 +360,9 @@ def _wilkinson_shift(d, e, lo, hi):
     return c - b * b / (delta + sgn * math.hypot(delta, b))
 
 
-class _BandAccumulator:
-    """Eigenvector accumulation that skips structurally zero/one entries.
-
-    Columns of Q start as identity basis vectors; each rotation widens the
-    row-support interval of the two columns it touches. Rows outside the
-    union of supports are untouched and the corresponding multiplications
-    are counted as skipped relative to a dense column update.
-    """
-
-    def __init__(self, n: int):
-        self.q = np.eye(n)
-        self.lo = np.arange(n)
-        self.hi = np.arange(n)
-        self.n = n
-        self.skipped = 0
-
-    def rotate(self, j: int, c: float, s: float):
-        lo = min(self.lo[j], self.lo[j + 1])
-        hi = max(self.hi[j], self.hi[j + 1])
-        rows = slice(lo, hi + 1)
-        span = hi - lo + 1
-        # dense cost is 4n multiplications; identity-start structure leaves
-        # 4*span genuine ones minus the two pure basis entries
-        self.skipped += 4 * (self.n - span)
-        cp = self.q[rows, j].copy()
-        cq = self.q[rows, j + 1]
-        self.q[rows, j] = c * cp + s * cq
-        self.q[rows, j + 1] = -s * cp + c * cq
-        self.lo[j] = self.lo[j + 1] = lo
-        self.hi[j] = self.hi[j + 1] = hi
-
-
-def _qr_tridiag_step(d, e, lo, hi, mu, acc: _BandAccumulator | None):
+def _qr_tridiag_step(d, e, lo, hi, mu, rots=None):
+    """One implicit-shift bulge chase over the block [lo, hi] of a
+    tridiagonal. Rotations are appended to rots as (j, c, s) when provided."""
     x = d[lo] - mu
     z = e[lo]
     for j in range(lo, hi):
@@ -422,42 +377,29 @@ def _qr_tridiag_step(d, e, lo, hi, mu, acc: _BandAccumulator | None):
             z = s * e[j + 1]
             e[j + 1] = c * e[j + 1]
             x = e[j]
-        if acc is not None:
-            acc.rotate(j, c, s)
+        if rots is not None:
+            rots.append((j, c, s))
 
 
-class _QrSweeper:
-    """Working tridiagonal (d, e) of a QR solve, with the eigenvectors
-    accumulated unless ``vectors`` is False."""
-
-    rotations_per_step = 1
-
-    def __init__(self, t: TridiagonalReal, shift: bool, vectors: bool = True):
-        self.d = t.diag.copy()
-        self.e = t.offdiag.copy()
-        self.shift = shift
-        self.acc = _BandAccumulator(self.d.size) if vectors else None
-
-    def sweep(self):
-        """One QR iteration: a bulge chase over every unreduced block."""
-        d, e = self.d, self.e
-        for lo, hi in _unreduced_blocks(d, e):
-            mu = _wilkinson_shift(d, e, lo, hi) if self.shift else 0.0
-            _qr_tridiag_step(d, e, lo, hi, mu, self.acc)
+def _qr_sweeper(t: TridiagonalReal, shift: bool, vectors: bool = True) -> _Sweeper:
+    """Sweeper on a copy of ``t``, with the eigenvectors accumulated from
+    the identity unless ``vectors`` is False."""
+    factors = (np.eye(t.diag.size),) if vectors else ()
+    return _Sweeper(t.diag, t.offdiag, _qr_tridiag_step, _wilkinson_shift if shift else None, factors)
 
 
-def _qr_result(sw: _QrSweeper) -> EigenDecomposition:
+def _qr_result(sw: _Sweeper) -> EigenDecomposition:
     """Eigenvalues ascending with their eigenvectors; q is None when the
     sweeper keeps no vectors."""
     order = np.argsort(sw.d, kind="stable")
-    q = None if sw.acc is None else sw.acc.q[:, order].astype(np.complex128)
+    q = sw.factors[0][:, order].astype(np.complex128) if sw.factors else None
     return EigenDecomposition(lam=sw.d[order], q=q, diagnostics=None)
 
 
 def qr_fixed_sweeps(t: TridiagonalReal, sweeps: int) -> EigenDecomposition:
     """Run exactly ``sweeps`` plain QR iterations and return the (possibly
     unconverged) eigendecomposition with accumulated eigenvectors."""
-    sw = _QrSweeper(t, shift=False)
+    sw = _qr_sweeper(t, shift=False)
     for _ in range(sweeps):
         sw.sweep()
     return _qr_result(sw)
@@ -466,7 +408,7 @@ def qr_fixed_sweeps(t: TridiagonalReal, sweeps: int) -> EigenDecomposition:
 def qr_eigenvalue_history(t: TridiagonalReal, max_iters: int):
     """Yield the ascending eigenvalue estimates after each of up to
     ``max_iters`` plain QR iterations, lazily and without eigenvectors."""
-    sw = _QrSweeper(t, shift=False, vectors=False)
+    sw = _qr_sweeper(t, shift=False, vectors=False)
     for _ in range(max_iters):
         sw.sweep()
         yield _qr_result(sw).lam
@@ -475,14 +417,13 @@ def qr_eigenvalue_history(t: TridiagonalReal, max_iters: int):
 def qr_tridiag_eigen(t: TridiagonalReal) -> tuple[EigenDecomposition, SweepReport]:
     """Symmetric tridiagonal eigensolver by Wilkinson-shifted implicit QR.
 
-    Converges and fails as gk_diagonalize does (1e-12, 6 K sweeps); plain
-    sweeps are qr_fixed_sweeps and qr_eigenvalue_history. The eigenvector
-    matrix exploits its identity start: rotations only touch the filled
-    band and the skipped multiplications are reported.
+    Converges and fails as gk_diagonalize does (1e-12, 6 K sweeps, or a
+    non-finite band); plain sweeps are qr_fixed_sweeps and
+    qr_eigenvalue_history. The eigenvectors start from the identity and
+    take each sweep's rotations as GK's factors do.
     """
-    sw = _QrSweeper(t, shift=True)
+    sw = _qr_sweeper(t, shift=True)
     report = _converge(sw, "qr_tridiag_eigen")
-    report.trivial_mul_skips = sw.acc.skipped
     return _qr_result(sw), report
 
 

@@ -72,7 +72,7 @@ def test_numerical_error_exit_code(capsys):
 
 def test_ops_tridiag_table_sums(capsys):
     code, out, _ = run_cli(
-        capsys, "ops", "--alg", "4step", "--size", "4x4", "--stage", "tridiag", "--format", "json"
+        capsys, "ops", "--alg", "tridiag", "--size", "4x4", "--format", "json"
     )
     assert code == 0
     payload = json.loads(out)

@@ -536,15 +536,16 @@ def test_recover_zero_matrix_rank_zero():
     np.testing.assert_array_equal(res.u, np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("factor", [1e150, 1e-160, 1e-170])
+@pytest.mark.parametrize("factor", [1e150, 1e200, 1e-160, 1e-170])
 def test_extreme_scaling(factor):
-    # A^H A of these overflows or underflows unless A is scaled first
+    # A^H A of these overflows or underflows unless A is scaled first, and
+    # so do the reflector norms of the GK bidiagonalization
     a = rand_complex(np.random.default_rng(16), 16, 8) * factor
-    res = svd_4step(a)
     ref = np.linalg.svd(a, compute_uv=False)
-    assert np.max(np.abs(res.sigma - ref)) <= 1e-9 * ref[0]
-    assert np.all(res.valid)
-    assert fro_norm(res.u.conj().T @ res.u - np.eye(8)) <= 1e-10 * np.sqrt(8)
+    for res in (svd_4step(a), gk_svd(a)[0]):
+        assert np.max(np.abs(res.sigma - ref)) <= 1e-9 * ref[0]
+        assert np.all(res.valid)
+        assert fro_norm(res.u.conj().T @ res.u - np.eye(8)) <= 1e-10 * np.sqrt(8)
 
 
 def test_identity_sigma():
