@@ -10,7 +10,6 @@ from .gram_svd import (
     gram,
     householder_vector,
     recover_svd,
-    split,
     svd_4step,
     tridiagonalize,
     truncated_dc_eigen,
@@ -28,7 +27,6 @@ __all__ = [
     "gram",
     "householder_vector",
     "recover_svd",
-    "split",
     "svd_4step",
     "tridiagonalize",
     "truncated_dc_eigen",

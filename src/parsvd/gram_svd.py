@@ -8,11 +8,12 @@ a divide-and-conquer rank-1 eigensolver, then recover U, sigma, V.
 Each merge of the divide and conquer deflates negligible weights and
 coincident poles, then solves every secular root on its own with one
 scalar function (a midpoint probe, then a bracketed two-pole rational
-iteration). From the roots it recomputes the rank-1 weights
-(Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16(1), 1995), so that the
-eigenvectors come out orthogonal; the weights, the eigenvector columns
-and the interlacing check are whole-array expressions over the
-root-by-pole differences.
+iteration). One secular iteration is one rational-model step; iteration
+counts and budgets leave the probe out. From the roots it recomputes the
+rank-1 weights (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16(1), 1995),
+so that the eigenvectors come out orthogonal; the weights, the
+eigenvector columns and the interlacing check are whole-array
+expressions over the root-by-pole differences.
 
 Everything operates on numpy arrays; all functions are pure and the merge
 step treats its inputs as read-only, so the roots of one merge, and the
@@ -304,25 +305,6 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
 # step 3: divide and conquer diagonalization
 
 
-def split(t: TridiagonalReal, cut: int) -> tuple[TridiagonalReal, TridiagonalReal, float]:
-    """Split T at position ``cut`` into T1, T2 plus a rank-1 coupling.
-
-    T = blockdiag(T1, T2) + alpha * v v^T with v = e_{cut-1} + e_{cut}
-    (0-based rows cut-1 and cut) and alpha = offdiag[cut-1].
-    """
-    k = t.dim
-    if not 1 <= cut < k:
-        raise DimensionError(f"cut must lie in [1, {k - 1}], got {cut}")
-    alpha = float(t.offdiag[cut - 1])
-    d1 = t.diag[:cut].copy()
-    d2 = t.diag[cut:].copy()
-    d1[-1] -= alpha
-    d2[0] -= alpha
-    t1 = TridiagonalReal(diag=d1, offdiag=t.offdiag[: cut - 1].copy())
-    t2 = TridiagonalReal(diag=d2, offdiag=t.offdiag[cut:].copy())
-    return t1, t2, alpha
-
-
 def _stable_quadratic(aq: float, bq: float, cq: float) -> tuple[float, float]:
     """Roots of aq*x^2 - bq*x + cq = 0, computed without cancellation."""
     if aq == 0.0:
@@ -357,40 +339,39 @@ def _secular_root(d: np.ndarray, asq: np.ndarray, i: int, cap: int | None) -> tu
     model at the poles on either side, and clamps every step to the
     bisection bracket, so it cannot escape.
 
-    The probe counts as one iteration against ``cap`` but not against
-    ``_MAX_NEWTON_ITERS``. Without a cap, a root still open after
-    ``_MAX_NEWTON_ITERS`` model steps raises ConvergenceError with its bracket; with one, the
-    last iterate is returned.
+    One iteration is one rational-model step (f at the iterate, then a
+    move unless it has converged); the probe is setup and is not counted.
+    Without a cap, a root still open after ``_MAX_NEWTON_ITERS`` iterations
+    raises ConvergenceError with its bracket; with one, the iterate after
+    min(cap, ``_MAX_NEWTON_ITERS``) iterations is returned.
     """
     n = d.size
     if n == 1:
         return 0, float(asq[0]), 0
     if i == n - 1:
-        origin, lo, hi, probe = i, 0.0, float(asq.sum()), 0
+        origin, lo, hi = i, 0.0, float(asq.sum())
         p1 = i - 1
     else:
         gap = float(d[i + 1] - d[i])
-        if cap is not None and cap <= 1:
-            return i, 0.5 * gap, 1
         fmid = 1.0 + float(np.sum(asq / ((d - d[i]) - 0.5 * gap)))
         origin, lo, hi = (i, 0.0, 0.5 * gap) if fmid >= 0.0 else (i + 1, -0.5 * gap, 0.0)
-        probe, p1 = 1, i
+        p1 = i
     p2 = p1 + 1
     dd = d - d[origin]
-    limit = _MAX_NEWTON_ITERS if cap is None else min(_MAX_NEWTON_ITERS, cap - probe)
+    limit = _MAX_NEWTON_ITERS if cap is None else min(_MAX_NEWTON_ITERS, cap)
     tau = 0.5 * (lo + hi)
     for it in range(1, limit + 1):
         delta = dd - tau
         t = asq / delta
         fval = 1.0 + t.sum()
         if abs(fval) <= _SECULAR_TOL * (1.0 + np.abs(t).sum()):
-            return origin, tau, it + probe
+            return origin, tau, it
         if fval < 0.0:
             lo = tau
         else:
             hi = tau
         if (hi - lo) <= 2.0 * _EPS * (abs(lo) + abs(hi)):
-            return origin, tau, it + probe
+            return origin, tau, it
         # two-pole rational model: the local poles keep their exact
         # weights scaled by beta to match f'; the rest is the constant c3
         s = t / delta
@@ -410,7 +391,7 @@ def _secular_root(d: np.ndarray, asq: np.ndarray, i: int, cap: int | None) -> tu
         raise ConvergenceError(
             f"secular root did not converge in {_MAX_NEWTON_ITERS} iterations", bracket=(lo, hi)
         )
-    return origin, tau, limit + probe
+    return origin, tau, limit
 
 
 def _rank1_eigen(
@@ -513,36 +494,41 @@ def _rank1_eigen(
 
 
 def _dc_recurse(
-    t: TridiagonalReal, cap: int | None, diag: DcDiagnostics
-) -> tuple[np.ndarray, np.ndarray, int]:
-    k = t.dim
+    d: np.ndarray, e: np.ndarray, cap: int | None, diag: DcDiagnostics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen decomposition of the tridiagonal (d, e), split at the middle as
+    blockdiag(T1, T2) + alpha v v^T with v = e_{cut-1} + e_cut (Cuppen)."""
+    k = d.size
     if k == 1:
-        return t.diag.copy(), np.ones((1, 1)), 0
+        return d.copy(), np.ones((1, 1))
     cut = (k + 1) // 2
-    t1, t2, alpha = split(t, cut)
-    lam1, q1, dep1 = _dc_recurse(t1, cap, diag)
-    lam2, q2, dep2 = _dc_recurse(t2, cap, diag)
-    depth = 1 + max(dep1, dep2)
+    alpha = float(e[cut - 1])
+    d1, d2 = d[:cut].copy(), d[cut:].copy()
+    d1[-1] -= alpha
+    d2[0] -= alpha
+    # taking alpha off the two facing entries can overflow them
+    if not (math.isfinite(d1[-1]) and math.isfinite(d2[0])):
+        raise ValidationError("tridiagonal entries must be finite")
+    lam1, q1 = _dc_recurse(d1, e[: cut - 1], cap, diag)
+    lam2, q2 = _dc_recurse(d2, e[cut:], cap, diag)
 
     d0 = np.concatenate([lam1, lam2])
     u0 = np.concatenate([q1[-1, :], q2[0, :]])
     if alpha == 0.0:
         order = np.argsort(d0, kind="stable")
         qq = np.zeros((k, k))
-        qq[: t1.dim, : t1.dim] = q1
-        qq[t1.dim :, t1.dim :] = q2
-        return d0[order], qq[:, order], depth
+        qq[:cut, :cut] = q1
+        qq[cut:, cut:] = q2
+        return d0[order], qq[:, order]
 
     lam, s = _rank1_eigen(d0, u0, alpha, cap, diag)
-    q = np.zeros((k, k))
-    q[: t1.dim, :] = q1 @ s[: t1.dim, :]
-    q[t1.dim :, :] = q2 @ s[t1.dim :, :]
-    return lam, q, depth
+    return lam, np.vstack([q1 @ s[:cut, :], q2 @ s[cut:, :]])
 
 
 def _dc(t: TridiagonalReal, cap: int | None) -> EigenDecomposition:
-    diag = DcDiagnostics()
-    lam, q, diag.recursion_depth = _dc_recurse(t, cap, diag)
+    # the first half of every split is the larger, so the middle split sets the depth
+    diag = DcDiagnostics(recursion_depth=(t.dim - 1).bit_length())
+    lam, q = _dc_recurse(t.diag, t.offdiag, cap, diag)
     return EigenDecomposition(lam=lam, q=q.astype(np.complex128), diagnostics=diag)
 
 
@@ -563,13 +549,12 @@ def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
 def truncated_dc_eigen(t: TridiagonalReal, iter_budget: int) -> EigenDecomposition:
     """dc_eigen with each secular root capped at ``iter_budget`` iterations.
 
-    An interior root's midpoint probe counts as one iteration against the
-    budget, but not against ``_MAX_NEWTON_ITERS`` (50), which bounds the
-    model steps after it. From a budget of ``_MAX_NEWTON_ITERS + 1`` (51)
-    on, the output therefore does not depend on the budget, and equals
-    dc_eigen's whenever dc_eigen converges; where it would raise
-    ConvergenceError, the capped solve keeps the last iterate instead.
-    Small budgets trade accuracy for fewer sequential steps.
+    One iteration is one rational-model step; an interior root's midpoint
+    probe is setup and does not count. From a budget of
+    ``_MAX_NEWTON_ITERS`` (50) on, the output therefore does not depend on
+    the budget, and equals dc_eigen's whenever dc_eigen converges; where it
+    would raise ConvergenceError, the capped solve keeps the last iterate
+    instead. Small budgets trade accuracy for fewer sequential steps.
     """
     if iter_budget < 1:
         raise ValidationError("iter_budget must be >= 1")

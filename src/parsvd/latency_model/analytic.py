@@ -17,6 +17,8 @@ Iteration semantics per algorithm: ``4step-dc`` counts rational-model
 steps per secular root, ``4step-qr`` counts tridiagonal QR sweeps, and
 ``gk`` counts bidiagonal sweeps (pipelined: successive sweeps overlap
 after four rotations, which the dependency bookkeeping reproduces).
+``4step-dc`` prices the no-deflation schedule, the worst case, and not
+the solver's origin probe, one secular evaluation per interior root.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..errors import DimensionError, TraceLimitError, ValidationError
-from ..gram_svd import HermitianMatrix
+from ..gram_svd import _SECULAR_TOL, HermitianMatrix
 from ..matrix_core import as_matrix
 from .analytic import _resolve
 from .dfg import Dfg, DfgNode
@@ -350,10 +350,14 @@ def trace_tridiagonalize(tb: TraceBuilder, bmat: np.ndarray):
 def trace_dc(tb: TraceBuilder, diag, offdiag, iters: int):
     """Traced divide-and-conquer on traced tridiagonal values.
 
-    Every secular root takes exactly ``iters`` rational-model steps; the
-    bracket safeguard is a free clamp, so the node count depends only on
-    the matrix size and the iteration budget. Each merge sorts its poles
-    by value, so which nodes its adder trees pair follows the input.
+    Every secular root takes exactly ``iters`` rational-model steps, the
+    unit of the solver's budget. The bracket safeguard, and the hold on a
+    value that meets the solver's stopping test, are free clamps, so the
+    node count depends only on the matrix size and the iteration budget.
+    Each merge sorts its poles by value, so which nodes its adder trees
+    pair follows the input. This prices the no-deflation schedule, the
+    worst case, and not the solver's origin probe, one secular
+    evaluation per interior root.
     """
 
     def rec(d, e):
@@ -397,6 +401,7 @@ def trace_dc(tb: TraceBuilder, diag, offdiag, iters: int):
                     s = [tb.div(t[j], delta[j]) for j in range(ll)]
                     fv = tb.add(tb.tree_sum(t), const(1.0))
                     fder = tb.tree_sum(s)
+                    done = abs(fv.value) <= _SECULAR_TOL * (1.0 + sum(abs(tj.value) for tj in t))
                     if fv.value < 0.0:
                         blo = y.value
                     else:
@@ -418,7 +423,9 @@ def trace_dc(tb: TraceBuilder, diag, offdiag, iters: int):
                     eta = tb.div(tb.shift(cq, 2.0), denom)
                     cand = tb.add(y, eta)
                     val = cand.value
-                    if not blo < val < bhi:
+                    if done:
+                        val = y.value
+                    elif not blo < val < bhi:
                         val = 0.5 * (blo + bhi)
                     # free clamp: the value saturates, the dependency stays
                     y = TracedReal(val, cand.node, _GENERIC)

@@ -147,9 +147,9 @@ def _mimo_budget(eig_budget) -> int | None:
 def _truncated_svd(h, algorithm: str, budget: int | None) -> SvdResult:
     """Decompose h with the given algorithm and iteration budget.
 
-    Budget semantics: iterations per secular root, the midpoint probe
-    included (4step-dc), or plain sweeps (4step-qr, gk); None runs to
-    convergence with the default production solver.
+    Budget semantics: rational-model steps per secular root, the origin
+    probe not counted (4step-dc), or plain sweeps (4step-qr, gk); None
+    runs to convergence with the default production solver.
     """
     if budget is None:
         return svd_4step(h)
@@ -257,8 +257,8 @@ def _lam_to_sigma(lam):
 
 def _dc_sigma_history(t):
     """Yield the singular values of capped D&C solves at budgets 1, 2, ...
-    up to _MAX_NEWTON_ITERS + 1, beyond which a capped solve no longer changes."""
-    for budget in range(1, _MAX_NEWTON_ITERS + 2):
+    up to _MAX_NEWTON_ITERS, beyond which a capped solve no longer changes."""
+    for budget in range(1, _MAX_NEWTON_ITERS + 1):
         yield _lam_to_sigma(truncated_dc_eigen(t, iter_budget=budget).lam)
 
 
@@ -274,10 +274,10 @@ def iterations_to_mse(
 
     The returned ``reported`` count multiplies the per-root budget by the
     recursion depth for the divide-and-conquer solver, so counts are
-    comparable across algorithms; ``budget`` is the raw knob. Sweeps are
-    counted in the plain (unshifted) iteration mode that the latency model
-    prices. A target not met by a D&C budget of 51 (see truncated_dc_eigen)
-    or by ``sweep_cap`` sweeps raises ConvergenceError.
+    comparable across algorithms; ``budget`` is the raw knob. It counts
+    rational-model steps per secular root, or plain (unshifted) sweeps: the
+    units the latency model prices. A target not met by a D&C budget of 50
+    (see truncated_dc_eigen) or by ``sweep_cap`` sweeps raises ConvergenceError.
     """
     if mse_target <= 0:
         raise ValidationError("mse_target must be positive")
@@ -287,7 +287,7 @@ def iterations_to_mse(
 
     if alg == "4step-dc":
         hists = [_dc_sigma_history(tridiagonalize(gram(h))[0]) for h in channels]
-        per_budget, cap = max(ceil_log2(cfg.k), 1), f"dc budget cap {_MAX_NEWTON_ITERS + 1}"
+        per_budget, cap = max(ceil_log2(cfg.k), 1), f"dc budget cap {_MAX_NEWTON_ITERS}"
     elif alg == "4step-qr":
         hists = [
             map(_lam_to_sigma, qr_eigenvalue_history(tridiagonalize(gram(h))[0], sweep_cap))

@@ -113,7 +113,7 @@ def _converge(sweeper, name: str) -> SweepReport:
         emax = np.max(np.abs(e), initial=0.0)
         if not (np.isfinite(dmax) and np.isfinite(emax)):
             return math.nan
-        return emax / dmax if dmax > 0 else 0.0
+        return emax / dmax if dmax > 0 else (math.inf if emax > 0 else 0.0)
 
     report = SweepReport(offdiag_norm_history=[metric()])
     while not report.offdiag_norm_history[-1] <= _SWEEP_TOL:

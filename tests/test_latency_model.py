@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parsvd.errors import ParsvdError, ProfileError, TraceLimitError
-from parsvd.gram_svd import HermitianMatrix, gram, tridiagonalize
+from parsvd.gram_svd import HermitianMatrix, TridiagonalReal, gram, tridiagonalize
 from parsvd.latency_model import (
     BUILTIN_PROFILES,
     Dfg,
@@ -18,7 +18,7 @@ from parsvd.latency_model import (
     trace_run,
 )
 from parsvd.latency_model.analytic import latency_breakdown
-from parsvd.latency_model.trace import TraceBuilder
+from parsvd.latency_model.trace import TraceBuilder, trace_dc
 
 from conftest import rand_complex
 
@@ -370,6 +370,28 @@ def test_trace_values_match_production(rng):
     got_e = np.array([v.value for v in off])
     np.testing.assert_allclose(got_d, t.diag, atol=1e-10 * np.max(np.abs(t.diag)))
     np.testing.assert_allclose(got_e, t.offdiag, atol=1e-10 * np.max(np.abs(t.diag)))
+
+
+def _traced_dc_values(t, iters):
+    tb = TraceBuilder()
+    lams, _ = trace_dc(tb, [tb.input(x) for x in t.diag], [tb.input(x) for x in t.offdiag], iters)
+    return np.array([lam.value for lam in lams])
+
+
+def test_trace_dc_values_stop_where_the_solver_stops(rng):
+    # a root that meets the solver's stopping test keeps its value through
+    # the remaining steps, so the trace computes the eigenvalues it prices
+    def assert_eigenvalues(t, iters, rel):
+        dense = t.to_dense()
+        np.testing.assert_allclose(
+            _traced_dc_values(t, iters), np.linalg.eigvalsh(dense),
+            rtol=0, atol=rel * np.linalg.norm(dense, 2),
+        )
+
+    for iters in (1, 2, 3):
+        assert_eigenvalues(TridiagonalReal(diag=[1.0, 2.0], offdiag=[1.0]), iters, 1e-15)
+    for k in range(2, 9):
+        assert_eigenvalues(tridiagonalize(gram(rand_complex(rng, 2 * k, k)))[0], 8, 1e-12)
 
 
 def test_trace_size_limit(rng):

@@ -228,6 +228,22 @@ def test_non_finite_band_raises():
         assert np.isnan(err.value.history[-1])
 
 
+def test_zero_diagonal_is_not_converged():
+    # an all-zero diagonal has converged only when the off-diagonal is
+    # zero too
+    eig, rep = qr_tridiag_eigen(TridiagonalReal(diag=[0.0, 0.0], offdiag=[1.0]))
+    np.testing.assert_allclose(eig.lam, [-1.0, 1.0], rtol=1e-14)
+    assert rep.sweeps == 1
+    eig, _ = qr_tridiag_eigen(TridiagonalReal(diag=[0.0, 0.0, 0.0], offdiag=[1.0, 1.0]))
+    np.testing.assert_allclose(eig.lam, [-np.sqrt(2.0), 0.0, np.sqrt(2.0)], atol=1e-14)
+    # GK's zero-shift chase makes no progress here: loud, not wrong
+    with pytest.raises(ConvergenceError):
+        gk_svd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for solve, arg in ((qr_tridiag_eigen, TridiagonalReal(diag=[0.0, 0.0], offdiag=[0.0])),
+                       (gk_svd, np.zeros((2, 2)))):
+        assert solve(arg)[1].sweeps == 0
+
+
 def test_gk_nonconvergence_raises(rng, monkeypatch):
     monkeypatch.setattr(reference_solvers, "_sweep_cap", lambda k: 1)
     a = rand_complex(rng, 8, 8)
