@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -138,19 +139,9 @@ def _load_input(args, square_hermitian: bool) -> np.ndarray:
 # output rendering
 
 
-def _emit_json(payload: dict):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _emit_table(rows: list[tuple[str, str]]):
-    width = max((len(k) for k, _ in rows), default=0)
-    for key, val in rows:
-        sys.stdout.write(f"{key.ljust(width)}  {val}\n")
-
-
 def _emit_kv(payload: dict, fmt: str):
     if fmt == "json":
-        _emit_json(payload)
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return
     rows = []
 
@@ -170,7 +161,9 @@ def _emit_kv(payload: dict, fmt: str):
         for key, val in rows:
             sys.stdout.write(f"{key},{val}\n")
     else:
-        _emit_table(rows)
+        width = max((len(k) for k, _ in rows), default=0)
+        for key, val in rows:
+            sys.stdout.write(f"{key.ljust(width)}  {val}\n")
 
 
 def _fmt_num(v):
@@ -216,19 +209,12 @@ def _cmd_svd(args):
     a = _load_input(args, square_hermitian=False)
     res = svd_4step(a, args.budget, sv_threshold=args.sv_threshold)
     residual = fro_norm(a - res.reconstruct()) / max(fro_norm(a), 1e-300)
-    diag = res.diagnostics
     payload = {
         "shape": list(a.shape),
         "sigma": [float(s) for s in res.sigma],
         "valid_columns": int(np.sum(res.valid)),
         "residual": residual,
-        "diagnostics": {
-            "newton_iterations_total": diag.newton_iterations_total,
-            "newton_iterations_max_per_root": diag.newton_iterations_max_per_root,
-            "recursion_depth": diag.recursion_depth,
-            "deflation_count": diag.deflation_count,
-            "interlacing_violations": diag.interlacing_violations,
-        },
+        "diagnostics": asdict(res.diagnostics),
     }
     _emit_kv(payload, args.format)
     return 0
@@ -250,48 +236,42 @@ def _cmd_eig(args):
     return 0
 
 
-def _cmd_latency(args):
+def _model_query(args) -> tuple[str, tuple[int, int], dict]:
+    """--alg and --size resolved, and the payload head that names them."""
     alg = _resolve_alg(args.alg)
     dims = _parse_size(args.size)
+    return alg, dims, {"algorithm": alg, "size": f"{dims[0]}x{dims[1]}"}
+
+
+def _cmd_latency(args):
+    alg, dims, payload = _model_query(args)
     profile = load_profile(args.profile)
     est = analytic_latency(alg, dims, args.iters, profile)
-    parts = latency_breakdown(alg, dims, args.iters, profile)
-    payload = {
-        "algorithm": alg,
-        "size": f"{dims[0]}x{dims[1]}",
-        "iterations": args.iters,
-        "profile": profile.name,
-        "ns": est.ns,
-        "normalized_adders": est.normalized_adders,
-        "critical_path_ops": est.critical_path.as_dict(),
-        "breakdown_ns": {k: v for k, v in parts.items()},
-    }
+    payload.update(
+        iterations=args.iters,
+        profile=profile.name,
+        ns=est.ns,
+        normalized_adders=est.normalized_adders,
+        critical_path_ops=asdict(est.critical_path),
+        breakdown_ns=latency_breakdown(alg, dims, args.iters, profile),
+    )
     _emit_kv(payload, args.format)
     return 0
 
 
 def _cmd_ops(args):
-    alg = _resolve_alg(args.alg)
-    dims = _parse_size(args.size)
+    alg, dims, payload = _model_query(args)
     ops = total_ops(alg, dims, args.iters)
-    payload = {
-        "algorithm": alg,
-        "size": f"{dims[0]}x{dims[1]}",
-        "iterations": args.iters,
-        "ops": ops.as_dict(),
-        "total": ops.total(),
-    }
+    payload.update(iterations=args.iters, ops=asdict(ops), total=ops.total())
     if args.profile is not None:
         profile = load_profile(args.profile)
-        payload["lut_weighted"] = ops.lut_weighted(profile)
-        payload["profile"] = profile.name
+        payload.update(lut_weighted=ops.lut_weighted(profile), profile=profile.name)
     _emit_kv(payload, args.format)
     return 0
 
 
 def _cmd_trace_export(args):
-    alg = _resolve_alg(args.alg)
-    dims = _parse_size(args.size)
+    alg, dims, payload = _model_query(args)
     if alg == "gk":
         mat = _random_matrix(dims, args.seed)
     else:
@@ -304,14 +284,7 @@ def _cmd_trace_export(args):
         fh.write(text)
     profile = load_profile(args.profile)
     est = critical_path(dfg, profile)
-    payload = {
-        "algorithm": alg,
-        "size": f"{dims[0]}x{dims[1]}",
-        "nodes": len(dfg),
-        "census": dfg.census().as_dict(),
-        "critical_path_ns": est.ns,
-        "out": args.out,
-    }
+    payload.update(nodes=len(dfg), census=asdict(dfg.census()), critical_path_ns=est.ns, out=args.out)
     _emit_kv(payload, args.format)
     return 0
 
@@ -340,51 +313,45 @@ def _cmd_sweep(args):
 
 
 _CHANNEL_KEYS = {"m": int, "k": int, "panels": int, "t": int, "snr_db": float, "seed": int, "trials": int}
+# per command: help, its integer flags after --config, and the defaults
+_MIMO_COMMANDS = {
+    "mimo-dmimo": (
+        "multi-panel dimension-reduction capacity",
+        ("panels", "m", "k", "t"),
+        {"m": 32, "k": 32, "panels": 8, "t": 16, "snr_db": 0.0, "seed": 0, "trials": 100},
+    ),
+    "mimo-mmimo": (
+        "single-cell achievable rate",
+        ("m", "k"),
+        {"m": 128, "k": 16, "panels": 1, "snr_db": 0.0, "seed": 0, "trials": 100},
+    ),
+}
 
 
-def _channel_config_from_args(args, with_panels: bool, defaults: dict) -> ChannelConfig:
-    # explicit flags win, then config-file entries, then the defaults
+def _cmd_mimo(args):
+    _, _, defaults = _MIMO_COMMANDS[args.command]
     fields = read_flat_kv(args.config, _CHANNEL_KEYS, UsageError) if args.config else {}
 
     def pick(name):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return fields.get(name, defaults[name])
+        # explicit flags win, then config-file entries, then the defaults;
+        # a key that has no flag in this command (mimo-mmimo's panels) keeps its default
+        flag = getattr(args, name, defaults[name])
+        return fields.get(name, defaults[name]) if flag is None else flag
 
-    if with_panels and getattr(args, "t", None) is None and "t" in fields:
-        args.t = fields["t"]
-    return ChannelConfig(
+    cfg = ChannelConfig(
         m=pick("m"),
         k=pick("k"),
-        panels=pick("panels") if with_panels else 1,
+        panels=pick("panels"),
         snr_per_link=10.0 ** (pick("snr_db") / 10.0),
         seed=pick("seed"),
         trials=pick("trials"),
     )
-
-
-_DMIMO_DEFAULTS = {"m": 32, "k": 32, "panels": 8, "t": 16, "snr_db": 0.0, "seed": 0, "trials": 100}
-_MMIMO_DEFAULTS = {"m": 128, "k": 16, "panels": 1, "snr_db": 0.0, "seed": 0, "trials": 100}
-
-
-def _cmd_mimo_dmimo(args):
-    cfg = _channel_config_from_args(args, with_panels=True, defaults=_DMIMO_DEFAULTS)
-    t = args.t if args.t is not None else _DMIMO_DEFAULTS["t"]
     budgets = [int(v) for v in args.budgets.split(",") if v]
     algs = [_resolve_alg(a) for a in args.algs.split(",") if a]
-    sweep = capacity_vs_iterations(cfg, t, budgets, algorithms=algs)
-    if args.out:
-        emit_plot_data(sweep, args.out)
-    _emit_kv(_sweep_payload(sweep), args.format)
-    return 0
-
-
-def _cmd_mimo_mmimo(args):
-    cfg = _channel_config_from_args(args, with_panels=False, defaults=_MMIMO_DEFAULTS)
-    budgets = [int(v) for v in args.budgets.split(",") if v]
-    algs = [_resolve_alg(a) for a in args.algs.split(",") if a]
-    sweep = rate_vs_iterations(cfg, budgets, algorithms=algs)
+    if args.command == "mimo-dmimo":
+        sweep = capacity_vs_iterations(cfg, pick("t"), budgets, algorithms=algs)
+    else:
+        sweep = rate_vs_iterations(cfg, budgets, algorithms=algs)
     if args.out:
         emit_plot_data(sweep, args.out)
     _emit_kv(_sweep_payload(sweep), args.format)
@@ -416,30 +383,20 @@ def build_parser() -> _Parser:
     common(sp, matrix_input=True)
     sp.set_defaults(func=_cmd_eig)
 
-    sp = sub.add_parser("latency", help="critical-path latency model")
-    common(sp)
-    sp.add_argument("--alg", required=True)
-    sp.add_argument("--size", required=True, metavar="MxK")
-    sp.add_argument("--iters", type=int, default=4)
-    sp.add_argument("--profile", default="zynq-fp32")
-    sp.set_defaults(func=_cmd_latency)
+    def model_query(name, text, func, profile="zynq-fp32", profile_help=None):
+        sp = sub.add_parser(name, help=text)
+        common(sp)
+        sp.add_argument("--alg", required=True)
+        sp.add_argument("--size", required=True, metavar="MxK")
+        sp.add_argument("--iters", type=int, default=4)
+        sp.add_argument("--profile", default=profile, help=profile_help)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("ops", help="expanded real-operation counts")
-    common(sp)
-    sp.add_argument("--alg", required=True)
-    sp.add_argument("--size", required=True, metavar="MxK")
-    sp.add_argument("--iters", type=int, default=4)
-    sp.add_argument("--profile", default=None, help="adds a LUT-weighted total")
-    sp.set_defaults(func=_cmd_ops)
-
-    sp = sub.add_parser("trace-export", help="emit a dataflow graph edge list")
-    common(sp)
-    sp.add_argument("--alg", required=True)
-    sp.add_argument("--size", required=True, metavar="MxK")
-    sp.add_argument("--iters", type=int, default=4)
-    sp.add_argument("--profile", default="zynq-fp32")
+    model_query("latency", "critical-path latency model", _cmd_latency)
+    model_query("ops", "expanded real-operation counts", _cmd_ops, None, "adds a LUT-weighted total")
+    sp = model_query("trace-export", "emit a dataflow graph edge list", _cmd_trace_export)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_trace_export)
 
     sp = sub.add_parser("sweep", help="latency/ops versus size at an MSE target")
     common(sp)
@@ -453,32 +410,19 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default=None, help="CSV output path")
     sp.set_defaults(func=_cmd_sweep)
 
-    sp = sub.add_parser("mimo-dmimo", help="multi-panel dimension-reduction capacity")
-    common(sp)
-    sp.add_argument("--config", default=None, help="flat key-value channel config file")
-    sp.add_argument("--panels", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--t", type=int, default=None)
-    sp.add_argument("--snr-db", type=float, default=None, dest="snr_db")
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--budgets", default="1,2,4,8")
-    sp.add_argument("--algs", default="dc,qr,gk")
-    sp.add_argument("--out", default=None)
-    # an unset --seed lets a config file's seed apply
-    sp.set_defaults(func=_cmd_mimo_dmimo, seed=None)
-
-    sp = sub.add_parser("mimo-mmimo", help="single-cell achievable rate")
-    common(sp)
-    sp.add_argument("--config", default=None, help="flat key-value channel config file")
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--snr-db", type=float, default=None, dest="snr_db")
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--budgets", default="1,2,4,8")
-    sp.add_argument("--algs", default="dc,qr,gk")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_mimo_mmimo, seed=None)
+    for name, (text, flags, _) in _MIMO_COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        common(sp)
+        sp.add_argument("--config", default=None, help="flat key-value channel config file")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", type=int, default=None)
+        sp.add_argument("--snr-db", type=float, default=None, dest="snr_db")
+        sp.add_argument("--trials", type=int, default=None)
+        sp.add_argument("--budgets", default="1,2,4,8")
+        sp.add_argument("--algs", default="dc,qr,gk")
+        sp.add_argument("--out", default=None)
+        # an unset --seed lets a config file's seed apply
+        sp.set_defaults(func=_cmd_mimo, seed=None)
 
     return p
 

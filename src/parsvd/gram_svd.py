@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
-from .matrix_core import as_matrix, as_vector, fro_norm, pow2_scale
+from .matrix_core import as_count, as_matrix, as_vector, fro_norm, pow2_scale
 
 _EPS = np.finfo(np.float64).eps
 _HERMITIAN_TOL = 1e-12  # relative deviation from Hermitian that from_matrix accepts
@@ -135,7 +135,10 @@ class DcDiagnostics:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
+
+    ``q`` is real from the tridiagonal solvers; only the Jacobi oracle's is complex.
+    """
 
     lam: np.ndarray
     q: np.ndarray
@@ -529,7 +532,7 @@ def _dc(t: TridiagonalReal, cap: int | None) -> EigenDecomposition:
     # the first half of every split is the larger, so the middle split sets the depth
     diag = DcDiagnostics(recursion_depth=(t.dim - 1).bit_length())
     lam, q = _dc_recurse(t.diag, t.offdiag, cap, diag)
-    return EigenDecomposition(lam=lam, q=q.astype(np.complex128), diagnostics=diag)
+    return EigenDecomposition(lam=lam, q=q, diagnostics=diag)
 
 
 def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
@@ -538,10 +541,9 @@ def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
     Splits at the middle recursively, solves the secular equation of each
     rank-1 merge (with deflation of negligible components and coincident
     poles), and accumulates eigenvectors level by level. Eigenvalues come
-    out ascending; the eigenvector matrix is real-valued but returned with
-    complex dtype for uniformity with the rest of the pipeline. A secular
-    root that does not converge in ``_MAX_NEWTON_ITERS`` (50) model steps
-    raises ConvergenceError.
+    out ascending, with a real eigenvector matrix. A secular root that does
+    not converge in ``_MAX_NEWTON_ITERS`` (50) model steps raises
+    ConvergenceError.
     """
     return _dc(t, None)
 
@@ -555,10 +557,9 @@ def truncated_dc_eigen(t: TridiagonalReal, iter_budget: int) -> EigenDecompositi
     the budget, and equals dc_eigen's whenever dc_eigen converges; where it
     would raise ConvergenceError, the capped solve keeps the last iterate
     instead. Small budgets trade accuracy for fewer sequential steps.
+    ``iter_budget`` must be an integer >= 1 (matrix_core.as_count).
     """
-    if iter_budget < 1:
-        raise ValidationError("iter_budget must be >= 1")
-    return _dc(t, iter_budget)
+    return _dc(t, as_count(iter_budget, "iter_budget"))
 
 
 # ---------------------------------------------------------------------------

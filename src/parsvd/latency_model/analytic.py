@@ -24,6 +24,7 @@ the solver's origin probe, one secular evaluation per interior root.
 from __future__ import annotations
 
 from ..errors import DimensionError, ValidationError
+from ..matrix_core import as_count
 from .dfg import LatencyEstimate, OpCount
 from .profiles import HardwareProfile
 from .table_counts import ceil_log2, householder_step_counts
@@ -331,8 +332,7 @@ def _checked(algorithm: str, dims, iters: int):
     m_dim, k_dim = dims
     if m_dim < 1 or k_dim < 1:
         raise DimensionError(f"dims must be positive, got {dims}")
-    if iters < 1:
-        raise ValidationError("iteration count must be >= 1")
+    as_count(iters, "iters")
     if alg == "gk" and m_dim < k_dim:
         raise DimensionError(f"gk expects rows >= cols, got {dims}")
     return alg, m_dim, k_dim

@@ -49,9 +49,6 @@ class OpCount:
             + self.sqrt * lut["sqrt"]
         )
 
-    def as_dict(self) -> dict:
-        return {"add": self.add, "mul": self.mul, "div": self.div, "sqrt": self.sqrt}
-
 
 @dataclass(frozen=True)
 class DfgNode:

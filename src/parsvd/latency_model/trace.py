@@ -39,9 +39,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import DimensionError, TraceLimitError, ValidationError
+from ..errors import DimensionError, TraceLimitError
 from ..gram_svd import _SECULAR_TOL, HermitianMatrix
-from ..matrix_core import as_matrix
+from ..matrix_core import as_count, as_matrix
 from .analytic import _resolve
 from .dfg import Dfg, DfgNode
 
@@ -76,10 +76,6 @@ class TracedComplex:
         self.re = re
         self.im = im
 
-    @property
-    def value(self) -> complex:
-        return complex(self.re.value, self.im.value)
-
 
 CZERO = TracedComplex(ZERO, ZERO)
 
@@ -97,9 +93,9 @@ class TraceBuilder:
 
     # -- node plumbing
 
-    def _emit(self, kind, value, operands, extra_deps=()):
+    def _emit(self, kind, value, operands):
         idx = len(self.kinds)
-        deps = tuple(o.node for o in operands if o.node is not None) + tuple(extra_deps)
+        deps = tuple(o.node for o in operands if o.node is not None)
         self.kinds.append(kind)
         self.deps.append(deps)
         self.over.append(self._overlap > 0)
@@ -139,12 +135,12 @@ class TraceBuilder:
 
     # -- real scalar ops
 
-    def add(self, a: TracedReal, b: TracedReal, extra_deps=()) -> TracedReal:
+    def add(self, a: TracedReal, b: TracedReal) -> TracedReal:
         if a.flag == _S_ZERO:
             return b
         if b.flag == _S_ZERO:
             return a
-        return self._emit("add", a.value + b.value, (a, b), extra_deps)
+        return self._emit("add", a.value + b.value, (a, b))
 
     def sub(self, a: TracedReal, b: TracedReal) -> TracedReal:
         if b.flag == _S_ZERO:
@@ -158,14 +154,14 @@ class TraceBuilder:
             return a
         return TracedReal(-a.value, a.node, _GENERIC)
 
-    def mul(self, a: TracedReal, b: TracedReal, extra_deps=()) -> TracedReal:
+    def mul(self, a: TracedReal, b: TracedReal) -> TracedReal:
         if a.flag == _S_ZERO or b.flag == _S_ZERO:
             return ZERO
         if a.flag == _S_ONE:
             return b
         if b.flag == _S_ONE:
             return a
-        return self._emit("mul", a.value * b.value, (a, b), extra_deps)
+        return self._emit("mul", a.value * b.value, (a, b))
 
     def div(self, a: TracedReal, b: TracedReal) -> TracedReal:
         if a.flag == _S_ZERO:
@@ -312,22 +308,17 @@ def trace_tridiagonalize(tb: TraceBuilder, bmat: np.ndarray):
             w = [tb.csub(p_vec[j], tb.cmul(sdot, v[j])) for j in range(i)]
 
         with tb.label(("tridiag", step, 7)):
-            new_up = {}
-            new_dg = {}
+            # in place: each entry is read once, just before it is replaced
             for a in range(i):
                 ga = step + 1 + a
                 r1 = tb.add(tb.mul(v[a].re, w[a].re), tb.mul(v[a].im, w[a].im))
                 r2 = tb.add(tb.mul(w[a].re, v[a].re), tb.mul(w[a].im, v[a].im))
-                new_dg[ga] = tb.sub(tb.sub(dg[ga], r1), r2)
+                dg[ga] = tb.sub(tb.sub(dg[ga], r1), r2)
                 for b in range(a + 1, i):
                     gb = step + 1 + b
                     t1 = tb.cmul(v[a], tb.conj(w[b]))
                     t2 = tb.cmul(w[a], tb.conj(v[b]))
-                    new_up[(ga, gb)] = tb.csub(tb.csub(entry(ga, gb), t1), t2)
-            for key, val in new_up.items():
-                up[key] = val
-            for idx, val in new_dg.items():
-                dg[idx] = val
+                    up[(ga, gb)] = tb.csub(tb.csub(up[(ga, gb)], t1), t2)
 
         with tb.label(("tridiag", step, 8)), tb.overlapped():
             nphase = tb.cneg(phase)
@@ -685,8 +676,7 @@ def trace_run(algorithm: str, matrix, iters: int = 4) -> Dfg:
     EXPLICIT_TRACE_LIMIT are rejected; use the closed-form model instead.
     """
     a = as_matrix(matrix)
-    if iters < 1:
-        raise ValidationError("iters must be >= 1")
+    as_count(iters, "iters")
     if max(a.shape) > EXPLICIT_TRACE_LIMIT:
         raise TraceLimitError(
             f"matrix {a.shape} exceeds the explicit trace limit "

@@ -4,11 +4,16 @@ Matrices are plain numpy arrays of dtype complex128, row-major, with
 ``rows >= 1`` and ``cols >= 1``. All operations are pure functions; no
 internal state is shared, so everything here is safe to call from
 concurrent contexts.
+
+Counts (iteration budgets, sweeps, trials, panels) pass one check,
+``as_count``: a bool, a non-integer or a value below 1 raises
+ValidationError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -40,6 +45,18 @@ def as_vector(data) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValidationError("vector contains NaN or Inf entries")
     return v
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as an int >= 1; ValidationError naming ``name`` for a bool,
+    a non-integer or a value below 1."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if isinstance(value, bool) or n < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return n
 
 
 def fro_norm(a) -> float:

@@ -10,7 +10,6 @@ are aggregated in fixed index order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,7 +20,7 @@ from .gram_svd import SvdResult, gram, recover_svd, svd_4step, tridiagonalize, t
 from .gram_svd import _MAX_NEWTON_ITERS
 from .latency_model import analytic_latency, ceil_log2, total_ops
 from .latency_model.analytic import _resolve
-from .matrix_core import as_matrix
+from .matrix_core import as_count, as_matrix
 from .reference_solvers import (
     gk_bidiagonalize,
     gk_fixed_sweeps,
@@ -47,8 +46,8 @@ class ChannelConfig:
     def __post_init__(self):
         if not self.m >= self.k >= 1:
             raise DimensionError(f"need m >= k >= 1, got m={self.m}, k={self.k}")
-        if self.panels < 1 or self.trials < 1:
-            raise ValidationError("panels and trials must be >= 1")
+        as_count(self.panels, "panels")
+        as_count(self.trials, "trials")
         if not self.snr_per_link > 0:
             raise ValidationError("snr_per_link must be positive")
 
@@ -139,9 +138,7 @@ def _mimo_budget(eig_budget) -> int | None:
     """None for "exact", else the iteration budget, which must be an int >= 1."""
     if eig_budget == "exact":
         return None
-    if isinstance(eig_budget, bool) or not isinstance(eig_budget, numbers.Integral) or eig_budget < 1:
-        raise ValidationError(f"eig_budget must be 'exact' or an integer >= 1, got {eig_budget!r}")
-    return int(eig_budget)
+    return as_count(eig_budget, "eig_budget other than 'exact'")
 
 
 def _truncated_svd(h, algorithm: str, budget: int | None) -> SvdResult:
@@ -277,11 +274,13 @@ def iterations_to_mse(
     comparable across algorithms; ``budget`` is the raw knob. It counts
     rational-model steps per secular root, or plain (unshifted) sweeps: the
     units the latency model prices. A target not met by a D&C budget of 50
-    (see truncated_dc_eigen) or by ``sweep_cap`` sweeps raises ConvergenceError.
+    (see truncated_dc_eigen) or by ``sweep_cap`` sweeps (an integer >= 1)
+    raises ConvergenceError.
     """
     if mse_target <= 0:
         raise ValidationError("mse_target must be positive")
     alg = _mimo_algorithm(algorithm)
+    as_count(sweep_cap, "sweep_cap")
     channels = [gen_iid_channel(cfg, 0, trial) for trial in range(cfg.trials)]
     refs = [svd_4step(h).sigma for h in channels]
 

@@ -26,7 +26,7 @@ from .gram_svd import (
     TridiagonalReal,
     householder_vector,
 )
-from .matrix_core import as_matrix, fro_norm, pow2_scale
+from .matrix_core import as_count, as_matrix, fro_norm, pow2_scale
 
 _EPS = np.finfo(np.float64).eps
 _SWEEP_TOL = 1e-12  # a converging solve stops at max |e| <= _SWEEP_TOL * max |d|
@@ -288,17 +288,14 @@ def _gk_sweeper(bd: Bidiagonal, shift: bool, vectors: bool = True) -> _Sweeper:
 
 def _gk_result(sw: _Sweeper) -> SvdResult:
     """Economy SVD of the current band: sigma descending, signs absorbed
-    into U. U and V are None when the sweeper keeps no vectors."""
+    into U."""
     sigma = np.abs(sw.d)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
-    u = v = None
-    if sw.factors:
-        u, v = sw.factors
-        u = (u * np.where(sw.d < 0, -1.0, 1.0))[:, order]
-        v = v[:, order]
+    u, v = sw.factors
+    u = (u * np.where(sw.d < 0, -1.0, 1.0))[:, order]
     valid = sigma > 0 if sigma.size and sigma[0] > 0 else np.zeros(sigma.size, dtype=bool)
-    return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=None)
+    return SvdResult(u=u, sigma=sigma, v=v[:, order], valid=valid, diagnostics=None)
 
 
 def gk_diagonalize(bd: Bidiagonal) -> tuple[SvdResult, SweepReport]:
@@ -324,17 +321,18 @@ def gk_svd(a) -> tuple[SvdResult, SweepReport]:
 
 
 def gk_fixed_sweeps(bd: Bidiagonal, sweeps: int) -> SvdResult:
-    """Run exactly ``sweeps`` plain sweeps and return the (possibly
-    unconverged) decomposition; used for accuracy-versus-iterations studies."""
+    """Run exactly ``sweeps`` plain sweeps, an integer >= 1, and return the
+    (possibly unconverged) decomposition; used for accuracy-versus-iterations
+    studies."""
     sw = _gk_sweeper(bd, shift=False)
-    for _ in range(sweeps):
+    for _ in range(as_count(sweeps, "sweeps")):
         sw.sweep()
     return _gk_result(sw)
 
 
 def gk_singular_value_history(bd: Bidiagonal, max_sweeps: int):
-    """Yield the descending singular-value estimates after each of up to
-    ``max_sweeps`` plain sweeps.
+    """Yield |d| of the band sorted descending, the singular-value
+    estimates, after each of up to ``max_sweeps`` plain sweeps.
 
     Lazy, and runs without accumulating U/V, so it is cheap enough for
     Monte Carlo iteration-count measurements.
@@ -342,7 +340,7 @@ def gk_singular_value_history(bd: Bidiagonal, max_sweeps: int):
     sw = _gk_sweeper(bd, shift=False, vectors=False)
     for _ in range(max_sweeps):
         sw.sweep()
-        yield _gk_result(sw).sigma
+        yield -np.sort(-np.abs(sw.d))
 
 
 # ---------------------------------------------------------------------------
@@ -389,29 +387,29 @@ def _qr_sweeper(t: TridiagonalReal, shift: bool, vectors: bool = True) -> _Sweep
 
 
 def _qr_result(sw: _Sweeper) -> EigenDecomposition:
-    """Eigenvalues ascending with their eigenvectors; q is None when the
-    sweeper keeps no vectors."""
+    """Eigenvalues ascending with their real eigenvectors."""
     order = np.argsort(sw.d, kind="stable")
-    q = sw.factors[0][:, order].astype(np.complex128) if sw.factors else None
-    return EigenDecomposition(lam=sw.d[order], q=q, diagnostics=None)
+    return EigenDecomposition(lam=sw.d[order], q=sw.factors[0][:, order], diagnostics=None)
 
 
 def qr_fixed_sweeps(t: TridiagonalReal, sweeps: int) -> EigenDecomposition:
-    """Run exactly ``sweeps`` plain QR iterations and return the (possibly
-    unconverged) eigendecomposition with accumulated eigenvectors."""
+    """Run exactly ``sweeps`` plain QR iterations, an integer >= 1, and
+    return the (possibly unconverged) eigendecomposition with the
+    accumulated real eigenvectors."""
     sw = _qr_sweeper(t, shift=False)
-    for _ in range(sweeps):
+    for _ in range(as_count(sweeps, "sweeps")):
         sw.sweep()
     return _qr_result(sw)
 
 
 def qr_eigenvalue_history(t: TridiagonalReal, max_iters: int):
-    """Yield the ascending eigenvalue estimates after each of up to
-    ``max_iters`` plain QR iterations, lazily and without eigenvectors."""
+    """Yield the diagonal of the band sorted ascending, the eigenvalue
+    estimates, after each of up to ``max_iters`` plain QR iterations,
+    lazily and without eigenvectors."""
     sw = _qr_sweeper(t, shift=False, vectors=False)
     for _ in range(max_iters):
         sw.sweep()
-        yield _qr_result(sw).lam
+        yield np.sort(sw.d, kind="stable")
 
 
 def qr_tridiag_eigen(t: TridiagonalReal) -> tuple[EigenDecomposition, SweepReport]:

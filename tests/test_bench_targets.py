@@ -1,7 +1,10 @@
 """The traced benchmark run wraps functions by (module, attribute) name; a
-rename in the package must not leave one of those names dangling."""
+rename in the package must not leave one of those names dangling. Every
+operation of every benchmarked workload must also pass its own output
+check, which the benchmark counts as a failed operation otherwise."""
 
 import importlib
+import json
 import os
 
 import pytest
@@ -16,3 +19,15 @@ def test_every_span_target_resolves(monkeypatch):
     assert tracing.TARGETS
     for module, attr, *_ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_every_benchmark_check_passes(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    workloads = importlib.import_module("workloads")
+    with open(os.path.join(os.path.dirname(BENCH_DIR), "BENCHMARK.json")) as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    for name in names:
+        ops = workloads.build(name, seed=0, cycle=0, smallest=True)
+        assert ops, name
+        for op in ops:
+            assert op.check(op.call()) is None, f"{name}: {op.label}"

@@ -198,3 +198,32 @@ def test_eig_command(capsys):
     payload = json.loads(out)
     assert payload["residual"] <= 1e-10
     assert sorted(payload["eigenvalues"]) == payload["eigenvalues"]
+
+
+_SMALL_RUNS = {
+    "svd": ["--random", "6x3"],
+    "eig": ["--random", "4x4"],
+    "latency": ["--alg", "dc", "--size", "8x8"],
+    "ops": ["--alg", "gk", "--size", "6x4", "--profile", "zynq-fxp32"],
+    "trace-export": ["--alg", "qr", "--size", "4x4", "--iters", "2"],
+    "sweep": ["--algs", "dc,qr", "--sizes", "4", "--trials", "1"],
+    "mimo-dmimo": ["--panels", "2", "--m", "8", "--k", "4", "--t", "2", "--trials", "1",
+                   "--budgets", "2", "--algs", "gk"],
+    "mimo-mmimo": ["--m", "8", "--k", "4", "--trials", "1", "--budgets", "2", "--algs", "qr"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_every_command_in_every_format(tmp_path, capsys, command, fmt):
+    argv = [command, *_SMALL_RUNS[command], "--format", fmt]
+    if command == "trace-export":
+        argv += ["--out", str(tmp_path / "graph.txt")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if fmt == "json":
+        assert isinstance(json.loads(out), dict)
+    elif fmt == "csv":
+        assert out.startswith("key,value\n")
+    else:
+        assert out and not out.startswith("key,value")
