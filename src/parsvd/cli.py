@@ -59,6 +59,14 @@ def _parse_size(text: str) -> tuple[int, int]:
     return dims
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value; empty entries are skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def _resolve_alg(name: str) -> str:
     try:
         return _resolve(_ALG_ALIASES.get(name, name))
@@ -292,7 +300,7 @@ def _cmd_trace_export(args):
 def _cmd_sweep(args):
     algs = [_resolve_alg(a) for a in args.algs.split(",") if a]
     profile = load_profile(args.profile)
-    ks = [int(v) for v in args.sizes.split(",") if v]
+    ks = _int_list("--sizes", args.sizes)
     factor = 8 if args.geometry == "tall8" else 1
     sizes = [(factor * k, k) for k in ks]
     sweep = sweep_latency_vs_size(
@@ -346,7 +354,7 @@ def _cmd_mimo(args):
         seed=pick("seed"),
         trials=pick("trials"),
     )
-    budgets = [int(v) for v in args.budgets.split(",") if v]
+    budgets = _int_list("--budgets", args.budgets)
     algs = [_resolve_alg(a) for a in args.algs.split(",") if a]
     if args.command == "mimo-dmimo":
         sweep = capacity_vs_iterations(cfg, pick("t"), budgets, algorithms=algs)

@@ -124,7 +124,8 @@ class HouseholderStep:
 
 @dataclass
 class DcDiagnostics:
-    """Counters collected while running the divide-and-conquer eigensolver."""
+    """Counters collected while running the divide-and-conquer eigensolver;
+    ``deflation_count`` sums the components each merge deflates, all at an exact split."""
 
     newton_iterations_total: int = 0
     newton_iterations_max_per_root: int = 0
@@ -262,9 +263,8 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
         for c, j in enumerate(range(j0, j1)):
             col = work[j:, j]
             done = vw[j:, : 2 * c]
-            if c:
-                # V conj(W_j) + W conj(V_j), row j of V W^H + W V^H
-                col -= done @ _pair_swap(done[0]).conj()
+            # V conj(W_j) + W conj(V_j), row j of V W^H + W V^H (empty at c = 0)
+            col -= done @ _pair_swap(done[0]).conj()
             diag[j] = col[0]
             step = householder_vector(col[1:])
             off[j] = step.xnorm
@@ -273,9 +273,8 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
             v = step.v
             turn[j] = -step.phase
             p = work[j + 1 :, j + 1 :] @ v
-            if c:
-                # (V W^H + W V^H) v
-                p -= done[1:] @ _pair_swap(v.conj() @ done[1:]).conj()
+            # (V W^H + W V^H) v
+            p -= done[1:] @ _pair_swap(v.conj() @ done[1:]).conj()
             p *= 2.0
             vw[j + 1 :, 2 * c] = v
             vw[j + 1 :, 2 * c + 1] = p - np.vdot(v, p) * v
@@ -400,23 +399,18 @@ def _secular_root(d: np.ndarray, asq: np.ndarray, i: int, cap: int | None) -> tu
 def _rank1_eigen(
     d: np.ndarray, u: np.ndarray, rho: float, cap: int | None, diag: DcDiagnostics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen decomposition of diag(d) + rho * u u^T (d in any order)."""
+    """Eigen decomposition of diag(d) + rho * u u^T (d in any order, rho >= 0)."""
     n = d.size
-    if rho < 0.0:
-        lam_m, s_m = _rank1_eigen(-d[::-1], u[::-1], -rho, cap, diag)
-        return -lam_m[::-1], s_m[::-1, ::-1]
-
     p = np.argsort(d, kind="stable")
-    ds = d[p].copy()
-    us = u[p].copy()
+    ds = d[p]
+    us = u[p]
     scale = max(abs(ds[0]), abs(ds[-1]), 1e-300)
     unorm = float(np.sqrt(np.sum(us * us)))
 
-    deflated = np.zeros(n, dtype=bool)
-    if rho == 0.0 or unorm == 0.0 or rho * unorm * unorm <= _DEFLATION_TOL * scale:
+    deflated = np.abs(us) <= _DEFLATION_TOL * unorm
+    # a negligible rho |u|^2, zero at an exact split, deflates every component
+    if rho * unorm * unorm <= _DEFLATION_TOL * scale:
         deflated[:] = True
-    else:
-        deflated = np.abs(us) <= _DEFLATION_TOL * unorm
 
     rots: list[tuple[int, int, float, float]] = []
     prev = -1
@@ -449,6 +443,9 @@ def _rank1_eigen(
         roots = [_secular_root(dk, asq, i, cap) for i in range(n_keep)]
         origin, tau, iters = (np.array(col) for col in zip(*roots))
         lam_all[:n_keep] = dk[origin] + tau
+        # the top root is the only one not bracketed by two poles
+        if not math.isfinite(lam_all[n_keep - 1]):
+            raise ValidationError("merge eigenvalue overflowed: tridiagonal entries must be finite")
         diag.newton_iterations_total += int(iters.sum())
         diag.newton_iterations_max_per_root = max(
             diag.newton_iterations_max_per_root, int(iters.max())
@@ -486,7 +483,7 @@ def _rank1_eigen(
     # inverse of the R^T that zeroed the duplicate-pole weights)
     for c, j, cs, sn in reversed(rots):
         row_c = s_hat[c, :].copy()
-        row_j = s_hat[j, :].copy()
+        row_j = s_hat[j, :]
         s_hat[c, :] = cs * row_c + sn * row_j
         s_hat[j, :] = -sn * row_c + cs * row_j
 
@@ -500,31 +497,26 @@ def _dc_recurse(
     d: np.ndarray, e: np.ndarray, cap: int | None, diag: DcDiagnostics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigen decomposition of the tridiagonal (d, e), split at the middle as
-    blockdiag(T1, T2) + alpha v v^T with v = e_{cut-1} + e_cut (Cuppen)."""
+    blockdiag(T1, T2) + rho v v^T with alpha = e[cut - 1], rho = |alpha| and
+    v = e_{cut-1} + sign(alpha) e_cut (Cuppen)."""
     k = d.size
     if k == 1:
         return d.copy(), np.ones((1, 1))
     cut = (k + 1) // 2
     alpha = float(e[cut - 1])
+    rho = abs(alpha)
     d1, d2 = d[:cut].copy(), d[cut:].copy()
-    d1[-1] -= alpha
-    d2[0] -= alpha
-    # taking alpha off the two facing entries can overflow them
+    d1[-1] -= rho
+    d2[0] -= rho
+    # taking rho off the two facing entries can overflow them
     if not (math.isfinite(d1[-1]) and math.isfinite(d2[0])):
         raise ValidationError("tridiagonal entries must be finite")
     lam1, q1 = _dc_recurse(d1, e[: cut - 1], cap, diag)
     lam2, q2 = _dc_recurse(d2, e[cut:], cap, diag)
 
     d0 = np.concatenate([lam1, lam2])
-    u0 = np.concatenate([q1[-1, :], q2[0, :]])
-    if alpha == 0.0:
-        order = np.argsort(d0, kind="stable")
-        qq = np.zeros((k, k))
-        qq[:cut, :cut] = q1
-        qq[cut:, cut:] = q2
-        return d0[order], qq[:, order]
-
-    lam, s = _rank1_eigen(d0, u0, alpha, cap, diag)
+    u0 = np.concatenate([q1[-1, :], math.copysign(1.0, alpha) * q2[0, :]])
+    lam, s = _rank1_eigen(d0, u0, rho, cap, diag)
     return lam, np.vstack([q1 @ s[:cut, :], q2 @ s[cut:, :]])
 
 
@@ -543,7 +535,7 @@ def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
     poles), and accumulates eigenvectors level by level. Eigenvalues come
     out ascending, with a real eigenvector matrix. A secular root that does
     not converge in ``_MAX_NEWTON_ITERS`` (50) model steps raises
-    ConvergenceError.
+    ConvergenceError; an overflowing split or merge raises ValidationError.
     """
     return _dc(t, None)
 
@@ -591,16 +583,9 @@ def recover_svd(
     order = np.argsort(-sig_asc, kind="stable")
     sigma = sig_asc[order]
     v = v0[:, order]
-    k = sigma.size
-    m = a.shape[0]
-    sig_max = sigma[0] if k else 0.0
-    if sig_max > 0.0:
-        valid = sigma > sv_threshold * sig_max
-    else:
-        valid = np.zeros(k, dtype=bool)
-    u = np.zeros((m, k), dtype=np.complex128)
-    if np.any(valid):
-        u[:, valid] = (a @ v[:, valid]) / sigma[valid]
+    valid = sigma > sv_threshold * sigma[0]
+    u = np.zeros((a.shape[0], sigma.size), dtype=np.complex128)
+    u[:, valid] = (a @ v[:, valid]) / sigma[valid]
     return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=eig.diagnostics)
 
 
@@ -623,10 +608,12 @@ def svd_4step(
 
     ``iter_budget`` caps the iterations per secular root as in
     truncated_dc_eigen (used for accuracy-versus-latency sweeps); None
-    means run to convergence. ``sv_threshold`` is recover_svd's; it is
+    means run to convergence. ``sv_threshold`` is recover_svd's; both are
     checked before any work is done.
     """
     _check_sv_threshold(sv_threshold)
+    if iter_budget is not None:
+        as_count(iter_budget, "iter_budget")
     a_s, e = pow2_scale(as_matrix(a))
     b = gram(a_s)
     t, q_t = tridiagonalize(b)

@@ -31,23 +31,14 @@ class OpCount:
     def total(self) -> int:
         return self.add + self.mul + self.div + self.sqrt
 
+    def _weighted(self, w: dict):
+        return self.add * w["add"] + self.mul * w["mul"] + self.div * w["div"] + self.sqrt * w["sqrt"]
+
     def ns(self, profile: HardwareProfile) -> float:
-        lat = profile.latency_ns
-        return (
-            self.add * lat["add"]
-            + self.mul * lat["mul"]
-            + self.div * lat["div"]
-            + self.sqrt * lat["sqrt"]
-        )
+        return self._weighted(profile.latency_ns)
 
     def lut_weighted(self, profile: HardwareProfile) -> int:
-        lut = profile.lut
-        return (
-            self.add * lut["add"]
-            + self.mul * lut["mul"]
-            + self.div * lut["div"]
-            + self.sqrt * lut["sqrt"]
-        )
+        return self._weighted(profile.lut)
 
 
 @dataclass(frozen=True)

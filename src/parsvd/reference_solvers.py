@@ -294,7 +294,7 @@ def _gk_result(sw: _Sweeper) -> SvdResult:
     sigma = sigma[order]
     u, v = sw.factors
     u = (u * np.where(sw.d < 0, -1.0, 1.0))[:, order]
-    valid = sigma > 0 if sigma.size and sigma[0] > 0 else np.zeros(sigma.size, dtype=bool)
+    valid = sigma > 0
     return SvdResult(u=u, sigma=sigma, v=v[:, order], valid=valid, diagnostics=None)
 
 

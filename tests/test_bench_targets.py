@@ -9,6 +9,8 @@ import os
 
 import pytest
 
+from parsvd.errors import ParsvdError
+
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -31,3 +33,19 @@ def test_every_benchmark_check_passes(monkeypatch):
         assert ops, name
         for op in ops:
             assert op.check(op.call()) is None, f"{name}: {op.label}"
+
+
+@pytest.mark.parametrize("name", ["svd-gaussian", "svd-deflating", "mimo-budget"])
+def test_solver_workloads_pass_at_full_size(monkeypatch, name):
+    # the smallest-size check above cannot see a failure that shows only
+    # at K = 256; a raised ParsvdError is a failed operation too
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    workloads = importlib.import_module("workloads")
+    ops = workloads.build(name, seed=0, cycle=0, smallest=False)
+    assert ops, name
+    for op in ops:
+        try:
+            result = op.call()
+        except ParsvdError as exc:
+            pytest.fail(f"{name}: {op.label} (K={op.k}) raised {exc!r}")
+        assert op.check(result) is None, f"{name}: {op.label} (K={op.k})"

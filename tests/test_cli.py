@@ -61,6 +61,23 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mimo-mmimo", "--m", "8", "--k", "4", "--trials", "1", "--budgets", "1,x"),
+        ("sweep", "--sizes", "4,x"),
+    ],
+)
+def test_comma_list_entry_is_usage_error(capsys, argv):
+    # a non-integer entry of --budgets or --sizes names the flag and the
+    # entry, with exit 1 and no traceback
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error:")
+    assert argv[-2] in err and "'x'" in err
+    assert "Traceback" not in err
+
+
 def test_numerical_error_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--algs", "gk", "--sizes", "4", "--mse-target", "1e-30",

@@ -288,10 +288,47 @@ def test_dc_diagonal_full_deflation():
 
 
 def test_dc_split_overflow_raises():
-    # taking the coupling off the two facing diagonal entries can overflow
-    t = TridiagonalReal(diag=[1.7e308, 1.7e308, 0.0, 1.0], offdiag=[-1.7e308, 1.0, 1.0])
-    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
-        dc_eigen(t)
+    # taking the coupling off the two facing diagonal entries can overflow,
+    # and so can the top root of a merge
+    cases = [
+        ([1.7e308, 1.7e308, 0.0, 1.0], [-1.7e308, 1.0, 1.0]),
+        ([1e308, 1e308], [1e308]),
+        ([1.7e308, 1.7e308, 0.0, 1.0], [1.7e308, 1.0, 1.0]),
+    ]
+    for diag, offdiag in cases:
+        t = TridiagonalReal(diag=diag, offdiag=offdiag)
+        for solve in (dc_eigen, lambda t: truncated_dc_eigen(t, 1)):
+            with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
+                solve(t)
+
+
+def _assert_matches_lapack(t: TridiagonalReal, eig, rtol: float):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    ref = scipy_linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
+    assert np.max(np.abs(eig.lam - ref)) <= rtol * max(1.0, np.max(np.abs(ref)))
+    assert fro_norm(eig.q.T @ eig.q - np.eye(t.dim)) <= 1e-13
+
+
+# components of every merge of a diagonal band: all of them deflate
+_DIAGONAL_DEFLATIONS = {2: 2, 3: 5, 8: 24, 16: 64, 33: 167}
+
+
+@pytest.mark.parametrize("k", sorted(_DIAGONAL_DEFLATIONS))
+def test_dc_exact_splits(rng, k):
+    # a zero coupling is a merge in which every weight deflates; with 2x2
+    # blocks, every merge that does not deflate whole is a 2x2 secular
+    # problem, which two model steps solve exactly
+    d = rng.standard_normal(k)
+    diagonal = TridiagonalReal(diag=d, offdiag=np.zeros(k - 1))
+    for solve in (dc_eigen, lambda t: truncated_dc_eigen(t, 2)):
+        eig = solve(diagonal)
+        _assert_matches_lapack(diagonal, eig, 1e-13)
+        assert eig.diagnostics.deflation_count == _DIAGONAL_DEFLATIONS[k]
+        for first_zero in (0, 1):
+            e = rng.standard_normal(k - 1)
+            e[first_zero::2] = 0.0
+            blocks = TridiagonalReal(diag=d, offdiag=e)
+            _assert_matches_lapack(blocks, solve(blocks), 1e-13)
 
 
 def test_dc_2x2_closed_form():
@@ -339,13 +376,18 @@ def test_dc_matches_jacobi_8x8(rng):
 
 
 def test_dc_negative_couplings(rng):
-    # general tridiagonals have signed off-diagonals; the mirrored path
-    # must handle them
+    # general tridiagonals have signed off-diagonals
     t = TridiagonalReal(diag=[1.0, -2.0, 0.5, 3.0], offdiag=[-1.0, 2.0, -0.3])
     eig = dc_eigen(t)
     oracle = jacobi_eigen_oracle(HermitianMatrix.from_matrix(t.to_dense().astype(complex)))
     np.testing.assert_allclose(eig.lam, oracle.lam, atol=1e-10 * np.max(np.abs(oracle.lam)))
     assert residual(t, eig) <= 1e-10 * np.max(np.abs(eig.lam))
+    # a negative coupling is split off with weight |alpha| and its sign in
+    # the coupling vector
+    for k in (2, 3, 5, 16, 33, 64, 128):
+        for _ in range(3):
+            t = TridiagonalReal(diag=rng.standard_normal(k), offdiag=rng.standard_normal(k - 1))
+            _assert_matches_lapack(t, dc_eigen(t), 1e-12)
 
 
 def test_dc_orthonormality_and_residual(rng):

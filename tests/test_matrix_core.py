@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parsvd import gram_svd
 from parsvd.errors import DimensionError, ValidationError
 from parsvd.gram_svd import TridiagonalReal, svd_4step, truncated_dc_eigen
 from parsvd.latency_model import BUILTIN_PROFILES, analytic_latency, total_ops, trace_run
@@ -53,9 +54,16 @@ _COUNT_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
-def test_counts_are_integers_at_least_one(entry):
+def test_counts_are_integers_at_least_one(monkeypatch, entry):
     call = _COUNT_ENTRY_POINTS[entry]
-    for bad in (2.5, True, 0, -1):
-        with pytest.raises(ValidationError, match=f"integer >= 1, got {bad!r}"):
-            call(bad)
+
+    # a bad count is rejected before any work: no Gram matrix is formed
+    def no_gram(*args):
+        raise AssertionError("gram ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gram_svd, "gram", no_gram)
+        for bad in (2.5, True, 0, -1):
+            with pytest.raises(ValidationError, match=f"integer >= 1, got {bad!r}"):
+                call(bad)
     assert call(np.int64(2)) == call(2)
