@@ -173,7 +173,8 @@ def gram(a) -> HermitianMatrix:
 
     The full product is formed; its strict upper triangle is kept and
     mirrored into the lower one, and the diagonal is forced real, so the
-    result is Hermitian by construction.
+    result is Hermitian by construction. A product that overflows raises
+    ValidationError (svd_4step scales A first, so it never does).
     """
     a = as_matrix(a)
     m, k = a.shape
@@ -181,7 +182,13 @@ def gram(a) -> HermitianMatrix:
         raise DimensionError(
             f"gram expects rows >= cols, got {m}x{k}; adjoint the input first"
         )
-    b = a.conj().T @ a
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = a.conj().T @ a
+        if not np.all(np.isfinite(b)):
+            raise ValidationError(
+                f"A^H A is not finite: A's largest magnitude {np.max(np.abs(a)):.3e} "
+                "is too large to square; scale A first"
+            )
     upper = np.triu(b, 1)
     bh = upper + upper.conj().T + np.diag(np.real(np.diag(b)))
     return HermitianMatrix(mat=bh)
@@ -227,7 +234,10 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
     triangle of B and the real part of its diagonal are read: they are
     mirrored once into a work copy, which is then updated in place, so B
     is left unchanged. An imaginary part of the diagonal, in B or in the
-    reduced matrix, above 1e-10 of B's norm raises ValidationError.
+    reduced matrix, above 1e-10 of B's norm raises ValidationError. B is
+    reduced at its power-of-two scale (matrix_core.pow2_scale), so that
+    the reflector norms neither overflow nor underflow, and T is scaled
+    back exactly; Q_T does not depend on the scale.
 
     Step j reflects column j with H = I - 2 v v^H, p = 2 B v and
     w = p - (v^H p) v, so that H B H = B - v w^H - w v^H. Steps run in
@@ -247,9 +257,10 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
     else:
         bh = HermitianMatrix.from_matrix(b)
     k = bh.dim
-    work = np.tril(bh.mat, -1)
+    b_s, e = pow2_scale(bh.mat)
+    work = np.tril(b_s, -1)
     work += work.conj().T
-    np.fill_diagonal(work, bh.mat.diagonal().real)
+    np.fill_diagonal(work, b_s.diagonal().real)
     diag = np.empty(k, dtype=np.complex128)
     off = np.zeros(k - 1, dtype=np.float64)
     # -phase of each reflection, 1 for a skipped (zero) column
@@ -282,9 +293,8 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
         work[j1:, j1:] -= x + x.conj().T
         panels.append((j0, vw[:, 0::2]))
     diag[k - 1] = work[k - 1, k - 1]
-    imag = np.abs(diag.imag) + np.abs(bh.mat.diagonal().imag)
-    b_s, e = pow2_scale(bh.mat)
-    if np.ldexp(np.max(imag), -e) > 1e-10 * fro_norm(b_s):
+    imag = np.abs(diag.imag) + np.abs(b_s.diagonal().imag)
+    if np.max(imag) > 1e-10 * fro_norm(b_s):
         raise ValidationError("tridiagonalization produced a complex diagonal")
 
     # Q_T = H_0 H_1 ... H_{k-2} diag(phases); each panel's product of
@@ -300,7 +310,7 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
         vb = vs[j0 + 1 :]
         q[j0 + 1 :, j0 + 1 :] -= vb @ (s @ (vb.conj().T @ q[j0 + 1 :, j0 + 1 :]))
     q[:, 1:] *= np.cumprod(turn)
-    return TridiagonalReal(diag=diag.real, offdiag=off), q
+    return TridiagonalReal(diag=np.ldexp(diag.real, e), offdiag=np.ldexp(off, e)), q
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +606,16 @@ def svd_4step(
     diagonalization, and SVD recovery.
 
     When the largest real or imaginary part of A lies outside
-    [2**-256, 2**256], A is first scaled by the power of two 2**-e that
+    [2**-128, 2**128], A is first scaled by the power of two 2**-e that
     brings it into [0.5, 1) (matrix_core.pow2_scale), so that A^H A
     neither overflows nor underflows, and sigma is scaled back by 2**e at
     the end; U is then formed from the scaled copy as A_s V / sigma_s,
     which equals A V / sigma because the scale is exact. Inside that range
     A is used as it is (LAPACK zgesvd also scales only outside a safe
-    range): the Gram matrix and everything derived from it stay far from
-    overflow and from the subnormal range, where a power-of-two scale
-    changes no rounding and would only cost a copy of A.
+    range): the Gram matrix, and the secular solve that squares values on
+    its scale, stay far from overflow and from the subnormal range, where
+    a power-of-two scale changes no rounding and would only cost a copy
+    of A.
 
     ``iter_budget`` caps the iterations per secular root as in
     truncated_dc_eigen (used for accuracy-versus-latency sweeps); None

@@ -6,7 +6,7 @@ paths; closed-form mirrors cover sizes beyond the explicit trace limit.
 """
 
 from .analytic import ALGORITHMS, analytic_latency, total_ops
-from .dfg import Dfg, DfgNode, LatencyEstimate, OpCount, critical_path
+from .dfg import Dfg, LatencyEstimate, OpCount, critical_path
 from .profiles import BUILTIN_PROFILES, OP_KINDS, HardwareProfile, load_profile
 from .table_counts import ceil_log2, householder_step_counts
 from .trace import EXPLICIT_TRACE_LIMIT, TraceBuilder, trace_run
@@ -15,7 +15,6 @@ __all__ = [
     "ALGORITHMS",
     "BUILTIN_PROFILES",
     "Dfg",
-    "DfgNode",
     "EXPLICIT_TRACE_LIMIT",
     "HardwareProfile",
     "LatencyEstimate",

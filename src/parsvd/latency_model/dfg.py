@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import ParsvdError
@@ -41,56 +42,40 @@ class OpCount:
         return self._weighted(profile.lut)
 
 
-@dataclass(frozen=True)
-class DfgNode:
-    """One node: an arithmetic op, an input value, or an output marker.
-
-    ``overlapped`` marks operations that the timing model treats as hidden
-    behind other work (they keep their place in the census but contribute
-    zero weight to any path).
-    """
-
-    id: int
-    kind: str
-    deps: tuple
-    overlapped: bool = False
-
-
 @dataclass
 class Dfg:
-    """Append-only DAG; node ids are their topological order."""
+    """Append-only DAG of real scalar operations, held as four columns.
 
-    nodes: list = field(default_factory=list)
+    Entry i of every column describes node i, so a node's id is its
+    index. ``kinds`` holds an operation of OP_KINDS, "input" or "output";
+    ``deps`` the ids of the node's operands, each smaller than its own;
+    ``overlapped`` whether the timing model hides the node behind other
+    work (it keeps its place in the census but adds zero weight to any
+    path); ``labels`` the schedule label the node was traced under.
+    """
+
+    kinds: list = field(default_factory=list)
+    deps: list = field(default_factory=list)
+    overlapped: list = field(default_factory=list)
     labels: list = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def validate(self):
-        for node in self.nodes:
-            for d in node.deps:
-                if d >= node.id:
-                    raise ParsvdError(
-                        f"dfg inconsistency: node {node.id} depends on {d} (cycle)"
-                    )
+        return len(self.kinds)
 
     def census(self, label_filter=None) -> OpCount:
         """Count arithmetic nodes, optionally restricted by label predicate."""
-        counts = {k: 0 for k in OP_KINDS}
-        for node, label in zip(self.nodes, self.labels):
-            if node.kind not in counts:
-                continue
-            if label_filter is not None and not label_filter(label):
-                continue
-            counts[node.kind] += 1
-        return OpCount(**counts)
+        kinds = self.kinds
+        if label_filter is not None:
+            kinds = [k for k, lab in zip(kinds, self.labels) if k in OP_KINDS and label_filter(lab)]
+        counts = Counter(kinds)
+        return OpCount(**{k: counts[k] for k in OP_KINDS})
 
     def export_edges(self) -> str:
         """Edge-list text: one line per node, `id kind dep1,dep2,...`."""
-        lines = []
-        for node in self.nodes:
-            deps = ",".join(str(d) for d in node.deps)
-            lines.append(f"{node.id} {node.kind} {deps}")
+        lines = [
+            f"{i} {kind} {','.join(map(str, deps))}"
+            for i, (kind, deps) in enumerate(zip(self.kinds, self.deps))
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -116,35 +101,28 @@ def critical_path(dfg: Dfg, profile: HardwareProfile) -> LatencyEstimate:
     the smallest node id, both for the path terminal and for each
     predecessor choice, so the result is deterministic.
     """
-    dfg.validate()
-    n = len(dfg.nodes)
+    n = len(dfg)
     if n == 0:
         return LatencyEstimate(ns=0.0, normalized_adders=0.0, critical_path=OpCount())
     lat = profile.latency_ns
     dist = [0.0] * n
     pred = [-1] * n
-    for node in dfg.nodes:
+    for i, (kind, deps, over) in enumerate(zip(dfg.kinds, dfg.deps, dfg.overlapped)):
         best = 0.0
         best_pred = -1
-        for d in node.deps:
+        for d in deps:
+            if d >= i:
+                raise ParsvdError(f"dfg inconsistency: node {i} depends on {d} (cycle)")
             if dist[d] > best:
                 best = dist[d]
                 best_pred = d
-        w = 0.0
-        if node.kind in lat and not node.overlapped:
-            w = lat[node.kind]
-        dist[node.id] = best + w
-        pred[node.id] = best_pred
-    end = 0
-    for i in range(1, n):
-        if dist[i] > dist[end]:
-            end = i
-    counts = {k: 0 for k in OP_KINDS}
+        dist[i] = best + (0.0 if over else lat.get(kind, 0.0))
+        pred[i] = best_pred
+    end = max(range(n), key=dist.__getitem__)
+    counts = dict.fromkeys(OP_KINDS, 0)
     i = end
     while i != -1:
-        node = dfg.nodes[i]
-        if node.kind in counts and not node.overlapped:
-            counts[node.kind] += 1
+        if dfg.kinds[i] in counts and not dfg.overlapped[i]:
+            counts[dfg.kinds[i]] += 1
         i = pred[i]
-    path = OpCount(**counts)
-    return LatencyEstimate.from_path_counts(path, profile)
+    return LatencyEstimate.from_path_counts(OpCount(**counts), profile)

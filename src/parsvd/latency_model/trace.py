@@ -43,7 +43,7 @@ from ..errors import DimensionError, TraceLimitError
 from ..gram_svd import _SECULAR_TOL, HermitianMatrix
 from ..matrix_core import as_count, as_matrix
 from .analytic import _resolve
-from .dfg import Dfg, DfgNode
+from .dfg import Dfg
 
 EXPLICIT_TRACE_LIMIT = 32
 
@@ -81,25 +81,25 @@ CZERO = TracedComplex(ZERO, ZERO)
 
 
 class TraceBuilder:
-    """Accumulates DFG nodes as traced arithmetic runs."""
+    """Runs traced arithmetic and appends one node per operation to
+    ``dfg``, the graph that trace_run returns: its kind, the ids of the
+    operands that are not structural constants, whether an ``overlapped``
+    block is open, and the innermost ``label``."""
 
     def __init__(self):
-        self.kinds: list[str] = []
-        self.deps: list[tuple] = []
-        self.over: list[bool] = []
-        self.labels: list = []
+        self.dfg = Dfg()
         self._overlap = 0
         self._label = None
 
     # -- node plumbing
 
     def _emit(self, kind, value, operands):
-        idx = len(self.kinds)
-        deps = tuple(o.node for o in operands if o.node is not None)
-        self.kinds.append(kind)
-        self.deps.append(deps)
-        self.over.append(self._overlap > 0)
-        self.labels.append(self._label)
+        g = self.dfg
+        idx = len(g.kinds)
+        g.kinds.append(kind)
+        g.deps.append(tuple(o.node for o in operands if o.node is not None))
+        g.overlapped.append(self._overlap > 0)
+        g.labels.append(self._label)
         return TracedReal(value, idx, _GENERIC)
 
     def input(self, value: float) -> TracedReal:
@@ -125,13 +125,6 @@ class TraceBuilder:
             yield
         finally:
             self._overlap -= 1
-
-    def to_dfg(self) -> Dfg:
-        nodes = [
-            DfgNode(id=i, kind=k, deps=d, overlapped=o)
-            for i, (k, d, o) in enumerate(zip(self.kinds, self.deps, self.over))
-        ]
-        return Dfg(nodes=nodes, labels=list(self.labels))
 
     # -- real scalar ops
 
@@ -702,4 +695,4 @@ def trace_run(algorithm: str, matrix, iters: int = 4) -> Dfg:
             outs = d + [t for col in qcols for t in col]
     for t in outs:
         tb.output(t)
-    return tb.to_dfg()
+    return tb.dfg

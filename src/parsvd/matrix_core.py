@@ -65,7 +65,7 @@ def fro_norm(a) -> float:
     return float(np.sqrt(np.sum(a.real * a.real + a.imag * a.imag)))
 
 
-_SAFE_EXP = 256
+_SAFE_EXP = 128
 
 
 def pow2_scale(a: np.ndarray) -> tuple[np.ndarray, int]:

@@ -153,7 +153,7 @@ def test_criterion_4_profile_fidelity():
     assert FXP.lut == {"add": 32, "mul": 1074, "div": 1242, "sqrt": 352}
     tb = TraceBuilder()
     tb.output(tb.tree_sum([tb.input(1.0) for _ in range(8)]))
-    est = critical_path(tb.to_dfg(), FP)
+    est = critical_path(tb.dfg, FP)
     assert est.ns == pytest.approx(3 * 14.910, abs=1e-12)
     assert est.ns == pytest.approx(44.730, abs=1e-12)
     print("\nPASS criterion 4: builtin profiles exact; 8-input adder tree = 44.730 ns")

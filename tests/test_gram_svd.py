@@ -53,6 +53,12 @@ def test_gram_is_exactly_hermitian(rng):
     np.testing.assert_array_equal(b, b.conj().T)
 
 
+def test_gram_overflow_is_loud(rng):
+    # A^H A overflows: a typed error that names A's scale, and no warning
+    with pytest.raises(ValidationError, match="largest magnitude"):
+        gram(rand_complex(rng, 6, 4, scale=1e160))
+
+
 # ---------------------------------------------------------------------------
 # householder
 
@@ -267,6 +273,19 @@ def test_vector_update_equals_explicit_reflection(rng):
         w = p_vec - np.vdot(v, p_vec) * v
         vector_form = b - np.outer(v, w.conj()) - np.outer(w, v.conj())
         assert fro_norm(vector_form - explicit) <= 1e-12 * fro_norm(b)
+
+
+@pytest.mark.parametrize("exp", [-565, 930])
+def test_tridiagonalize_extreme_scale(exp):
+    # about 1e-170 and 1e280: squaring the entries underflows or overflows
+    # unless B is reduced at a power-of-two scale; with an exact scale, T
+    # is the unscaled T times 2**exp and Q_T does not change at all
+    b = rand_hermitian(np.random.default_rng(5), 8)
+    t_ref, q_ref = tridiagonalize(b)
+    t, q = tridiagonalize(b * 2.0**exp)
+    np.testing.assert_array_equal(t.diag, np.ldexp(t_ref.diag, exp))
+    np.testing.assert_array_equal(t.offdiag, np.ldexp(t_ref.offdiag, exp))
+    np.testing.assert_array_equal(q, q_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +581,19 @@ def test_extreme_scaling(factor):
         assert np.max(np.abs(res.sigma - ref)) <= 1e-9 * ref[0]
         assert np.all(res.valid)
         assert fro_norm(res.u.conj().T @ res.u - np.eye(8)) <= 1e-10 * np.sqrt(8)
+
+
+@pytest.mark.parametrize("exp", [-256, -252, 254])
+def test_svd_4step_inside_unscaled_window(exp):
+    # A left unscaled: the secular solve squares values on the scale of
+    # A^H A, so the window must keep that square far from the subnormal
+    # range and from overflow
+    a = rand_complex(np.random.default_rng(3), 64, 64)
+    ref = np.linalg.svd(a, compute_uv=False)
+    res = svd_4step(a * 2.0**exp)
+    assert np.max(np.abs(np.ldexp(res.sigma, -exp) - ref)) <= 1e-12 * ref[0]
+    assert np.all(res.valid)
+    assert fro_norm(res.u.conj().T @ res.u - np.eye(64)) <= 1e-10 * np.sqrt(64)
 
 
 def test_identity_sigma():

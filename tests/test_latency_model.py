@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from parsvd.gram_svd import HermitianMatrix, TridiagonalReal, gram, tridiagonali
 from parsvd.latency_model import (
     BUILTIN_PROFILES,
     Dfg,
-    DfgNode,
     HardwareProfile,
     OpCount,
     analytic_latency,
@@ -96,7 +97,7 @@ def test_adder_tree_depth_and_census():
     vals = [tb.input(float(i)) for i in range(8)]
     out = tb.tree_sum(vals)
     tb.output(out)
-    dfg = tb.to_dfg()
+    dfg = tb.dfg
     assert dfg.census() == OpCount(add=7)
     est = critical_path(dfg, FP)
     assert est.critical_path == OpCount(add=3)
@@ -108,7 +109,7 @@ def test_tree_law_various_sizes():
         tb = TraceBuilder()
         out = tb.tree_sum([tb.input(1.0) for _ in range(n)])
         tb.output(out)
-        dfg = tb.to_dfg()
+        dfg = tb.dfg
         assert dfg.census() == OpCount(add=max(n - 1, 0))
         assert critical_path(dfg, FP).critical_path == OpCount(add=ceil_log2(n))
 
@@ -116,7 +117,7 @@ def test_tree_law_various_sizes():
 def test_single_sqrt_normalized():
     tb = TraceBuilder()
     tb.output(tb.sqrt(tb.input(2.0)))
-    est = critical_path(tb.to_dfg(), FP)
+    est = critical_path(tb.dfg, FP)
     assert est.ns == pytest.approx(26.963)
     assert est.normalized_adders == pytest.approx(26.963 / 14.910)
 
@@ -149,8 +150,7 @@ def test_profile_linearity(rng):
 
 
 def test_cycle_detection():
-    dfg = Dfg(nodes=[DfgNode(id=0, kind="add", deps=(1,)), DfgNode(id=1, kind="input", deps=())],
-              labels=[None, None])
+    dfg = Dfg(kinds=["add", "input"], deps=[(1,), ()], overlapped=[False, False], labels=[None, None])
     with pytest.raises(ParsvdError):
         critical_path(dfg, FP)
 
@@ -401,11 +401,20 @@ def test_trace_size_limit(rng):
     assert "analytic" in str(err.value)
 
 
-def test_trace_deterministic(rng):
-    b = gram(rand_complex(rng, 6, 4)).mat
-    t1 = trace_run("4step-dc", b, iters=2).export_edges()
-    t2 = trace_run("4step-dc", b, iters=2).export_edges()
-    assert t1 == t2
+def test_traced_graphs_pinned():
+    # edges, census, critical path and labels of every traced schedule,
+    # pinned by digest, so that a change of node order, of any edge or of
+    # any label fails here
+    rng = np.random.default_rng(7)
+    h = hashlib.sha256()
+    for alg in ("tridiag", "4step-dc", "4step-qr", "gk"):
+        for k in (1, 2, 3, 5, 8, 12, 16):
+            a = rand_complex(rng, k + 2, k)
+            dfg = trace_run(alg, a if alg == "gk" else gram(a).mat, 2)
+            est = critical_path(dfg, FP)
+            for part in (dfg.export_edges(), repr(dfg.census()), repr(est), repr(dfg.labels)):
+                h.update(part.encode())
+    assert h.hexdigest() == "be75354e131de24649a1e794a8f640ecc0849a09e316b40844d69d64c285b1df"
 
 
 def test_k1_zero_ops():
