@@ -5,20 +5,26 @@ Householder reflections (applied in panels, with one matrix-matrix update
 of the trailing block per panel), diagonalize the tridiagonal matrix with
 a divide-and-conquer rank-1 eigensolver, then recover U, sigma, V.
 
-Each merge of the divide and conquer deflates negligible weights and
-coincident poles, then solves every secular root on its own with one
-scalar function (a midpoint probe, then a bracketed two-pole rational
-iteration). One secular iteration is one rational-model step; iteration
-counts and budgets leave the probe out. From the roots it recomputes the
-rank-1 weights (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16(1), 1995),
-so that the eigenvectors come out orthogonal; the weights, the
-eigenvector columns and the interlacing check are whole-array
-expressions over the root-by-pole differences.
+The divide and conquer fixes every split first, top down, then merges
+bottom up one recursion level at a time. Each merge of a level sorts its
+poles and deflates negligible weights and coincident poles on its own;
+the level's merges are then grouped by their number n of kept poles, and
+one lockstep kernel solves every secular root of a group as one
+(roots x n poles) array: a midpoint probe, then a bracketed two-pole
+rational iteration, with each root's own origin, bracket and pole pair,
+and an active set that shrinks as roots converge. One secular iteration
+is one rational-model step; iteration counts and budgets leave the probe
+out. From the roots it recomputes the rank-1 weights (Gu & Eisenstat,
+SIAM J. Matrix Anal. Appl. 16(1), 1995), so that the eigenvectors come
+out orthogonal; the weights, the eigenvector columns and the interlacing
+check are (merges, n, n) array expressions. Groups are not padded to a
+common n: numpy's pairwise sum groups a row's terms by the row's length,
+so a padded row would add in another order. Unpadded, every root gets
+the operations, in the order, of a scalar solve of that root alone, and
+the result does not depend on how the merges are batched.
 
 Everything operates on numpy arrays; all functions are pure and the merge
-step treats its inputs as read-only, so the roots of one merge, and the
-subproblems of one level, could run concurrently under any schedule
-without changing the result. Single-threaded execution is used here.
+step treats its inputs as read-only.
 """
 
 from __future__ import annotations
@@ -173,8 +179,10 @@ def gram(a) -> HermitianMatrix:
 
     The full product is formed; its strict upper triangle is kept and
     mirrored into the lower one, and the diagonal is forced real, so the
-    result is Hermitian by construction. A product that overflows raises
-    ValidationError (svd_4step scales A first, so it never does).
+    result is Hermitian by construction. A product that overflows, or a
+    nonzero A whose B has no diagonal entry in the normal range (B has
+    underflowed), raises ValidationError; svd_4step scales A first, so it
+    never does. A zero A gives the zero B.
     """
     a = as_matrix(a)
     m, k = a.shape
@@ -189,8 +197,14 @@ def gram(a) -> HermitianMatrix:
                 f"A^H A is not finite: A's largest magnitude {np.max(np.abs(a)):.3e} "
                 "is too large to square; scale A first"
             )
+    diag = np.real(np.diag(b))
+    if np.max(diag) < np.finfo(np.float64).tiny and np.any(a):
+        raise ValidationError(
+            f"A^H A underflowed: A's largest magnitude {np.max(np.abs(a)):.3e} "
+            "is too small to square; scale A first"
+        )
     upper = np.triu(b, 1)
-    bh = upper + upper.conj().T + np.diag(np.real(np.diag(b)))
+    bh = upper + upper.conj().T + np.diag(diag)
     return HermitianMatrix(mat=bh)
 
 
@@ -317,144 +331,223 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
 # step 3: divide and conquer diagonalization
 
 
-def _stable_quadratic(aq: float, bq: float, cq: float) -> tuple[float, float]:
-    """Roots of aq*x^2 - bq*x + cq = 0, computed without cancellation."""
-    if aq == 0.0:
-        if bq == 0.0:
-            return math.nan, math.nan
-        r = cq / bq
-        return r, r
-    disc = bq * bq - 4.0 * aq * cq
-    if disc < 0.0:
-        return math.nan, math.nan
-    sq = math.sqrt(disc)
-    if bq >= 0.0:
-        big = (bq + sq) / (2.0 * aq)
-    else:
-        big = (bq - sq) / (2.0 * aq)
-    if big == 0.0:
-        return 0.0, 0.0
-    other = cq / (aq * big)
-    return big, other
+def _rational_step(tau, lo, hi, aq, bq, cq) -> np.ndarray:
+    """Next iterate of each open secular root: tau plus the root of
+    aq*x^2 - bq*x + cq = 0 nearer to zero among those that stay inside
+    (lo, hi), else the bracket midpoint.
+
+    The quadratic is solved without cancellation: ``big`` takes the sign of
+    bq, and ``other`` = cq / (aq * big); a linear model (aq = 0) has the one
+    root cq / bq (none when bq = 0 too), and a zero ``big`` makes both steps
+    zero. On a tie the ``big`` step wins. Every branch is evaluated for
+    every root and then masked, so the masked-off lanes may divide by zero
+    or take the root of a negative number; np.errstate keeps them quiet.
+    """
+    with np.errstate(all="ignore"):
+        sq = np.sqrt(bq * bq - 4.0 * aq * cq)
+        big = np.where(bq >= 0.0, bq + sq, bq - sq) / (2.0 * aq)
+        other = np.where(big == 0.0, 0.0, cq / (aq * big))
+        big = np.where(big == 0.0, 0.0, big)
+        linear = np.where(bq == 0.0, np.nan, cq / bq)
+        to_big = tau + np.where(aq == 0.0, linear, big)
+        to_other = tau + np.where(aq == 0.0, linear, other)
+        ok_big = (lo < to_big) & (to_big < hi)
+        ok_other = (lo < to_other) & (to_other < hi)
+        take_other = ok_other & (~ok_big | (np.abs(to_other - tau) < np.abs(to_big - tau)))
+        return np.where(take_other, to_other, np.where(ok_big, to_big, 0.5 * (lo + hi)))
 
 
-def _secular_root(d: np.ndarray, asq: np.ndarray, i: int, cap: int | None) -> tuple[int, float, int]:
-    """Root i of 1 + sum(asq_j / (d_j - lam)), the deflated secular equation
-    with ascending poles ``d`` and alpha folded into ``asq``.
+def _secular_roots(
+    d: np.ndarray, asq: np.ndarray, cap: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every root of m secular equations 1 + sum_j asq[g, j] / (d[g, j] - lam),
+    the deflated merges of one group, each with n ascending poles d[g] and
+    alpha folded into asq[g], solved in lockstep.
 
-    Returns (origin, tau, iterations) with lam = d[origin] + tau. An
-    interior root first probes the secular function at the midpoint of its
-    poles and takes the nearer pole as origin, so the pole difference that
-    dominates the eigenvector stays fully accurate; the last root keeps its
-    left pole (its upper bound d[-1] + sum(asq) is not a pole). The search
-    starts at the middle of the remaining bracket, fits a two-pole rational
-    model at the poles on either side, and clamps every step to the
-    bisection bracket, so it cannot escape.
+    Returns (origin, tau, iterations), each (m, n), with root i of equation
+    g at lam = d[g, origin[g, i]] + tau[g, i]. An interior root first probes
+    the secular function at the midpoint of its poles and takes the nearer
+    pole as origin, so the pole difference that dominates the eigenvector
+    stays fully accurate; the last root keeps its left pole (its upper
+    bound d[-1] + sum(asq) is not a pole). The search starts at the middle
+    of the remaining bracket, fits a two-pole rational model at the poles
+    on either side, and clamps every step to the bisection bracket, so it
+    cannot escape.
 
-    One iteration is one rational-model step (f at the iterate, then a
-    move unless it has converged); the probe is setup and is not counted.
+    Each root keeps its own origin, bracket and pole pair. The open roots
+    are the rows of one (roots x n) array, which drops a row as its root
+    converges; each row sums over the n poles of its own equation, so every
+    root gets the operations, in the order, of a solve on its own. One
+    iteration is one rational-model step (f at the iterate, then a move
+    unless it has converged); the probe is setup and is not counted.
     Without a cap, a root still open after ``_MAX_NEWTON_ITERS`` iterations
-    raises ConvergenceError with its bracket; with one, the iterate after
+    raises ConvergenceError with the bracket of the first such root (lowest
+    g, then lowest i); with one, the iterate after
     min(cap, ``_MAX_NEWTON_ITERS``) iterations is returned.
     """
-    n = d.size
+    m, n = d.shape
     if n == 1:
-        return 0, float(asq[0]), 0
-    if i == n - 1:
-        origin, lo, hi = i, 0.0, float(asq.sum())
-        p1 = i - 1
-    else:
-        gap = float(d[i + 1] - d[i])
-        fmid = 1.0 + float(np.sum(asq / ((d - d[i]) - 0.5 * gap)))
-        origin, lo, hi = (i, 0.0, 0.5 * gap) if fmid >= 0.0 else (i + 1, -0.5 * gap, 0.0)
-        p1 = i
-    p2 = p1 + 1
-    dd = d - d[origin]
+        zero = np.zeros((m, 1), dtype=np.intp)
+        return zero, asq.copy(), zero
+    # row r is root r % n of equation r // n
+    poles = np.repeat(d, n, axis=0)
+    w = np.repeat(asq, n, axis=0)
+    root = np.tile(np.arange(n), m)
+    inner = root < n - 1
+    half = 0.5 * np.diff(d, axis=1).ravel()
+    shifted = (poles[inner] - d[:, :-1].reshape(-1, 1)) - half[:, None]
+    up = 1.0 + np.sum(w[inner] / shifted, axis=1) >= 0.0
+    origin = root.copy()
+    origin[inner] += ~up
+    lo = np.zeros(m * n)
+    hi = np.zeros(m * n)
+    lo[inner] = np.where(up, 0.0, -half)
+    hi[inner] = np.where(up, half, 0.0)
+    hi[n - 1 :: n] = asq.sum(axis=1)
+    # the model's pole pair straddles the root: (i, i + 1), or (n - 2, n - 1) for the last
+    p1 = root - ~inner
+    every = np.arange(m * n)
+    dd = poles - poles[every, origin][:, None]
     limit = _MAX_NEWTON_ITERS if cap is None else min(_MAX_NEWTON_ITERS, cap)
     tau = 0.5 * (lo + hi)
+    tau_out = np.empty(m * n)
+    iters = np.full(m * n, limit)
+    act = every
     for it in range(1, limit + 1):
-        delta = dd - tau
-        t = asq / delta
-        fval = 1.0 + t.sum()
-        if abs(fval) <= _SECULAR_TOL * (1.0 + np.abs(t).sum()):
-            return origin, tau, it
-        if fval < 0.0:
-            lo = tau
-        else:
-            hi = tau
-        if (hi - lo) <= 2.0 * _EPS * (abs(lo) + abs(hi)):
-            return origin, tau, it
+        delta = dd - tau[:, None]
+        t = w / delta
+        fval = 1.0 + t.sum(axis=1)
+        neg = fval < 0.0
+        lo = np.where(neg, tau, lo)
+        hi = np.where(neg, hi, tau)
+        # a root that passes the f test never reads its new bracket
+        with np.errstate(all="ignore"):
+            narrow = (hi - lo) <= 2.0 * _EPS * (np.abs(lo) + np.abs(hi))
+        done = (np.abs(fval) <= _SECULAR_TOL * (1.0 + np.abs(t).sum(axis=1))) | narrow
+        if done.any():
+            tau_out[act[done]] = tau[done]
+            iters[act[done]] = it
+            act, dd, w, p1, lo, hi, tau, delta, t, fval = (
+                x[~done] for x in (act, dd, w, p1, lo, hi, tau, delta, t, fval)
+            )
+            if act.size == 0:
+                break
         # two-pole rational model: the local poles keep their exact
         # weights scaled by beta to match f'; the rest is the constant c3
         s = t / delta
-        fder = s.sum()
-        d1 = delta[p1]
-        d2 = delta[p2]
-        sp = s[p1] + s[p2]
-        beta = fder / sp if sp != 0.0 else 0.0
-        c1 = beta * asq[p1]
-        c2 = beta * asq[p2]
-        c3 = fval - beta * (t[p1] + t[p2])
+        fder = s.sum(axis=1)
+        r = np.arange(act.size)
+        d1 = delta[r, p1]
+        d2 = delta[r, p1 + 1]
+        sp = s[r, p1] + s[r, p1 + 1]
+        beta = np.divide(fder, sp, out=np.zeros_like(fder), where=sp != 0.0)
+        c1 = beta * w[r, p1]
+        c2 = beta * w[r, p1 + 1]
+        c3 = fval - beta * (t[r, p1] + t[r, p1 + 1])
         bq = c3 * (d1 + d2) + c1 + c2
         cq = c3 * d1 * d2 + c1 * d2 + c2 * d1
-        steps = [tau + eta for eta in _stable_quadratic(c3, bq, cq) if lo < tau + eta < hi]
-        tau = min(steps, key=lambda c: abs(c - tau)) if steps else 0.5 * (lo + hi)
-    if cap is None:
-        raise ConvergenceError(
-            f"secular root did not converge in {_MAX_NEWTON_ITERS} iterations", bracket=(lo, hi)
-        )
-    return origin, tau, limit
+        tau = _rational_step(tau, lo, hi, c3, bq, cq)
+    if act.size:
+        if cap is None:
+            raise ConvergenceError(
+                f"secular root did not converge in {_MAX_NEWTON_ITERS} iterations",
+                bracket=(lo[0], hi[0]),
+            )
+        tau_out[act] = tau
+    return origin.reshape(m, n), tau_out.reshape(m, n), iters.reshape(m, n)
 
 
-def _rank1_eigen(
-    d: np.ndarray, u: np.ndarray, rho: float, cap: int | None, diag: DcDiagnostics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen decomposition of diag(d) + rho * u u^T (d in any order, rho >= 0)."""
-    n = d.size
-    p = np.argsort(d, kind="stable")
-    ds = d[p]
-    us = u[p]
-    scale = max(abs(ds[0]), abs(ds[-1]), 1e-300)
-    unorm = float(np.sqrt(np.sum(us * us)))
+def _eigenvectors(
+    dk: np.ndarray, us: np.ndarray, origin: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """Eigenvector rows w[g, i] of root i of merge g over its n kept
+    components, from (m, n) poles, weights u and roots as (origin, tau).
 
-    deflated = np.abs(us) <= _DEFLATION_TOL * unorm
-    # a negligible rho |u|^2, zero at an exact split, deflates every component
-    if rho * unorm * unorm <= _DEFLATION_TOL * scale:
-        deflated[:] = True
+    Gu-Eisenstat: rank-1 weights recomputed from the roots make the
+    eigenvectors mutually orthogonal; magnitudes come from the product
+    formula, signs from u. diffs[g, i, j] holds lam_j - d_i, each lam_j
+    through its shifted representation.
+    """
+    n = dk.shape[1]
+    dko = np.take_along_axis(dk, origin, axis=1)
+    diffs = (dko[:, None, :] - dk[:, :, None]) + tau[:, None, :]
+    den = dk[:, None, :] - dk[:, :, None]
+    den[:, np.arange(n), np.arange(n)] = 1.0
+    ratio = diffs / den
+    left = np.tri(n, k=-1, dtype=bool)
+    prod = np.diagonal(diffs, axis1=1, axis2=2) * np.where(left, ratio, 1.0).prod(axis=2)
+    prod = prod * np.where(left.T, ratio, 1.0).prod(axis=2)
+    # clamp as max(prod, 0.0) does: NaN and -0.0 pass through
+    uhat = np.sqrt(np.where(prod < 0.0, 0.0, prod)) * np.sign(us)
+    w = uhat[:, None, :] / -((dk[:, None, :] - dko[:, :, None]) - tau[:, :, None])
+    w /= np.sqrt(np.sum(w * w, axis=2))[:, :, None]
+    return w
 
-    rots: list[tuple[int, int, float, float]] = []
-    prev = -1
-    for j in range(n):
-        if deflated[j]:
+
+def _merge_level(
+    merges: list[tuple[np.ndarray, np.ndarray, float]], cap: int | None, diag: DcDiagnostics
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigen decompositions (ascending) of the rank-1 updates
+    diag(d) + rho * u u^T (d in any order, rho >= 0) of one recursion level,
+    given as (d, u, rho) triples.
+
+    Each merge sorts its poles and deflates negligible weights and
+    coincident poles on its own. The merges are then grouped, unpadded, by
+    their number n of kept poles: one lockstep solve finds every root of a
+    group, and (m, n, n) array expressions give its weights, eigenvector
+    columns and interlacing count.
+    """
+    prepared = []
+    kept = []
+    for d, u, rho in merges:
+        n = d.size
+        p = np.argsort(d, kind="stable")
+        ds = d[p]
+        us = u[p]
+        scale = max(abs(ds[0]), abs(ds[-1]), 1e-300)
+        unorm = float(np.sqrt(np.sum(us * us)))
+
+        deflated = np.abs(us) <= _DEFLATION_TOL * unorm
+        # a negligible rho |u|^2, zero at an exact split, deflates every component
+        if rho * unorm * unorm <= _DEFLATION_TOL * scale:
+            deflated[:] = True
+
+        rots: list[tuple[int, int, float, float]] = []
+        prev = -1
+        for j in range(n):
+            if deflated[j]:
+                continue
+            if prev >= 0 and ds[j] - ds[prev] <= _DEFLATION_TOL * scale:
+                r = math.hypot(us[prev], us[j])
+                cs = us[j] / r
+                sn = us[prev] / r
+                rots.append((prev, j, cs, sn))
+                dc_, dj_ = ds[prev], ds[j]
+                ds[prev] = cs * cs * dc_ + sn * sn * dj_
+                ds[j] = sn * sn * dc_ + cs * cs * dj_
+                us[j] = r
+                us[prev] = 0.0
+                deflated[prev] = True
+            prev = j
+
+        keep = np.nonzero(~deflated)[0]
+        diag.deflation_count += n - keep.size
+        prepared.append((p, ds, keep, np.nonzero(deflated)[0], rots))
+        kept.append((ds[keep], us[keep], rho))
+
+    groups: dict[int, list[int]] = {}
+    for j, (_, _, keep, _, _) in enumerate(prepared):
+        groups.setdefault(keep.size, []).append(j)
+    solved = {}
+    for n_keep, members in groups.items():
+        if n_keep == 0:
             continue
-        if prev >= 0 and ds[j] - ds[prev] <= _DEFLATION_TOL * scale:
-            r = math.hypot(us[prev], us[j])
-            cs = us[j] / r
-            sn = us[prev] / r
-            rots.append((prev, j, cs, sn))
-            dc_, dj_ = ds[prev], ds[j]
-            ds[prev] = cs * cs * dc_ + sn * sn * dj_
-            ds[j] = sn * sn * dc_ + cs * cs * dj_
-            us[j] = r
-            us[prev] = 0.0
-            deflated[prev] = True
-        prev = j
-
-    keep = np.nonzero(~deflated)[0]
-    drop = np.nonzero(deflated)[0]
-    diag.deflation_count += int(drop.size)
-
-    n_keep = keep.size
-    s_hat = np.zeros((n, n))
-    lam_all = np.empty(n)
-    if n_keep > 0:
-        dk = ds[keep]
-        asq = rho * us[keep] * us[keep]
-        roots = [_secular_root(dk, asq, i, cap) for i in range(n_keep)]
-        origin, tau, iters = (np.array(col) for col in zip(*roots))
-        lam_all[:n_keep] = dk[origin] + tau
+        dk, uk, rho = (np.array(x) for x in zip(*(kept[j] for j in members)))
+        asq = rho[:, None] * uk * uk
+        origin, tau, iters = _secular_roots(dk, asq, cap)
+        lam = np.take_along_axis(dk, origin, axis=1) + tau
         # the top root is the only one not bracketed by two poles
-        if not math.isfinite(lam_all[n_keep - 1]):
+        if not np.all(np.isfinite(lam[:, -1])):
             raise ValidationError("merge eigenvalue overflowed: tridiagonal entries must be finite")
         diag.newton_iterations_total += int(iters.sum())
         diag.newton_iterations_max_per_root = max(
@@ -464,88 +557,103 @@ def _rank1_eigen(
         # where pole differences are exact; a single surviving component is
         # the closed-form case whose root sits exactly on the upper bound
         if n_keep > 1:
-            hi = np.append(np.diff(dk), asq.sum())
+            hi = np.concatenate([np.diff(dk, axis=1), asq.sum(axis=1)[:, None]], axis=1)
             ok = np.where(
                 origin == np.arange(n_keep), (0.0 < tau) & (tau < hi), (-hi < tau) & (tau < 0.0)
             )
             diag.interlacing_violations += int(np.count_nonzero(~ok))
-        # Gu-Eisenstat: rank-1 weights recomputed from the roots make the
-        # eigenvectors mutually orthogonal; magnitudes come from the
-        # product formula, signs from u. Row i holds lam_j - d_i, each
-        # lam_j through its shifted representation.
-        diffs = (dk[origin] - dk[:, None]) + tau
-        den = dk - dk[:, None]
-        np.fill_diagonal(den, 1.0)
-        ratio = diffs / den
-        left = np.tri(n_keep, k=-1, dtype=bool)
-        prod = np.diagonal(diffs) * np.where(left, ratio, 1.0).prod(axis=1)
-        prod = prod * np.where(left.T, ratio, 1.0).prod(axis=1)
-        # clamp as max(prod, 0.0) does: NaN and -0.0 pass through
-        uhat = np.sqrt(np.where(prod < 0.0, 0.0, prod)) * np.sign(us[keep])
-        # row i is the eigenvector of root i over the kept components
-        w = uhat / -((dk - dk[origin][:, None]) - tau[:, None])
-        w /= np.sqrt(np.sum(w * w, axis=1))[:, None]
-        s_hat[keep, :n_keep] = w.T
-    lam_all[n_keep:] = ds[drop]
-    s_hat[drop, np.arange(n_keep, n)] = 1.0
+        w = _eigenvectors(dk, uk, origin, tau)
+        for g, j in enumerate(members):
+            solved[j] = (lam[g], w[g])
 
-    # map eigenvectors back through the deflation rotations (apply R, the
-    # inverse of the R^T that zeroed the duplicate-pole weights)
-    for c, j, cs, sn in reversed(rots):
-        row_c = s_hat[c, :].copy()
-        row_j = s_hat[j, :]
-        s_hat[c, :] = cs * row_c + sn * row_j
-        s_hat[j, :] = -sn * row_c + cs * row_j
+    out = []
+    for j, (p, ds, keep, drop, rots) in enumerate(prepared):
+        n = ds.size
+        n_keep = keep.size
+        s_hat = np.zeros((n, n))
+        lam_all = np.empty(n)
+        if n_keep > 0:
+            lam_all[:n_keep], w = solved[j]
+            # row i of w is the eigenvector of root i over the kept components
+            s_hat[keep, :n_keep] = w.T
+        lam_all[n_keep:] = ds[drop]
+        s_hat[drop, np.arange(n_keep, n)] = 1.0
 
-    s_orig = np.empty_like(s_hat)
-    s_orig[p, :] = s_hat
-    order = np.argsort(lam_all, kind="stable")
-    return lam_all[order], s_orig[:, order]
+        # map eigenvectors back through the deflation rotations (apply R, the
+        # inverse of the R^T that zeroed the duplicate-pole weights)
+        for c, jj, cs, sn in reversed(rots):
+            row_c = s_hat[c, :].copy()
+            row_j = s_hat[jj, :]
+            s_hat[c, :] = cs * row_c + sn * row_j
+            s_hat[jj, :] = -sn * row_c + cs * row_j
 
-
-def _dc_recurse(
-    d: np.ndarray, e: np.ndarray, cap: int | None, diag: DcDiagnostics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen decomposition of the tridiagonal (d, e), split at the middle as
-    blockdiag(T1, T2) + rho v v^T with alpha = e[cut - 1], rho = |alpha| and
-    v = e_{cut-1} + sign(alpha) e_cut (Cuppen)."""
-    k = d.size
-    if k == 1:
-        return d.copy(), np.ones((1, 1))
-    cut = (k + 1) // 2
-    alpha = float(e[cut - 1])
-    rho = abs(alpha)
-    d1, d2 = d[:cut].copy(), d[cut:].copy()
-    d1[-1] -= rho
-    d2[0] -= rho
-    # taking rho off the two facing entries can overflow them
-    if not (math.isfinite(d1[-1]) and math.isfinite(d2[0])):
-        raise ValidationError("tridiagonal entries must be finite")
-    lam1, q1 = _dc_recurse(d1, e[: cut - 1], cap, diag)
-    lam2, q2 = _dc_recurse(d2, e[cut:], cap, diag)
-
-    d0 = np.concatenate([lam1, lam2])
-    u0 = np.concatenate([q1[-1, :], math.copysign(1.0, alpha) * q2[0, :]])
-    lam, s = _rank1_eigen(d0, u0, rho, cap, diag)
-    return lam, np.vstack([q1 @ s[:cut, :], q2 @ s[cut:, :]])
+        s_orig = np.empty_like(s_hat)
+        s_orig[p, :] = s_hat
+        order = np.argsort(lam_all, kind="stable")
+        out.append((lam_all[order], s_orig[:, order]))
+    return out
 
 
 def _dc(t: TridiagonalReal, cap: int | None) -> EigenDecomposition:
+    k = t.dim
     # the first half of every split is the larger, so the middle split sets the depth
-    diag = DcDiagnostics(recursion_depth=(t.dim - 1).bit_length())
-    lam, q = _dc_recurse(t.diag, t.offdiag, cap, diag)
+    diag = DcDiagnostics(recursion_depth=(k - 1).bit_length())
+    d = t.diag.copy()
+    e = t.offdiag
+    # top down, parent before children: each split writes T as
+    # blockdiag(T1, T2) + rho v v^T with alpha = e[cut - 1], rho = |alpha|
+    # and v = e_{cut-1} + sign(alpha) e_cut (Cuppen), so rho comes off the
+    # two facing diagonal entries
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(diag.recursion_depth)]
+    todo = [(0, k, 0)]
+    while todo:
+        lo, hi, depth = todo.pop()
+        if hi - lo == 1:
+            continue
+        cut = lo + (hi - lo + 1) // 2
+        rho = abs(float(e[cut - 1]))
+        d[cut - 1] -= rho
+        d[cut] -= rho
+        # taking rho off the two facing entries can overflow them
+        if not (math.isfinite(d[cut - 1]) and math.isfinite(d[cut])):
+            raise ValidationError("tridiagonal entries must be finite")
+        levels[depth].append((lo, cut))
+        todo += [(cut, hi, depth + 1), (lo, cut, depth + 1)]
+
+    # bottom up, one level at a time: a merge joins the eigen decompositions
+    # of its two halves, keyed by their first row
+    solved = {i: (d[i : i + 1].copy(), np.ones((1, 1))) for i in range(k)}
+    for level in reversed(levels):
+        halves = [(solved.pop(lo), solved.pop(cut)) for lo, cut in level]
+        merges = []
+        for (lo, cut), ((lam1, q1), (lam2, q2)) in zip(level, halves):
+            alpha = float(e[cut - 1])
+            u = np.concatenate([q1[-1, :], math.copysign(1.0, alpha) * q2[0, :]])
+            merges.append((np.concatenate([lam1, lam2]), u, abs(alpha)))
+        solved_level = _merge_level(merges, cap, diag)
+        for (lo, cut), ((_, q1), (_, q2)), (lam, s) in zip(level, halves, solved_level):
+            solved[lo] = (lam, np.vstack([q1 @ s[: cut - lo, :], q2 @ s[cut - lo :, :]]))
+    lam, q = solved[0]
     return EigenDecomposition(lam=lam, q=q, diagnostics=diag)
 
 
 def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
     """Divide-and-conquer eigendecomposition of a real symmetric tridiagonal.
 
-    Splits at the middle recursively, solves the secular equation of each
-    rank-1 merge (with deflation of negligible components and coincident
-    poles), and accumulates eigenvectors level by level. Eigenvalues come
-    out ascending, with a real eigenvector matrix. A secular root that does
-    not converge in ``_MAX_NEWTON_ITERS`` (50) model steps raises
-    ConvergenceError; an overflowing split or merge raises ValidationError.
+    Splits at the middle recursively (every split first, top down), then
+    merges one recursion level at a time, deepest first: each rank-1 merge
+    deflates negligible components and coincident poles, every secular
+    root of the level is solved in lockstep with the other roots of merges
+    that keep as many poles, and the eigenvectors are accumulated per
+    merge. Eigenvalues come out ascending, with a real eigenvector matrix.
+    A secular root that does not converge in ``_MAX_NEWTON_ITERS`` (50)
+    model steps raises ConvergenceError; an overflowing split or merge
+    raises ValidationError. Since all splits come before any merge, and a
+    level's merges are solved together, an input with more than one such
+    fault reports the first split fault if there is one, and otherwise
+    the fault of the first group of merges, deepest level first, to hit
+    one: with roots failing in two merges, the bracket may belong to a
+    different root than a depth-first recursion would report.
     """
     return _dc(t, None)
 

@@ -38,14 +38,16 @@ def test_every_benchmark_check_passes(monkeypatch):
 @pytest.mark.parametrize("name", ["svd-gaussian", "svd-deflating", "mimo-budget"])
 def test_solver_workloads_pass_at_full_size(monkeypatch, name):
     # the smallest-size check above cannot see a failure that shows only
-    # at K = 256; a raised ParsvdError is a failed operation too
+    # at K = 256; a raised ParsvdError is a failed operation too. Two
+    # cycles give two fresh draws of every input family.
     monkeypatch.syspath_prepend(BENCH_DIR)
     workloads = importlib.import_module("workloads")
-    ops = workloads.build(name, seed=0, cycle=0, smallest=False)
-    assert ops, name
-    for op in ops:
-        try:
-            result = op.call()
-        except ParsvdError as exc:
-            pytest.fail(f"{name}: {op.label} (K={op.k}) raised {exc!r}")
-        assert op.check(result) is None, f"{name}: {op.label} (K={op.k})"
+    for cycle in (0, 1):
+        ops = workloads.build(name, seed=0, cycle=cycle, smallest=False)
+        assert ops, name
+        for op in ops:
+            try:
+                result = op.call()
+            except ParsvdError as exc:
+                pytest.fail(f"{name}: {op.label} (K={op.k}, cycle {cycle}) raised {exc!r}")
+            assert op.check(result) is None, f"{name}: {op.label} (K={op.k}, cycle {cycle})"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from parsvd.errors import DimensionError, ValidationError
+from parsvd import gram_svd
+from parsvd.errors import ConvergenceError, DimensionError, ValidationError
 from parsvd.gram_svd import (
     DcDiagnostics,
     HermitianMatrix,
@@ -15,7 +16,14 @@ from parsvd.gram_svd import (
     tridiagonalize,
     truncated_dc_eigen,
 )
-from parsvd.gram_svd import _PANEL, _rank1_eigen, _secular_root
+from parsvd.gram_svd import (
+    _EPS,
+    _MAX_NEWTON_ITERS,
+    _PANEL,
+    _SECULAR_TOL,
+    _merge_level,
+    _secular_roots,
+)
 from parsvd.matrix_core import fro_norm
 from parsvd.reference_solvers import gk_svd, jacobi_eigen_oracle
 
@@ -57,6 +65,16 @@ def test_gram_overflow_is_loud(rng):
     # A^H A overflows: a typed error that names A's scale, and no warning
     with pytest.raises(ValidationError, match="largest magnitude"):
         gram(rand_complex(rng, 6, 4, scale=1e160))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170])
+def test_gram_underflow_is_loud(scale):
+    # A^H A underflows to a subnormal (1e-160) or a zero (1e-170) diagonal;
+    # a zero A still has the zero Gram matrix
+    a = rand_complex(np.random.default_rng(5), 10, 4)
+    with pytest.raises(ValidationError, match="largest magnitude"):
+        gram(scale * a)
+    np.testing.assert_array_equal(gram(0.0 * a).mat, np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +383,156 @@ def test_secular_interlacing(rng):
     u = rng.standard_normal(6) + np.sign(rng.standard_normal(6)) * 0.2
     asq = 0.7 * u * u
     rho_sum = float(np.sum(asq))
+    origins, taus, _ = _secular_roots(d[None, :], asq[None, :], None)
     for i in range(6):
-        origin, tau, _ = _secular_root(d, asq, i, None)
+        origin, tau = origins[0, i], taus[0, i]
         lam = d[origin] + tau
         lo = d[i]
         hi = d[i + 1] if i < 5 else d[5] + rho_sum
         assert lo < lam < hi
+
+
+def _stable_quadratic(aq, bq, cq):
+    """Roots of aq*x^2 - bq*x + cq = 0, computed without cancellation."""
+    if aq == 0.0:
+        if bq == 0.0:
+            return math.nan, math.nan
+        r = cq / bq
+        return r, r
+    disc = bq * bq - 4.0 * aq * cq
+    if disc < 0.0:
+        return math.nan, math.nan
+    sq = math.sqrt(disc)
+    if bq >= 0.0:
+        big = (bq + sq) / (2.0 * aq)
+    else:
+        big = (bq - sq) / (2.0 * aq)
+    if big == 0.0:
+        return 0.0, 0.0
+    other = cq / (aq * big)
+    return big, other
+
+
+def _secular_root(d, asq, i, cap):
+    # the scalar reference of the lockstep kernel: root i on its own, with
+    # the kernel's probe, bracket, model step and stopping tests
+    n = d.size
+    if n == 1:
+        return 0, float(asq[0]), 0
+    if i == n - 1:
+        origin, lo, hi = i, 0.0, float(asq.sum())
+        p1 = i - 1
+    else:
+        gap = float(d[i + 1] - d[i])
+        fmid = 1.0 + float(np.sum(asq / ((d - d[i]) - 0.5 * gap)))
+        origin, lo, hi = (i, 0.0, 0.5 * gap) if fmid >= 0.0 else (i + 1, -0.5 * gap, 0.0)
+        p1 = i
+    p2 = p1 + 1
+    dd = d - d[origin]
+    limit = _MAX_NEWTON_ITERS if cap is None else min(_MAX_NEWTON_ITERS, cap)
+    tau = 0.5 * (lo + hi)
+    for it in range(1, limit + 1):
+        delta = dd - tau
+        t = asq / delta
+        fval = 1.0 + t.sum()
+        if abs(fval) <= _SECULAR_TOL * (1.0 + np.abs(t).sum()):
+            return origin, tau, it
+        if fval < 0.0:
+            lo = tau
+        else:
+            hi = tau
+        if (hi - lo) <= 2.0 * _EPS * (abs(lo) + abs(hi)):
+            return origin, tau, it
+        s = t / delta
+        fder = s.sum()
+        d1 = delta[p1]
+        d2 = delta[p2]
+        sp = s[p1] + s[p2]
+        beta = fder / sp if sp != 0.0 else 0.0
+        c1 = beta * asq[p1]
+        c2 = beta * asq[p2]
+        c3 = fval - beta * (t[p1] + t[p2])
+        bq = c3 * (d1 + d2) + c1 + c2
+        cq = c3 * d1 * d2 + c1 * d2 + c2 * d1
+        steps = [tau + eta for eta in _stable_quadratic(c3, bq, cq) if lo < tau + eta < hi]
+        tau = min(steps, key=lambda c: abs(c - tau)) if steps else 0.5 * (lo + hi)
+    if cap is None:
+        raise ConvergenceError(
+            f"secular root did not converge in {_MAX_NEWTON_ITERS} iterations", bracket=(lo, hi)
+        )
+    return origin, tau, limit
+
+
+def _scalar_roots(d, asq, cap):
+    # the kernel's (origin, tau, iterations) from one scalar solve per root
+    m, n = d.shape
+    roots = [[_secular_root(d[g], asq[g], i, cap) for i in range(n)] for g in range(m)]
+    return tuple(np.array([[root[c] for root in row] for row in roots]) for c in range(3))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2, 4])
+@pytest.mark.parametrize("spectrum", ["gaussian", "one-cluster", "glued", "clustered"])
+def test_lockstep_roots_match_scalar_solves(monkeypatch, spectrum, budget):
+    # every merge that a solve of a 128x64 Gram tridiagonal hands to the
+    # kernel: each root's origin, tau and iteration count carry the bits of
+    # the scalar solve of that root alone, and where the kernel raises (the
+    # clustered draw without a budget), the first root to fail alone raises
+    # the same error
+    calls = []
+
+    def recorded(d, asq, cap):
+        try:
+            out = _secular_roots(d, asq, cap)
+        except ConvergenceError as exc:
+            calls.append((d, asq, cap, exc))
+            raise
+        calls.append((d, asq, cap, out))
+        return out
+
+    monkeypatch.setattr(gram_svd, "_secular_roots", recorded)
+    rng = np.random.default_rng(17)
+    if spectrum == "gaussian":
+        a = rand_complex(rng, 128, 64)
+    else:
+        sigma = {
+            "one-cluster": np.concatenate([np.ones(32), np.linspace(0.9, 0.1, 32)]),
+            "glued": 1.0 + 1e-9 * np.arange(64),
+            "clustered": np.repeat([1.0, 0.75, 0.5, 0.25], 16),
+        }[spectrum]
+        a = (_haar_columns(rng, 128, 64) * sigma) @ _haar_columns(rng, 64, 64).conj().T
+    t = tridiagonalize(gram(a))[0]
+    try:
+        dc_eigen(t) if budget is None else truncated_dc_eigen(t, budget)
+    except ConvergenceError:
+        pass
+    assert calls
+    raised = isinstance(calls[-1][3], ConvergenceError)
+    assert raised == (spectrum == "clustered" and budget is None)
+    for d, asq, cap, got in calls:
+        if isinstance(got, ConvergenceError):
+            with pytest.raises(ConvergenceError) as err:
+                _scalar_roots(d, asq, cap)
+            assert str(err.value) == str(got)
+            assert err.value.bracket == got.bracket
+            continue
+        for have, want in zip(got, _scalar_roots(d, asq, cap)):
+            assert have.shape == want.shape
+            assert have.tobytes() == want.astype(have.dtype).tobytes()
+
+
+def test_stall_merge_raises_with_its_bracket():
+    # ROADMAP item 3's stall merge: its middle root is still open after
+    # _MAX_NEWTON_ITERS model steps, with a bracket well above 2 eps wide
+    d = np.array([-1.66870738e-02, -1.79670915e-07, 9.82735371e-01, 1.0])
+    u = np.array([1.0, 4.04190502e-06, 1.0, 0.0])
+    rho = 0.016976349009189977
+    with pytest.raises(ConvergenceError) as err:
+        _merge_level([(d, u, rho)], None, DcDiagnostics())
+    assert err.value.bracket == (4.3276538870171653e-07, 2.0614259683679092e-06)
+    # the zero weight deflates; with a cap the three kept roots return
+    asq = rho * u[:3] * u[:3]
+    _, _, iters = _secular_roots(d[None, :3], asq[None, :], 60)
+    np.testing.assert_array_equal(iters, [[4, 50, 3]])
 
 
 def test_dc_2x2_analytic():
@@ -443,7 +605,7 @@ def test_merge_matches_per_root_loops(rng):
     d = np.sort(rng.standard_normal(n))
     u = rng.standard_normal(n)
     rho = 0.7
-    lam, s = _rank1_eigen(d, u, rho, None, DcDiagnostics())
+    [(lam, s)] = _merge_level([(d, u, rho)], None, DcDiagnostics())
     asq = rho * u * u
     roots = [_secular_root(d, asq, i, None) for i in range(n)]
     uhat = np.empty(n)
