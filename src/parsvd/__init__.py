@@ -11,6 +11,7 @@ from .gram_svd import (
     householder_vector,
     recover_svd,
     svd_4step,
+    svd_4step_stack,
     tridiagonalize,
     truncated_dc_eigen,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "householder_vector",
     "recover_svd",
     "svd_4step",
+    "svd_4step_stack",
     "tridiagonalize",
     "truncated_dc_eigen",
 ]

@@ -6,9 +6,12 @@ of the trailing block per panel), diagonalize the tridiagonal matrix with
 a divide-and-conquer rank-1 eigensolver, then recover U, sigma, V.
 
 The divide and conquer fixes every split first, top down, then merges
-bottom up one recursion level at a time. Each merge of a level sorts its
-poles and deflates negligible weights and coincident poles on its own;
-the level's merges are then grouped by their number n of kept poles, and
+bottom up one recursion level at a time. It takes a stack of tridiagonals
+of one size, whose split trees are the same, so a level holds the merges
+of every member (a single solve is a stack of one). The merges of one
+size are sorted and deflated together, as array expressions, and only a
+merge with coincident poles rotates them on its own; the level's merges
+are then grouped by their number n of kept poles, and
 one lockstep kernel solves every secular root of a group as one
 (roots x n poles) array: a midpoint probe, then a bracketed two-pole
 rational iteration, with each root's own origin, bracket and pole pair,
@@ -17,7 +20,9 @@ is one rational-model step; iteration counts and budgets leave the probe
 out. From the roots it recomputes the rank-1 weights (Gu & Eisenstat,
 SIAM J. Matrix Anal. Appl. 16(1), 1995), so that the eigenvectors come
 out orthogonal; the weights, the eigenvector columns and the interlacing
-check are (merges, n, n) array expressions. Groups are not padded to a
+check are (merges, n, n) array expressions, and the products that carry
+the eigenvectors up are one stacked matmul per run of merges of one
+size. Groups are not padded to a
 common n: numpy's pairwise sum groups a row's terms by the row's length,
 so a padded row would add in another order. Unpadded, every root gets
 the operations, in the order, of a scalar solve of that root alone, and
@@ -29,6 +34,7 @@ step treats its inputs as read-only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -484,75 +490,127 @@ def _eigenvectors(
     return w
 
 
+def _rotate_coincident(
+    ds: np.ndarray, us: np.ndarray, deflated: np.ndarray, tol: float
+) -> list[tuple[int, int, float, float]]:
+    """Deflate the coincident kept poles of one sorted merge, in place.
+
+    Walking the kept poles upward, a pole within ``tol`` of the previous
+    kept pole takes that pole's weight by a Givens rotation, and the
+    previous pole deflates. Returns the rotations as (prev, j, c, s).
+    """
+    rots: list[tuple[int, int, float, float]] = []
+    prev = -1
+    for j in range(ds.size):
+        if deflated[j]:
+            continue
+        if prev >= 0 and ds[j] - ds[prev] <= tol:
+            r = math.hypot(us[prev], us[j])
+            cs = us[j] / r
+            sn = us[prev] / r
+            rots.append((prev, j, cs, sn))
+            dc_, dj_ = ds[prev], ds[j]
+            ds[prev] = cs * cs * dc_ + sn * sn * dj_
+            ds[j] = sn * sn * dc_ + cs * cs * dj_
+            us[j] = r
+            us[prev] = 0.0
+            deflated[prev] = True
+        prev = j
+    return rots
+
+
 def _merge_level(
-    merges: list[tuple[np.ndarray, np.ndarray, float]], cap: int | None, diag: DcDiagnostics
+    batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    cap: int | None,
+    diags: list[DcDiagnostics],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigen decompositions (ascending) of the rank-1 updates
-    diag(d) + rho * u u^T (d in any order, rho >= 0) of one recursion level,
-    given as (d, u, rho) triples.
+    diag(d) + rho * u u^T (d in any order, rho >= 0) of one recursion level.
 
-    Each merge sorts its poles and deflates negligible weights and
-    coincident poles on its own. The merges are then grouped, unpadded, by
-    their number n of kept poles: one lockstep solve finds every root of a
-    group, and (m, n, n) array expressions give its weights, eigenvector
-    columns and interlacing count.
+    Each batch (d, u, rho) holds m merges of one size n as (m, n), (m, n)
+    and (m,) arrays and gets back (lam, s) as (m, n) and (m, n, n) arrays.
+    The level's merges are numbered in batch order, then row order; merge
+    r adds its counts to diags[r % len(diags)], its member of the stack.
+
+    The sort, the deflation tests, the placement of the kept eigenvectors
+    and of the deflated unit vectors, the unsort and the final sort are
+    array expressions over a batch. The coincident-pole rotations run
+    merge by merge, and only in a merge with two adjacent sorted poles
+    within the deflation tolerance: anywhere else they rotate nothing. A
+    merge whose weight rho |u|^2 or whose spread of kept poles is not
+    finite raises ValidationError before any root of the level is solved.
+    The merges of the whole level are then grouped, unpadded, by their
+    number n of kept poles, groups in the order of their first merge: one
+    lockstep solve finds every root of a group, and (m, n, n) array
+    expressions give its weights, eigenvector columns and interlacing count.
     """
+    members = len(diags)
+    deflations, iters_total, iters_max, violations = (
+        np.zeros(members, dtype=np.int64) for _ in range(4)
+    )
     prepared = []
-    kept = []
-    for d, u, rho in merges:
-        n = d.size
-        p = np.argsort(d, kind="stable")
-        ds = d[p]
-        us = u[p]
-        scale = max(abs(ds[0]), abs(ds[-1]), 1e-300)
-        unorm = float(np.sqrt(np.sum(us * us)))
-
-        deflated = np.abs(us) <= _DEFLATION_TOL * unorm
+    start = 0
+    for d, u, rho in batches:
+        m, n = d.shape
+        r = np.arange(m)[:, None]
+        p = np.argsort(d, axis=1, kind="stable")
+        ds = d[r, p]
+        us = u[r, p]
+        scale = np.maximum(np.maximum(np.abs(ds[:, 0]), np.abs(ds[:, -1])), 1e-300)
+        tol = _DEFLATION_TOL * scale
+        unorm = np.sqrt(np.sum(us * us, axis=1))
+        with np.errstate(over="ignore"):
+            weight = rho * unorm * unorm
+            spread = ds[:, -1] - ds[:, 0]
+            close = np.diff(ds, axis=1) <= tol[:, None]
+        deflated = np.abs(us) <= (_DEFLATION_TOL * unorm)[:, None]
         # a negligible rho |u|^2, zero at an exact split, deflates every component
-        if rho * unorm * unorm <= _DEFLATION_TOL * scale:
-            deflated[:] = True
+        deflated[weight <= tol] = True
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(spread))):
+            # a merge that deflates whole may span the float range: it solves nothing
+            for i in np.nonzero(~(np.isfinite(weight) & np.isfinite(spread)))[0]:
+                kept = ds[i, ~deflated[i]]
+                with np.errstate(over="ignore"):
+                    if kept.size and not np.isfinite([weight[i], kept[-1] - kept[0]]).all():
+                        raise ValidationError(
+                            "merge weight or pole spread overflowed: "
+                            "tridiagonal entries must be finite"
+                        )
+        rots = {
+            i: _rotate_coincident(ds[i], us[i], deflated[i], tol[i])
+            for i in np.nonzero(close.any(axis=1))[0]
+        }
+        n_keep = n - np.count_nonzero(deflated, axis=1)
+        owner = (start + r[:, 0]) % members
+        start += m
+        np.add.at(deflations, owner, n - n_keep)
+        # kept components first, then the deflated ones, each in sorted order
+        perm = np.argsort(deflated, axis=1, kind="stable")
+        prepared.append((p, perm, n_keep, ds[r, perm], us[r, perm], owner, rots))
+    # per batch: sort order, kept-first order, kept count, sorted poles and
+    # weights in kept-first order, owning member, rotations by merge
+    sorts, perms, counts, kds, kus, owners, rotations = zip(*prepared)
 
-        rots: list[tuple[int, int, float, float]] = []
-        prev = -1
-        for j in range(n):
-            if deflated[j]:
-                continue
-            if prev >= 0 and ds[j] - ds[prev] <= _DEFLATION_TOL * scale:
-                r = math.hypot(us[prev], us[j])
-                cs = us[j] / r
-                sn = us[prev] / r
-                rots.append((prev, j, cs, sn))
-                dc_, dj_ = ds[prev], ds[j]
-                ds[prev] = cs * cs * dc_ + sn * sn * dj_
-                ds[j] = sn * sn * dc_ + cs * cs * dj_
-                us[j] = r
-                us[prev] = 0.0
-                deflated[prev] = True
-            prev = j
-
-        keep = np.nonzero(~deflated)[0]
-        diag.deflation_count += n - keep.size
-        prepared.append((p, ds, keep, np.nonzero(deflated)[0], rots))
-        kept.append((ds[keep], us[keep], rho))
-
-    groups: dict[int, list[int]] = {}
-    for j, (_, _, keep, _, _) in enumerate(prepared):
-        groups.setdefault(keep.size, []).append(j)
-    solved = {}
-    for n_keep, members in groups.items():
+    lam_kept = [np.empty(kd.shape) for kd in kds]
+    vectors = [np.zeros(kd.shape + kd.shape[1:]) for kd in kds]
+    # groups in the order of their first merge
+    for n_keep in dict.fromkeys(np.concatenate(counts).tolist()):
         if n_keep == 0:
             continue
-        dk, uk, rho = (np.array(x) for x in zip(*(kept[j] for j in members)))
+        picks = [(b, np.nonzero(c == n_keep)[0]) for b, c in enumerate(counts)]
+        picks = [(b, rows) for b, rows in picks if rows.size]
+        dk = np.concatenate([kds[b][rows, :n_keep] for b, rows in picks])
+        uk = np.concatenate([kus[b][rows, :n_keep] for b, rows in picks])
+        rho = np.concatenate([batches[b][2][rows] for b, rows in picks])
+        owner = np.concatenate([owners[b][rows] for b, rows in picks])
         asq = rho[:, None] * uk * uk
         origin, tau, iters = _secular_roots(dk, asq, cap)
         lam = np.take_along_axis(dk, origin, axis=1) + tau
         # the top root is the only one not bracketed by two poles
         if not np.all(np.isfinite(lam[:, -1])):
             raise ValidationError("merge eigenvalue overflowed: tridiagonal entries must be finite")
-        diag.newton_iterations_total += int(iters.sum())
-        diag.newton_iterations_max_per_root = max(
-            diag.newton_iterations_max_per_root, int(iters.max())
-        )
+        np.add.at(iters_total, owner, iters.sum(axis=1))
+        np.maximum.at(iters_max, owner, iters.max(axis=1))
         # strict interlacing, verified on the shifted (origin, tau) values
         # where pole differences are exact; a single surviving component is
         # the closed-form case whose root sits exactly on the upper bound
@@ -561,80 +619,116 @@ def _merge_level(
             ok = np.where(
                 origin == np.arange(n_keep), (0.0 < tau) & (tau < hi), (-hi < tau) & (tau < 0.0)
             )
-            diag.interlacing_violations += int(np.count_nonzero(~ok))
+            np.add.at(violations, owner, np.count_nonzero(~ok, axis=1))
         w = _eigenvectors(dk, uk, origin, tau)
-        for g, j in enumerate(members):
-            solved[j] = (lam[g], w[g])
+        at = 0
+        for b, rows in picks:
+            lam_kept[b][rows, :n_keep] = lam[at : at + rows.size]
+            # row i holds root i's eigenvector (row i of w) over the kept components
+            vectors[b][rows, :n_keep, :n_keep] = w[at : at + rows.size]
+            at += rows.size
+    for diag, defl, total, most, bad in zip(diags, deflations, iters_total, iters_max, violations):
+        diag.deflation_count += int(defl)
+        diag.newton_iterations_total += int(total)
+        diag.newton_iterations_max_per_root = max(diag.newton_iterations_max_per_root, int(most))
+        diag.interlacing_violations += int(bad)
 
+    # Every s[i] is Fortran-ordered (eigenvector c is row c of the memory
+    # under s): BLAS picks its kernel, and so its rounding, by operand
+    # layout, and this is the layout in which dc_eigen has always formed
+    # its eigenvector products.
     out = []
-    for j, (p, ds, keep, drop, rots) in enumerate(prepared):
-        n = ds.size
-        n_keep = keep.size
-        s_hat = np.zeros((n, n))
-        lam_all = np.empty(n)
-        if n_keep > 0:
-            lam_all[:n_keep], w = solved[j]
-            # row i of w is the eigenvector of root i over the kept components
-            s_hat[keep, :n_keep] = w.T
-        lam_all[n_keep:] = ds[drop]
-        s_hat[drop, np.arange(n_keep, n)] = 1.0
-
+    for p, perm, n_keep, kd, lk, vt, rots in zip(sorts, perms, counts, kds, lam_kept, vectors, rotations):
+        m, n = kd.shape
+        r = np.arange(m)[:, None]
+        dropped = np.arange(n) >= n_keep[:, None]
+        # a deflated component keeps its unit vector, as eigenvector j >= n_keep
+        i_idx, j_idx = np.nonzero(dropped)
+        vt[i_idx, j_idx, j_idx] = 1.0
+        lam_all = np.where(dropped, kd, lk)
+        order = np.argsort(lam_all, axis=1, kind="stable")
+        # entry a of an eigenvector in vt is sorted component perm[a], so
+        # input component p[perm[a]]
+        s = np.empty_like(vt).transpose(0, 2, 1)
+        s[r, p[r, perm]] = vt[r, order].transpose(0, 2, 1)
         # map eigenvectors back through the deflation rotations (apply R, the
         # inverse of the R^T that zeroed the duplicate-pole weights)
-        for c, jj, cs, sn in reversed(rots):
-            row_c = s_hat[c, :].copy()
-            row_j = s_hat[jj, :]
-            s_hat[c, :] = cs * row_c + sn * row_j
-            s_hat[jj, :] = -sn * row_c + cs * row_j
-
-        s_orig = np.empty_like(s_hat)
-        s_orig[p, :] = s_hat
-        order = np.argsort(lam_all, kind="stable")
-        out.append((lam_all[order], s_orig[:, order]))
+        for i, rot in rots.items():
+            for c, jj, cs, sn in reversed(rot):
+                row_c = s[i, p[i, c], :].copy()
+                row_j = s[i, p[i, jj], :]
+                s[i, p[i, c], :] = cs * row_c + sn * row_j
+                s[i, p[i, jj], :] = -sn * row_c + cs * row_j
+        out.append((lam_all[r, order], s))
     return out
 
 
-def _dc(t: TridiagonalReal, cap: int | None) -> EigenDecomposition:
-    k = t.dim
+def _dc(ts: list[TridiagonalReal], cap: int | None) -> list[EigenDecomposition]:
+    """Divide and conquer over a stack of tridiagonals of one size K; one
+    EigenDecomposition, with its own DcDiagnostics, per member.
+
+    The split tree depends only on K, so every split is made for the whole
+    stack at once, and every merge of a recursion level, across the stack,
+    goes to one _merge_level call. A member gets the bits of its solve
+    alone: nothing in a merge reads another merge.
+    """
+    k = ts[0].dim
+    members = len(ts)
     # the first half of every split is the larger, so the middle split sets the depth
-    diag = DcDiagnostics(recursion_depth=(k - 1).bit_length())
-    d = t.diag.copy()
-    e = t.offdiag
+    depth = (k - 1).bit_length()
+    diags = [DcDiagnostics(recursion_depth=depth) for _ in ts]
+    d = np.array([t.diag for t in ts])
+    e = np.array([t.offdiag for t in ts])
     # top down, parent before children: each split writes T as
     # blockdiag(T1, T2) + rho v v^T with alpha = e[cut - 1], rho = |alpha|
     # and v = e_{cut-1} + sign(alpha) e_cut (Cuppen), so rho comes off the
     # two facing diagonal entries
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(diag.recursion_depth)]
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(depth)]
     todo = [(0, k, 0)]
     while todo:
-        lo, hi, depth = todo.pop()
-        if hi - lo == 1:
-            continue
-        cut = lo + (hi - lo + 1) // 2
-        rho = abs(float(e[cut - 1]))
-        d[cut - 1] -= rho
-        d[cut] -= rho
+        lo, hi, level = todo.pop()
+        if hi - lo > 1:
+            cut = lo + (hi - lo + 1) // 2
+            levels[level].append((lo, cut, hi))
+            todo += [(cut, hi, level + 1), (lo, cut, level + 1)]
+    # the splits of one level touch disjoint entries, and an entry touched
+    # twice gets its ancestor's rho first
+    for level in levels:
+        cuts = np.array([cut for _, cut, _ in level])
+        rho = np.abs(e[:, cuts - 1])
+        d[:, cuts - 1] -= rho
+        d[:, cuts] -= rho
         # taking rho off the two facing entries can overflow them
-        if not (math.isfinite(d[cut - 1]) and math.isfinite(d[cut])):
+        if not np.all(np.isfinite(d)):
             raise ValidationError("tridiagonal entries must be finite")
-        levels[depth].append((lo, cut))
-        todo += [(cut, hi, depth + 1), (lo, cut, depth + 1)]
 
     # bottom up, one level at a time: a merge joins the eigen decompositions
-    # of its two halves, keyed by their first row
-    solved = {i: (d[i : i + 1].copy(), np.ones((1, 1))) for i in range(k)}
+    # of its two halves, keyed by their first row, each as (members, ...)
+    # arrays. A run of merges of one size is one batch, whose row
+    # i * members + s is member s of the run's merge i.
+    solved = {i: (d[:, i : i + 1], np.ones((members, 1, 1))) for i in range(k)}
     for level in reversed(levels):
-        halves = [(solved.pop(lo), solved.pop(cut)) for lo, cut in level]
-        merges = []
-        for (lo, cut), ((lam1, q1), (lam2, q2)) in zip(level, halves):
-            alpha = float(e[cut - 1])
-            u = np.concatenate([q1[-1, :], math.copysign(1.0, alpha) * q2[0, :]])
-            merges.append((np.concatenate([lam1, lam2]), u, abs(alpha)))
-        solved_level = _merge_level(merges, cap, diag)
-        for (lo, cut), ((_, q1), (_, q2)), (lam, s) in zip(level, halves, solved_level):
-            solved[lo] = (lam, np.vstack([q1 @ s[: cut - lo, :], q2 @ s[cut - lo :, :]]))
+        runs = [list(run) for _, run in itertools.groupby(level, key=lambda x: x[2] - x[0])]
+        batches, halves = [], []
+        for run in runs:
+            n = run[0][2] - run[0][0]
+            lam1, q1 = (np.array(x) for x in zip(*(solved.pop(lo) for lo, _, _ in run)))
+            lam2, q2 = (np.array(x) for x in zip(*(solved.pop(cut) for _, cut, _ in run)))
+            alpha = e[:, [cut - 1 for _, cut, _ in run]].T
+            u = np.concatenate(
+                [q1[:, :, -1, :], np.copysign(1.0, alpha)[:, :, None] * q2[:, :, 0, :]], axis=2
+            )
+            lam12 = np.concatenate([lam1, lam2], axis=2)
+            batches.append((lam12.reshape(-1, n), u.reshape(-1, n), np.abs(alpha).ravel()))
+            halves.append((q1.reshape(-1, *q1.shape[2:]), q2.reshape(-1, *q2.shape[2:])))
+        for run, (q1, q2), (lam, s) in zip(runs, halves, _merge_level(batches, cap, diags)):
+            n1 = q1.shape[1]
+            q = np.concatenate([q1 @ s[:, :n1, :], q2 @ s[:, n1:, :]], axis=1)
+            for i, (lo, _, _) in enumerate(run):
+                rows = slice(i * members, (i + 1) * members)
+                solved[lo] = (lam[rows], q[rows])
     lam, q = solved[0]
-    return EigenDecomposition(lam=lam, q=q, diagnostics=diag)
+    return [EigenDecomposition(lam=lam[s], q=q[s], diagnostics=diag) for s, diag in enumerate(diags)]
 
 
 def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
@@ -645,17 +739,20 @@ def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
     deflates negligible components and coincident poles, every secular
     root of the level is solved in lockstep with the other roots of merges
     that keep as many poles, and the eigenvectors are accumulated per
-    merge. Eigenvalues come out ascending, with a real eigenvector matrix.
+    level. Eigenvalues come out ascending, with a real eigenvector matrix.
     A secular root that does not converge in ``_MAX_NEWTON_ITERS`` (50)
-    model steps raises ConvergenceError; an overflowing split or merge
-    raises ValidationError. Since all splits come before any merge, and a
-    level's merges are solved together, an input with more than one such
-    fault reports the first split fault if there is one, and otherwise
-    the fault of the first group of merges, deepest level first, to hit
-    one: with roots failing in two merges, the bracket may belong to a
-    different root than a depth-first recursion would report.
+    model steps raises ConvergenceError; an overflowing split, a merge
+    whose weight or spread of kept poles overflows, and a merge whose top
+    root overflows raise ValidationError. Since all splits come before any
+    merge, and a level's merges are solved together, an input with more
+    than one such fault reports the first split fault if there is one, and
+    otherwise the first fault of the deepest level that has one: an
+    overflowing weight or spread, else the fault of the first group of
+    merges to hit one. With roots failing in two merges, the bracket may
+    belong to a different root than a depth-first recursion would
+    report. It is the solve of a stack of one (svd_4step_stack).
     """
-    return _dc(t, None)
+    return _dc([t], None)[0]
 
 
 def truncated_dc_eigen(t: TridiagonalReal, iter_budget: int) -> EigenDecomposition:
@@ -669,7 +766,7 @@ def truncated_dc_eigen(t: TridiagonalReal, iter_budget: int) -> EigenDecompositi
     instead. Small budgets trade accuracy for fewer sequential steps.
     ``iter_budget`` must be an integer >= 1 (matrix_core.as_count).
     """
-    return _dc(t, as_count(iter_budget, "iter_budget"))
+    return _dc([t], as_count(iter_budget, "iter_budget"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +799,20 @@ def recover_svd(
     sigma = sig_asc[order]
     v = v0[:, order]
     valid = sigma > sv_threshold * sigma[0]
-    u = np.zeros((a.shape[0], sigma.size), dtype=np.complex128)
-    u[:, valid] = (a @ v[:, valid]) / sigma[valid]
+    if valid.all():
+        u = a @ v
+        u /= sigma
+    else:
+        u = np.zeros((a.shape[0], sigma.size), dtype=np.complex128)
+        u[:, valid] = (a @ v[:, valid]) / sigma[valid]
     return SvdResult(u=u, sigma=sigma, v=v, valid=valid, diagnostics=eig.diagnostics)
+
+
+def _solve_cap(iter_budget, sv_threshold: float) -> int | None:
+    """Check the arguments of svd_4step and svd_4step_stack before any
+    work; returns the per-root iteration cap, None to run to convergence."""
+    _check_sv_threshold(sv_threshold)
+    return None if iter_budget is None else as_count(iter_budget, "iter_budget")
 
 
 def svd_4step(
@@ -730,15 +838,48 @@ def svd_4step(
     means run to convergence. ``sv_threshold`` is recover_svd's; both are
     checked before any work is done.
     """
-    _check_sv_threshold(sv_threshold)
-    if iter_budget is not None:
-        as_count(iter_budget, "iter_budget")
+    cap = _solve_cap(iter_budget, sv_threshold)
     a_s, e = pow2_scale(as_matrix(a))
     b = gram(a_s)
     t, q_t = tridiagonalize(b)
-    if iter_budget is None:
+    if cap is None:
         eig = dc_eigen(t)
     else:
-        eig = truncated_dc_eigen(t, iter_budget)
+        eig = truncated_dc_eigen(t, cap)
     res = recover_svd(a_s, eig, q_t, sv_threshold=sv_threshold)
     return replace(res, sigma=np.ldexp(res.sigma, e))
+
+
+def svd_4step_stack(
+    mats, iter_budget: int | None = None, *, sv_threshold: float = _SV_THRESHOLD
+) -> list[SvdResult]:
+    """svd_4step of every matrix of a stack, with one divide and conquer
+    over all of them.
+
+    ``mats`` is a nonempty sequence of M x K matrices of one shape, else
+    DimensionError; ``iter_budget`` and ``sv_threshold`` are svd_4step's,
+    checked as svd_4step checks them, before any work. Each matrix is
+    scaled, and goes through the public gram, tridiagonalize and
+    recover_svd, on its own; the divide and conquer solves every merge of
+    a recursion level, across the stack, together. Result i is bit for bit
+    svd_4step(mats[i], iter_budget, sv_threshold=sv_threshold).
+
+    A member whose own solve raises makes the whole call raise, with the
+    same error type. With faults in several members, the first stage to
+    fail reports: scaling, gram and tridiagonalize run member by member,
+    in stack order; the divide and conquer reports as dc_eigen does, with
+    a level's merges ordered by position in the tree, then by member.
+    """
+    cap = _solve_cap(iter_budget, sv_threshold)
+    mats = [as_matrix(a) for a in mats]
+    shapes = sorted({a.shape for a in mats})
+    if len(shapes) != 1:
+        raise DimensionError(f"svd_4step_stack needs a nonempty stack of one shape, got {shapes}")
+    scaled = [pow2_scale(a) for a in mats]
+    reduced = [tridiagonalize(gram(a_s)) for a_s, _ in scaled]
+    eigs = _dc([t for t, _ in reduced], cap)
+    out = []
+    for (a_s, e), (_, q_t), eig in zip(scaled, reduced, eigs):
+        res = recover_svd(a_s, eig, q_t, sv_threshold=sv_threshold)
+        out.append(replace(res, sigma=np.ldexp(res.sigma, e)))
+    return out

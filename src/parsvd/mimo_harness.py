@@ -16,7 +16,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
-from .gram_svd import SvdResult, gram, recover_svd, svd_4step, tridiagonalize, truncated_dc_eigen
+from .gram_svd import (
+    SvdResult,
+    gram,
+    recover_svd,
+    svd_4step,
+    svd_4step_stack,
+    tridiagonalize,
+    truncated_dc_eigen,
+)
 from .gram_svd import _MAX_NEWTON_ITERS
 from .latency_model import analytic_latency, ceil_log2, total_ops
 from .latency_model.analytic import _resolve
@@ -187,18 +195,25 @@ def dmimo_capacity(
     Per trial: draw one channel per panel, decompose it (possibly with a
     truncated iteration budget), keep the T dominant left directions per
     panel, stack the reduced channels, and evaluate the log-det capacity.
-    Failed trials are skipped and counted. An algorithm outside
-    MIMO_ALGORITHMS (after the "4step" alias) or a budget other than
-    "exact" or an int >= 1 raises ValidationError before any trial runs.
+    Where the decomposition is svd_4step (4step-dc, and every algorithm at
+    "exact"), a trial's panels go through one svd_4step_stack call, whose
+    divide and conquer solves all of them together; each panel still gets
+    the bits of its own svd_4step. 4step-qr and gk with a budget decompose
+    panel by panel. A panel that fails fails its trial; failed trials are
+    skipped and counted.
+    An algorithm outside MIMO_ALGORITHMS (after the "4step" alias) or a
+    budget other than "exact" or an int >= 1 raises ValidationError
+    before any trial runs.
     """
     alg, budget = _mimo_algorithm(algorithm), _mimo_budget(eig_budget)
 
     def capacity(trial):
-        blocks = []
-        for panel in range(cfg.panels):
-            h = gen_iid_channel(cfg, panel, trial)
-            svd = _truncated_svd(h, alg, budget)
-            blocks.append(dimension_reduce(h, t, svd).h_reduced)
+        hs = [gen_iid_channel(cfg, panel, trial) for panel in range(cfg.panels)]
+        if alg == "4step-dc" or budget is None:
+            svds = svd_4step_stack(hs, budget)
+        else:
+            svds = [_truncated_svd(h, alg, budget) for h in hs]
+        blocks = [dimension_reduce(h, t, svd).h_reduced for h, svd in zip(hs, svds)]
         return capacity_logdet(np.vstack(blocks), cfg.snr_per_link)
 
     return _trial_mean(cfg, "dmimo_capacity", capacity)

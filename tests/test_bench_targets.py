@@ -51,3 +51,24 @@ def test_solver_workloads_pass_at_full_size(monkeypatch, name):
             except ParsvdError as exc:
                 pytest.fail(f"{name}: {op.label} (K={op.k}, cycle {cycle}) raised {exc!r}")
             assert op.check(result) is None, f"{name}: {op.label} (K={op.k}, cycle {cycle})"
+
+
+def test_traced_mimo_cycle_passes_one_matrix_per_stage(monkeypatch):
+    # the traced run's hooks hand what gram and tridiagonalize return to
+    # LAPACK zhetrd and eigh_tridiagonal, which take one matrix; a stacked
+    # array that reached a wrapped stage name would fail here
+    pytest.importorskip("scipy")
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i, op in enumerate(workloads.build("mimo-budget", seed=0, cycle=0, smallest=True)):
+            tracer.begin(i)
+            result = op.call()
+            tracer.run_yardsticks(i, tracer.end())
+            assert op.check(result) is None, op.label
+    finally:
+        tracer.uninstall()
+    assert {kind for kind, _, _ in tracer.yardsticks} == {"svd", "zhetrd", "eigh_tridiagonal"}

@@ -13,6 +13,7 @@ from parsvd.gram_svd import (
     gram,
     householder_vector,
     svd_4step,
+    svd_4step_stack,
     tridiagonalize,
     truncated_dc_eigen,
 )
@@ -21,6 +22,7 @@ from parsvd.gram_svd import (
     _MAX_NEWTON_ITERS,
     _PANEL,
     _SECULAR_TOL,
+    _dc,
     _merge_level,
     _secular_roots,
 )
@@ -527,7 +529,7 @@ def test_stall_merge_raises_with_its_bracket():
     u = np.array([1.0, 4.04190502e-06, 1.0, 0.0])
     rho = 0.016976349009189977
     with pytest.raises(ConvergenceError) as err:
-        _merge_level([(d, u, rho)], None, DcDiagnostics())
+        _merge_level([(d[None], u[None], np.array([rho]))], None, [DcDiagnostics()])
     assert err.value.bracket == (4.3276538870171653e-07, 2.0614259683679092e-06)
     # the zero weight deflates; with a cap the three kept roots return
     asq = rho * u[:3] * u[:3]
@@ -605,7 +607,8 @@ def test_merge_matches_per_root_loops(rng):
     d = np.sort(rng.standard_normal(n))
     u = rng.standard_normal(n)
     rho = 0.7
-    [(lam, s)] = _merge_level([(d, u, rho)], None, DcDiagnostics())
+    [(lam, s)] = _merge_level([(d[None], u[None], np.array([rho]))], None, [DcDiagnostics()])
+    lam, s = lam[0], s[0]
     asq = rho * u * u
     roots = [_secular_root(d, asq, i, None) for i in range(n)]
     uhat = np.empty(n)
@@ -624,6 +627,109 @@ def test_merge_matches_per_root_loops(rng):
         want[:, i] = w / math.sqrt(float(np.sum(w * w)))
     np.testing.assert_array_equal(lam, [d[o] + tau for o, tau, _ in roots])
     np.testing.assert_array_equal(s, want)
+
+
+def _stack_members(k, rng):
+    # one tridiagonal of every kind a stack must keep apart: Gram bands of
+    # Gaussian, one-cluster, glued and clustered spectra, a diagonal band
+    # (every merge deflates whole) and a band with exact splits
+    members = {"gaussian": tridiagonalize(gram(rand_complex(rng, 2 * k, k)))[0]}
+    for name, sigma in (
+        ("one-cluster", np.concatenate([np.ones(k // 2), np.linspace(0.9, 0.1, k - k // 2)])),
+        ("glued", 1.0 + 1e-9 * np.arange(k)),
+        ("clustered", np.repeat([1.0, 0.75, 0.5, 0.25], -(-k // 4))[:k]),
+    ):
+        a = (_haar_columns(rng, 2 * k, k) * sigma) @ _haar_columns(rng, k, k).conj().T
+        members[name] = tridiagonalize(gram(a))[0]
+    members["diagonal"] = TridiagonalReal(diag=rng.standard_normal(k), offdiag=np.zeros(k - 1))
+    e = rng.standard_normal(k - 1)
+    e[::3] = 0.0
+    members["exact-split"] = TridiagonalReal(diag=rng.standard_normal(k), offdiag=e)
+    return members
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2, 4])
+def test_stack_members_match_their_own_solves(budget):
+    # every member of a stacked solve gets the bits of its solve alone:
+    # eigenvalues, eigenvectors and every DcDiagnostics field
+    rng = np.random.default_rng(18)
+    for k in list(range(1, 41)) + [64]:
+        members = _stack_members(k, rng)
+        alone = {}
+        for name, t in members.items():
+            try:
+                alone[name] = dc_eigen(t) if budget is None else truncated_dc_eigen(t, budget)
+            except ConvergenceError:
+                pass
+        assert len(alone) >= 5, k
+        names = list(alone)
+        stacked = _dc([members[name] for name in names], budget)
+        for name, got in zip(names, stacked):
+            want = alone[name]
+            assert got.lam.shape == want.lam.shape and got.q.shape == want.q.shape
+            assert got.lam.tobytes() == want.lam.tobytes(), (k, name)
+            assert got.q.tobytes() == want.q.tobytes(), (k, name)
+            assert got.diagnostics == want.diagnostics, (k, name)
+
+
+def test_stack_raises_when_a_member_raises():
+    # one failing member fails the stack with the error type and message
+    # of its own solve; its merges share kernel groups with the other
+    # members', so where its roots fail in two merges the bracket can be
+    # the other merge's
+    rng = np.random.default_rng(17)
+    sigma = np.repeat([1.0, 0.75, 0.5, 0.25], 16)
+    a = (_haar_columns(rng, 128, 64) * sigma) @ _haar_columns(rng, 64, 64).conj().T
+    stalls = tridiagonalize(gram(a))[0]
+    good = tridiagonalize(gram(rand_complex(rng, 128, 64)))[0]
+    with pytest.raises(ConvergenceError) as alone:
+        dc_eigen(stalls)
+    for stack in ([good, stalls], [stalls, good, good]):
+        with pytest.raises(ConvergenceError) as err:
+            _dc(stack, None)
+        assert str(err.value) == str(alone.value)
+    wide = TridiagonalReal(diag=[-9e307, 9e307], offdiag=[5e307])
+    fine = TridiagonalReal(diag=[1.0, 2.0], offdiag=[0.5])
+    with pytest.raises(ValidationError, match="finite"):
+        _dc([fine, wide, fine], None)
+
+
+def test_dc_overflowing_pole_spread_is_loud():
+    # the two poles of this merge, -1.4e308 and 4e307, are 1.8e308 apart:
+    # no secular solve can take their difference
+    t = TridiagonalReal(diag=[-9e307, 9e307], offdiag=[5e307])
+    for solve in (dc_eigen, lambda t: truncated_dc_eigen(t, 3)):
+        with pytest.raises(ValidationError, match="finite"):
+            solve(t)
+    # a merge that deflates whole solves nothing, however far apart its poles
+    wide = TridiagonalReal(diag=[-1e308, 1e308], offdiag=[1.0])
+    np.testing.assert_array_equal(dc_eigen(wide).lam, [-1e308, 1e308])
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+def test_svd_4step_stack_matches_svd_4step(budget):
+    # scaled and unscaled members, and a threshold that leaves some
+    # U columns invalid: each result is svd_4step's, bit for bit
+    rng = np.random.default_rng(19)
+    a = rand_complex(rng, 24, 12)
+    low_rank = rand_complex(rng, 24, 3) @ rand_complex(rng, 3, 12)
+    mats = [a, 1e200 * rand_complex(rng, 24, 12), low_rank, np.zeros((24, 12))]
+    for sv_threshold in (1e-10, 0.5):
+        stacked = svd_4step_stack(mats, budget, sv_threshold=sv_threshold)
+        for mat, got in zip(mats, stacked):
+            want = svd_4step(mat, budget, sv_threshold=sv_threshold)
+            for field in ("u", "sigma", "v", "valid"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert got.diagnostics == want.diagnostics
+
+
+def test_svd_4step_stack_rejects_mixed_shapes():
+    with pytest.raises(DimensionError, match="one shape"):
+        svd_4step_stack([np.eye(3), np.eye(4)])
+    with pytest.raises(DimensionError, match="one shape"):
+        svd_4step_stack([])
+    with pytest.raises(ValidationError, match="sv_threshold"):
+        svd_4step_stack([np.eye(3)], sv_threshold=1.0)
 
 
 def _haar_columns(rng, m, k):

@@ -3,7 +3,7 @@ import pytest
 
 from parsvd import gram_svd
 from parsvd.errors import DimensionError, ValidationError
-from parsvd.gram_svd import TridiagonalReal, svd_4step, truncated_dc_eigen
+from parsvd.gram_svd import TridiagonalReal, svd_4step, svd_4step_stack, truncated_dc_eigen
 from parsvd.latency_model import BUILTIN_PROFILES, analytic_latency, total_ops, trace_run
 from parsvd.latency_model.analytic import latency_breakdown
 from parsvd.matrix_core import as_matrix, fro_norm
@@ -40,6 +40,7 @@ _CFG = ChannelConfig(m=8, k=4, trials=2)
 _COUNT_ENTRY_POINTS = {
     "truncated_dc_eigen": lambda n: truncated_dc_eigen(_T, n).q.tobytes(),
     "svd_4step": lambda n: svd_4step(_A, n).sigma.tobytes(),
+    "svd_4step_stack": lambda n: svd_4step_stack([_A, _A], n)[1].sigma.tobytes(),
     "trace_run": lambda n: trace_run("4step-dc", _A.conj().T @ _A, n).export_edges(),
     "total_ops": lambda n: total_ops("4step-qr", (4, 4), n),
     "analytic_latency": lambda n: analytic_latency("4step-dc", (4, 4), n, _FP),
