@@ -70,11 +70,15 @@ class Dfg:
         counts = Counter(kinds)
         return OpCount(**{k: counts[k] for k in OP_KINDS})
 
+    def nodes(self):
+        """(kind, operand ids, overlapped, label) of each node, in id order."""
+        return zip(self.kinds, self.deps, self.overlapped, self.labels)
+
     def export_edges(self) -> str:
         """Edge-list text: one line per node, `id kind dep1,dep2,...`."""
         lines = [
             f"{i} {kind} {','.join(map(str, deps))}"
-            for i, (kind, deps) in enumerate(zip(self.kinds, self.deps))
+            for i, (kind, deps, _, _) in enumerate(self.nodes())
         ]
         return "\n".join(lines) + "\n"
 

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -401,20 +402,38 @@ def test_trace_size_limit(rng):
     assert "analytic" in str(err.value)
 
 
+def _merkle_keys(dfg):
+    # a key per node that no renumbering changes: it hashes the node's
+    # kind, label, overlapped flag and its operands' keys in operand
+    # order; an input or output also hashes its ordinal among its kind
+    keys = []
+    ordinals = Counter()
+    for kind, deps, over, label in dfg.nodes():
+        ordinal = None
+        if kind in ("input", "output"):
+            ordinal = ordinals[kind]
+            ordinals[kind] += 1
+        text = repr((kind, label, bool(over), ordinal, [keys[d] for d in deps]))
+        keys.append(hashlib.blake2b(text.encode(), digest_size=16).digest())
+    return keys
+
+
 def test_traced_graphs_pinned():
-    # edges, census, critical path and labels of every traced schedule,
-    # pinned by digest, so that a change of node order, of any edge or of
-    # any label fails here
+    # every traced schedule's graph up to a renumbering of its nodes (the
+    # multiset of node keys), its census, critical path and label counts,
+    # pinned by digest, so that a change of any edge, operand order, label
+    # or overlapped flag fails here
     rng = np.random.default_rng(7)
     h = hashlib.sha256()
     for alg in ("tridiag", "4step-dc", "4step-qr", "gk"):
         for k in (1, 2, 3, 5, 8, 12, 16):
             a = rand_complex(rng, k + 2, k)
             dfg = trace_run(alg, a if alg == "gk" else gram(a).mat, 2)
-            est = critical_path(dfg, FP)
-            for part in (dfg.export_edges(), repr(dfg.census()), repr(est), repr(dfg.labels)):
-                h.update(part.encode())
-    assert h.hexdigest() == "be75354e131de24649a1e794a8f640ecc0849a09e316b40844d69d64c285b1df"
+            labels = Counter(label for _, _, _, label in dfg.nodes())
+            h.update(b"".join(sorted(_merkle_keys(dfg))))
+            for part in (dfg.census(), critical_path(dfg, FP), sorted(labels.items(), key=repr)):
+                h.update(repr(part).encode())
+    assert h.hexdigest() == "7dc6f353016ff220fb2dd7d14494ab4b53926e4cc28a9722e27fe5ad739d7fae"
 
 
 def test_k1_zero_ops():
