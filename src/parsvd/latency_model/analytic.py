@@ -26,44 +26,37 @@ from __future__ import annotations
 from ..errors import DimensionError, ValidationError
 from ..matrix_core import as_count
 from .dfg import LatencyEstimate, OpCount
-from .profiles import HardwareProfile
-from .table_counts import ceil_log2, householder_step_counts
+from .profiles import OP_KINDS, HardwareProfile
+from .table_counts import ceil_log2
 
 ALGORITHMS = ("tridiag", "4step", "4step-dc", "4step-qr", "gk")
 
-_A1 = OpCount(add=1)
-_M1 = OpCount(mul=1)
-_D1 = OpCount(div=1)
-_S1 = OpCount(sqrt=1)
+# path lengths are tuples (ns, add, mul, div, sqrt): tuple order makes
+# ``max`` take the longest path, and of equally long ones the one with the
+# most additions, then multiplications, divisions and square roots. Steps
+# along a path are (add, mul, div, sqrt) tuples.
+_ZERO = (0.0, 0, 0, 0, 0)
+_A1 = (1, 0, 0, 0)
+_M1 = (0, 1, 0, 0)
+_D1 = (0, 0, 1, 0)
+_AS = (1, 0, 0, 1)  # an addition, then a square root
+_M2 = (0, 2, 0, 0)
 
 
-class _Depth(tuple):
-    """Profile-weighted path length with its op counts: (ns, add, mul, div,
-    sqrt). Tuple order makes ``max`` take the longest path, and of equally
-    long ones the one with the most additions, then multiplications,
-    divisions and square roots."""
+def _weights(prof: HardwareProfile) -> tuple:
+    return tuple(prof.latency_ns[k] for k in OP_KINDS)
 
-    __slots__ = ()
 
-    @classmethod
-    def zero(cls) -> "_Depth":
-        return cls((0.0, 0, 0, 0, 0))
-
-    @property
-    def ns(self) -> float:
-        return self[0]
-
-    @property
-    def ops(self) -> OpCount:
-        return OpCount(*self[1:])
-
-    def plus(self, ops: OpCount, prof: HardwareProfile) -> "_Depth":
-        add, mul = self[1] + ops.add, self[2] + ops.mul
-        div, sqrt = self[3] + ops.div, self[4] + ops.sqrt
-        lat = prof.latency_ns
-        # the sum of OpCount.ns, in the same order
-        return _Depth((add * lat["add"] + mul * lat["mul"] + div * lat["div"] + sqrt * lat["sqrt"],
-                       add, mul, div, sqrt))
+def _plus(dep: tuple, ops: tuple, w: tuple) -> tuple:
+    """The path ``dep`` extended by the steps ``ops``, priced at the
+    latencies ``w``; the ns term is OpCount.ns of the new counts, summed in
+    the same order, so it does not depend on how the steps were grouped."""
+    _, add, mul, div, sqrt = dep
+    add += ops[0]
+    mul += ops[1]
+    div += ops[2]
+    sqrt += ops[3]
+    return (add * w[0] + mul * w[1] + div * w[2] + sqrt * w[3], add, mul, div, sqrt)
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +64,14 @@ class _Depth(tuple):
 
 
 def _tridiag_census(k_dim: int) -> OpCount:
-    total = OpCount()
-    for k1 in range(1, k_dim):
-        for comp, _ in householder_step_counts(k_dim, k1):
-            total = total + comp
-    return total
+    # the eight stages of householder_step_counts, summed over the steps
+    add = mul = div = sqrt = 0
+    for i in range(1, k_dim):
+        add += 8 * i * i + 8 * i - 1 + (2 if i >= 2 else 1) + 10 * i * k_dim - 2 * k_dim
+        mul += 8 * i * i + 10 * i + 4 + 12 * i * k_dim
+        div += 2 * i + 2
+        sqrt += 3
+    return OpCount(add=add, mul=mul, div=div, sqrt=sqrt)
 
 
 def _dc_census(ll: int, iters: int) -> OpCount:
@@ -137,19 +133,19 @@ def _gk_census(m_dim: int, k_dim: int, sweeps: int) -> OpCount:
 # tridiagonalization
 
 
-def _tridiag_model(k_dim: int, prof: HardwareProfile):
+def _tridiag_model(k_dim: int, w: tuple):
     """Returns (d_depths, e_depths, chain_end)."""
-    d_dep = [_Depth.zero() for _ in range(k_dim)]
+    d_dep = [_ZERO] * k_dim
     e_dep: list = [None] * max(k_dim - 1, 0)
-    chain = _Depth.zero()
+    chain = _ZERO
     for k1 in range(1, k_dim):
-        stages = householder_step_counts(k_dim, k1)
-        s1 = stages[0][1]
-        e_dep[k1 - 1] = chain.plus(s1, prof)
-        step_time = s1
-        for idx in (2, 3, 4, 5, 6):
-            step_time = step_time + stages[idx][1]
-        chain = chain.plus(step_time, prof)
+        i = k_dim - k1
+        # the time rows of householder_step_counts: stage 1 yields the
+        # band entry, stages 1 and 3-7 make up the step
+        s1 = ceil_log2(i - 1) + 2 if i >= 2 else 1
+        e_dep[k1 - 1] = _plus(chain, (s1, 1, 0, 1), w)
+        s4 = 2 if i >= 2 else 1
+        chain = _plus(chain, (s1 + s4 + 8 + 2 * ceil_log2(i), 7, 1, 2), w)
         d_dep[k1] = chain
     return d_dep, e_dep, chain
 
@@ -158,11 +154,7 @@ def _tridiag_model(k_dim: int, prof: HardwareProfile):
 # divide and conquer
 
 
-def _dc_iter_path(ll: int) -> OpCount:
-    return OpCount(add=7 + ceil_log2(ll), mul=3, div=4, sqrt=1)
-
-
-def _dc_model(iters: int, d_dep: list, e_dep: list, prof: HardwareProfile):
+def _dc_model(iters: int, d_dep: list, e_dep: list, w: tuple):
     """Returns the final eigenvector depth of the merge tree over the inputs."""
 
     def rec(ds, es):
@@ -172,32 +164,33 @@ def _dc_model(iters: int, d_dep: list, e_dep: list, prof: HardwareProfile):
         cut = (ll + 1) // 2
         alpha = es[cut - 1]
         dl = list(ds[:cut])
-        dl[-1] = max(dl[-1], alpha).plus(_A1, prof)
+        dl[-1] = _plus(max(dl[-1], alpha), _A1, w)
         dr = list(ds[cut:])
-        dr[0] = max(dr[0], alpha).plus(_A1, prof)
+        dr[0] = _plus(max(dr[0], alpha), _A1, w)
         lam1, q1 = rec(dl, es[: cut - 1])
         lam2, q2 = rec(dr, es[cut:])
         l1 = cut
 
         lam_in = max(lam1, lam2)
         if q1 is None and q2 is None:
-            rho = alpha.plus(_A1, prof)
+            rho = _plus(alpha, _A1, w)
         else:
             cands = []
             if q1 is not None:
-                cands.append(q1.plus(OpCount(mul=2), prof))
+                cands.append(_plus(q1, _M2, w))
             if q2 is not None:
-                cands.append(q2.plus(OpCount(mul=2), prof))
+                cands.append(_plus(q2, _M2, w))
             if q1 is None or q2 is None:
                 cands.append(alpha)
-            rho = max(cands).plus(OpCount(add=ceil_log2(ll)), prof)
-        base = max(lam_in, rho)
-        lam = base.plus(_A1, prof).plus(_dc_iter_path(ll).scaled(iters), prof)
-        eigp = OpCount(add=1 + ceil_log2(ll), mul=1, div=2, sqrt=1)
-        q_depth = lam.plus(eigp, prof)
+            rho = _plus(max(cands), (ceil_log2(ll), 0, 0, 0), w)
+        # the start, then ``iters`` rational-model steps
+        steps = (1 + (7 + ceil_log2(ll)) * iters, 3 * iters, 4 * iters, iters)
+        lam = _plus(max(lam_in, rho), steps, w)
+        # the eigenvector entries, then their product with the half's vectors
+        eig = (1 + ceil_log2(ll), 1, 2, 1)
         if l1 > 1:
-            q_depth = q_depth.plus(OpCount(add=ceil_log2(l1), mul=1), prof)
-        return lam, q_depth
+            eig = (eig[0] + ceil_log2(l1), 2, 2, 1)
+        return lam, _plus(lam, eig, w)
 
     lam, q = rec(list(d_dep), list(e_dep))
     return q if q is not None else lam
@@ -207,7 +200,7 @@ def _dc_model(iters: int, d_dep: list, e_dep: list, prof: HardwareProfile):
 # QR iteration
 
 
-def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, prof: HardwareProfile):
+def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, w: tuple):
     """Returns the path depth of ``sweeps`` pipelined plain QR sweeps."""
     d = list(d_dep)
     e = list(e_dep)
@@ -216,26 +209,22 @@ def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, prof: HardwareP
         cd_prev = None
         for j in range(k_dim - 1):
             if j > 0:
-                z = max(cd_prev, e[j]).plus(_M1, prof)
+                z = _plus(max(cd_prev, e[j]), _M1, w)
                 e_eff = z
             else:
                 z = e[0]
                 e_eff = e[0]
-            r = max(x.plus(_M1, prof), z.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
-            cd = r.plus(_D1, prof)
+            r = _plus(max(_plus(x, _M1, w), _plus(z, _M1, w)), _AS, w)
+            cd = _plus(r, _D1, w)
             if j > 0:
                 e[j - 1] = r
-            p1 = max(max(cd, d[j]).plus(_M1, prof), max(cd, e_eff).plus(_M1, prof)).plus(_A1, prof)
-            p2 = max(max(cd, e_eff).plus(_M1, prof), max(cd, d[j + 1]).plus(_M1, prof)).plus(_A1, prof)
-            q1 = p1
-            q2 = p2
-            dj = max(max(cd, p1).plus(_M1, prof), max(cd, p2).plus(_M1, prof)).plus(_A1, prof)
-            ej = dj
-            dj1 = max(max(cd, q2).plus(_M1, prof), max(cd, q1).plus(_M1, prof)).plus(_A1, prof)
-            d[j] = dj
-            e[j] = ej
-            d[j + 1] = dj1
-            x = ej
+            # p1 and q1, p2 and q2 have equal depths, and so have the three
+            # band entries that the rotation writes back
+            ce = _plus(max(cd, e_eff), _M1, w)
+            p1 = _plus(max(_plus(max(cd, d[j]), _M1, w), ce), _A1, w)
+            p2 = _plus(max(ce, _plus(max(cd, d[j + 1]), _M1, w)), _A1, w)
+            dj = _plus(max(_plus(max(cd, p1), _M1, w), _plus(max(cd, p2), _M1, w)), _A1, w)
+            d[j] = e[j] = d[j + 1] = x = dj
             cd_prev = cd
     return max(d + e)
 
@@ -244,7 +233,7 @@ def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, prof: HardwareP
 # Golub-Kahan
 
 
-def _gk_bidiag_model(m_dim: int, k_dim: int, prof: HardwareProfile):
+def _gk_bidiag_model(m_dim: int, k_dim: int, w: tuple):
     """Returns (d_depths, e_depths, loose_end) of the bidiagonalization.
 
     ``loose_end`` is the reflector tail of a final column step that has no
@@ -254,58 +243,58 @@ def _gk_bidiag_model(m_dim: int, k_dim: int, prof: HardwareProfile):
     """
     d_dep: list = [None] * k_dim
     e_dep: list = [None] * max(k_dim - 1, 0)
-    block = _Depth.zero()
-    loose_end = _Depth.zero()
+    block = _ZERO
+    loose_end = _ZERO
 
     # a reflector's path from its norm to the normalized vector
-    to_vector = OpCount(add=3, mul=2, div=1, sqrt=1)
+    to_vector = (3, 2, 1, 1)
 
     def reduce(n, trailing):
         # one column or row step on a length-n vector: the depths of the
         # band entry it produces and of the trailing block after it
         if n == 1:
-            head, tail = OpCount(add=1, mul=1, sqrt=1), OpCount(add=1, mul=1)
+            head, tail = (1, 1, 0, 1), (1, 1, 0, 0)
         else:
-            head = OpCount(add=ceil_log2(n - 1) + 2, mul=1, sqrt=1)
-            tail = to_vector + OpCount(add=4 + ceil_log2(n), mul=3)
-        dep = block.plus(head, prof)
-        return dep, dep.plus(tail, prof) if trailing else block
+            head = (ceil_log2(n - 1) + 2, 1, 0, 1)
+            tail = (7 + ceil_log2(n), 5, 1, 1)  # to_vector, then the update
+        dep = _plus(block, head, w)
+        return dep, _plus(dep, tail, w) if trailing else block
 
     for j in range(k_dim):
         d_dep[j], block = reduce(m_dim - j, j < k_dim - 1)
         if j < k_dim - 1:
             e_dep[j], block = reduce(k_dim - 1 - j, True)
         elif m_dim > k_dim:
-            loose_end = d_dep[j].plus(to_vector, prof)
+            loose_end = _plus(d_dep[j], to_vector, w)
     return d_dep, e_dep, loose_end
 
 
-def _gk_sweep_model(k_dim, sweeps, d_dep, e_dep, prof):
+def _gk_sweep_model(k_dim, sweeps, d_dep, e_dep, w: tuple):
     """Returns the path depth of pipelined zero-shift bidiagonal sweeps."""
     d = list(d_dep)
     e = list(e_dep)
     for _ in range(sweeps):
-        f = d[0].plus(_M1, prof)
-        g = max(d[0], e[0]).plus(_M1, prof)
+        f = _plus(d[0], _M1, w)
+        g = _plus(max(d[0], e[0]), _M1, w)
         c2p = None
         for j in range(k_dim - 1):
             if j > 0:
-                g = max(c2p, e[j]).plus(_M1, prof)
-                e_eff = max(c2p, e[j]).plus(_M1, prof)
+                g = _plus(max(c2p, e[j]), _M1, w)
+                e_eff = g
             else:
                 e_eff = e[j]
-            r1 = max(f.plus(_M1, prof), g.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
-            cd = r1.plus(_D1, prof)
+            r1 = _plus(max(_plus(f, _M1, w), _plus(g, _M1, w)), _AS, w)
+            cd = _plus(r1, _D1, w)
             if j > 0:
                 e[j - 1] = r1
-            f = max(max(cd, d[j]).plus(_M1, prof), max(cd, e_eff).plus(_M1, prof)).plus(_A1, prof)
+            f = _plus(max(_plus(max(cd, d[j]), _M1, w), _plus(max(cd, e_eff), _M1, w)), _A1, w)
             e_tmp = f
-            g2 = max(cd, d[j + 1]).plus(_M1, prof)
+            g2 = _plus(max(cd, d[j + 1]), _M1, w)
             dj1 = g2
-            r2 = max(f.plus(_M1, prof), g2.plus(_M1, prof)).plus(_A1, prof).plus(_S1, prof)
-            c2 = r2.plus(_D1, prof)
+            r2 = _plus(max(_plus(f, _M1, w), _plus(g2, _M1, w)), _AS, w)
+            c2 = _plus(r2, _D1, w)
             d[j] = r2
-            f = max(max(c2, e_tmp).plus(_M1, prof), max(c2, dj1).plus(_M1, prof)).plus(_A1, prof)
+            f = _plus(max(_plus(max(c2, e_tmp), _M1, w), _plus(max(c2, dj1), _M1, w)), _A1, w)
             d[j + 1] = f
             c2p = c2
         e[k_dim - 2] = f
@@ -341,18 +330,19 @@ def _checked(algorithm: str, dims, iters: int):
 def _model(alg: str, m_dim: int, k_dim: int, iters: int, prof: HardwareProfile):
     """Returns (front, path): the depth at the end of the reduction phase
     and the depth of the whole schedule."""
+    w = _weights(prof)
     if alg == "gk":
-        d_dep, e_dep, loose = _gk_bidiag_model(m_dim, k_dim, prof)
+        d_dep, e_dep, loose = _gk_bidiag_model(m_dim, k_dim, w)
         front = max(d_dep + e_dep + [loose])
         if k_dim == 1:
             return front, front
-        return front, max(_gk_sweep_model(k_dim, iters, d_dep, e_dep, prof), loose)
-    d_dep, e_dep, chain = _tridiag_model(k_dim, prof)
+        return front, max(_gk_sweep_model(k_dim, iters, d_dep, e_dep, w), loose)
+    d_dep, e_dep, chain = _tridiag_model(k_dim, w)
     if alg == "tridiag" or k_dim == 1:
         return chain, chain
     if alg == "4step-dc":
-        return chain, _dc_model(iters, d_dep, e_dep, prof)
-    return chain, _qr_model(k_dim, iters, d_dep, e_dep, prof)
+        return chain, _dc_model(iters, d_dep, e_dep, w)
+    return chain, _qr_model(k_dim, iters, d_dep, e_dep, w)
 
 
 def analytic_latency(algorithm: str, dims, iters: int, profile: HardwareProfile) -> LatencyEstimate:
@@ -363,7 +353,7 @@ def analytic_latency(algorithm: str, dims, iters: int, profile: HardwareProfile)
     per root, or sweeps).
     """
     _, path = _model(*_checked(algorithm, dims, iters), iters, profile)
-    return LatencyEstimate.from_path_counts(path.ops, profile)
+    return LatencyEstimate.from_path_counts(OpCount(*path[1:]), profile)
 
 
 def total_ops(algorithm: str, dims, iters: int = 1) -> OpCount:
@@ -384,7 +374,7 @@ def latency_breakdown(algorithm: str, dims, iters: int, profile: HardwareProfile
     and the iterative diagonalization on top of it."""
     alg, m_dim, k_dim = _checked(algorithm, dims, iters)
     front, path = _model(alg, m_dim, k_dim, iters, profile)
-    front, total = front.ns, path.ns
+    front, total = front[0], path[0]
     if alg == "gk":
         return {"bidiagonalization": front, "sweeps": max(total - front, 0.0), "total": total}
     if alg == "tridiag":

@@ -1,21 +1,27 @@
 """Instrumented solver schedules that build dataflow graphs.
 
-Each schedule executes the algorithm on wrapped scalar values: every real
-addition, multiplication, division, and square root emits one node, with
-edges following the actual data dependencies. Complex arithmetic is
-expanded on the spot (a generic complex multiply costs four real
-multiplies and two adds, a conjugate-self product two multiplies and one
-add, scaling by a power of two is free). Reductions use balanced adder
-trees. Values are carried along, so a trace both prices and computes the
-algorithm.
+Each schedule executes the algorithm on traced values: arrays that carry,
+per element, the value, the id of the graph node that computes it (-1 for
+a constant) and a structural flag. Every real addition, multiplication,
+division, and square root emits one node, with edges following the
+actual data dependencies. An operation on arrays emits one block of
+nodes, one per element that needs one, with ids in element order, so a
+node's id is its place in emission order. Complex arithmetic is expanded
+on the spot (a generic complex multiply costs four real multiplies and
+two adds, a conjugate-self product two multiplies and one add, scaling
+by a power of two is free). Reductions use balanced adder trees, whose
+levels are emitted as blocks. Values are carried along, so a trace both
+prices and computes the algorithm; each element follows the IEEE
+operation of the scalar schedule, so the values are those of a scalar
+run.
 
 Structural bookkeeping:
 
 - entries known to be 0 or 1 by construction (identity-start eigenvector
   accumulators in the QR iteration, base-case eigenvectors in the divide
   and conquer merge) propagate as structural constants and their
-  operations are skipped, which is exactly the trivial-multiplication
-  elimination the cost model assumes;
+  operations are skipped element by element, which is exactly the
+  trivial-multiplication elimination the cost model assumes;
 - dense accumulators (the tridiagonalization transform and the
   bidiagonalization factors) are treated as full complex data, matching
   the closed-form cost of their updates;
@@ -34,7 +40,7 @@ merges pair their adder trees in the sorted order of the values.
 
 from __future__ import annotations
 
-import math
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -43,7 +49,7 @@ from ..errors import DimensionError, TraceLimitError
 from ..gram_svd import _SECULAR_TOL, HermitianMatrix
 from ..matrix_core import as_count, as_matrix
 from .analytic import _resolve
-from .dfg import Dfg
+from .dfg import ID, KINDS, Dfg
 
 EXPLICIT_TRACE_LIMIT = 32
 
@@ -51,63 +57,216 @@ _GENERIC = 0
 _S_ZERO = 1
 _S_ONE = 2
 
+_ADD, _MUL, _DIV, _SQRT, _INPUT, _OUTPUT = (
+    KINDS.index(k) for k in ("add", "mul", "div", "sqrt", "input", "output")
+)
 
-class TracedReal:
-    __slots__ = ("value", "node", "flag")
 
-    def __init__(self, value: float, node: int | None = None, flag: int = _GENERIC):
-        self.value = value
+class Traced:
+    """Traced real values: an array ``val``, the node id of each element
+    (-1 for a constant) and each element's structural flag. ``flag`` is
+    None when every element is a node, which is the common case."""
+
+    __slots__ = ("val", "node", "flag")
+
+    def __init__(self, val, node, flag=None):
+        self.val = val
         self.node = node
         self.flag = flag
 
+    @property
+    def value(self):
+        """The value: a float for a single element, else the array."""
+        return self.val.item() if np.ndim(self.val) == 0 else self.val
 
-ZERO = TracedReal(0.0, None, _S_ZERO)
-ONE = TracedReal(1.0, None, _S_ONE)
+    @property
+    def T(self) -> "Traced":
+        return Traced(self.val.T, self.node.T, None if self.flag is None else self.flag.T)
+
+    def __len__(self) -> int:
+        return len(self.val)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, idx) -> "Traced":
+        # a copy, never a view, so that later writes to self leave it alone
+        node = np.array(self.node[idx])
+        flag = None
+        if self.flag is not None and not (node >= 0).all():
+            flag = np.array(self.flag[idx])
+        return Traced(np.array(self.val[idx]), node, flag)
+
+    def ravel(self) -> "Traced":
+        return Traced(self.val.ravel(), self.node.ravel(), None if self.flag is None else self.flag.ravel())
+
+    def __setitem__(self, idx, other: "Traced"):
+        self.val[idx] = other.val
+        self.node[idx] = other.node
+        if self.flag is None and other.flag is None:
+            return
+        if self.flag is None:
+            self.flag = np.zeros(self.val.shape, dtype=np.int8)
+        self.flag[idx] = _flags(other)
 
 
-def const(v: float) -> TracedReal:
-    return TracedReal(float(v), None, _GENERIC)
+def _constant(v: float, flag: int) -> Traced:
+    return Traced(np.array(v), np.array(-1, dtype=ID), np.array(flag, dtype=np.int8))
+
+
+ZERO = _constant(0.0, _S_ZERO)
+ONE = _constant(1.0, _S_ONE)
+
+
+def const(v: float) -> Traced:
+    return _constant(float(v), _GENERIC)
+
+
+def _flags(t: Traced):
+    return _GENERIC if t.flag is None else t.flag
+
+
+def _is(t: Traced, flag: int):
+    return False if t.flag is None else t.flag == flag
+
+
+def _select(mask, a: Traced, b: Traced) -> Traced:
+    """a where ``mask`` holds, else b, elementwise: a free select."""
+    node = np.where(mask, a.node, b.node)
+    flag = np.where(mask, _flags(a), _flags(b))
+    return Traced(np.where(mask, a.val, b.val), node, None if (node >= 0).all() else flag)
+
+
+def _join(join, items, axis=0) -> Traced:
+    # np.stack or np.concatenate, column by column
+    flag = None
+    if any(t.flag is not None for t in items):
+        flag = join([np.broadcast_to(_flags(t), np.shape(t.val)) for t in items], axis=axis)
+    return Traced(
+        join([t.val for t in items], axis=axis), join([t.node for t in items], axis=axis), flag
+    )
+
+
+def _stack(items, axis=0) -> Traced:
+    if isinstance(items, Traced):
+        return items
+    items = list(items)
+    return _join(np.stack, items, axis) if items else Traced(np.zeros(0), np.zeros(0, dtype=ID))
+
+
+def _concat(items, axis=0) -> Traced:
+    return _join(np.concatenate, items, axis)
 
 
 class TracedComplex:
     __slots__ = ("re", "im")
 
-    def __init__(self, re: TracedReal, im: TracedReal):
+    def __init__(self, re: Traced, im: Traced):
         self.re = re
         self.im = im
+
+    @property
+    def T(self) -> "TracedComplex":
+        return TracedComplex(self.re.T, self.im.T)
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def __getitem__(self, idx) -> "TracedComplex":
+        return TracedComplex(self.re[idx], self.im[idx])
+
+    def __setitem__(self, idx, other: "TracedComplex"):
+        self.re[idx] = other.re
+        self.im[idx] = other.im
+
+
+def _cconcat(items, axis=0) -> TracedComplex:
+    return TracedComplex(
+        _concat([z.re for z in items], axis), _concat([z.im for z in items], axis)
+    )
 
 
 CZERO = TracedComplex(ZERO, ZERO)
 
 
+def _quiet(fn):
+    """Runs ``fn`` with numpy's floating-point warnings off: the scalar
+    schedule's Python floats overflow to inf and nan silently, and their
+    elementwise twins here must do the same."""
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
+
+
 class TraceBuilder:
-    """Runs traced arithmetic and appends one node per operation to
-    ``dfg``, the graph that trace_run returns: its kind, the ids of the
-    operands that are not structural constants, whether an ``overlapped``
-    block is open, and the innermost ``label``."""
+    """Runs traced arithmetic and appends one block of nodes per operation
+    to ``dfg``, the graph that trace_run returns: their kind, the ids of
+    the operands that are not constants, whether an ``overlapped`` block
+    is open, and the innermost ``label``."""
 
     def __init__(self):
-        self.dfg = Dfg()
+        self._dfg = Dfg()
+        self._count = 0
+        self._blocks: list = []  # (kind, size, overlapped, label) not yet in _dfg
+        self._deps: list = []
         self._overlap = 0
         self._label = None
 
+    @property
+    def dfg(self) -> Dfg:
+        if self._blocks:
+            g = self._dfg
+            kinds, sizes, over, labels = zip(*self._blocks)
+            sizes = np.array(sizes)
+            g.blocks = np.concatenate([g.blocks, len(g) + np.cumsum(sizes) - sizes])
+            g.kinds = np.concatenate([g.kinds, np.repeat(np.array(kinds, dtype=np.int8), sizes)])
+            g.overlapped = np.concatenate([g.overlapped, np.repeat(np.array(over), sizes)])
+            g.deps = np.concatenate([g.deps] + self._deps)
+            g.labels.extend(labels)
+            self._blocks, self._deps = [], []
+        return self._dfg
+
     # -- node plumbing
 
-    def _emit(self, kind, value, operands):
-        g = self.dfg
-        idx = len(g.kinds)
-        g.kinds.append(kind)
-        g.deps.append(tuple(o.node for o in operands if o.node is not None))
-        g.overlapped.append(self._overlap > 0)
-        g.labels.append(self._label)
-        return TracedReal(value, idx, _GENERIC)
+    def _emit(self, kind, val, a=None, b=None, mask=None) -> Traced:
+        """One block: a ``kind`` node for each element of ``val`` (each
+        where ``mask`` holds), with operand ids ``a`` and ``b``. Elements
+        without a node get id -1, for the caller to fill."""
+        shape = val.shape
+        start = self._count
+        deps = np.empty(shape + (2,), dtype=ID)
+        deps[..., 0] = -1 if a is None else a
+        deps[..., 1] = -1 if b is None else b
+        if mask is None:
+            size = deps.size // 2
+            ids = np.arange(start, start + size, dtype=ID).reshape(shape)
+            deps = deps.reshape(size, 2)
+        else:
+            full = np.empty(shape, dtype=bool)
+            full[...] = mask
+            deps = deps[full]
+            size = len(deps)
+            ids = np.full(shape, -1, dtype=ID)
+            ids[full] = np.arange(start, start + size, dtype=ID)
+            # constants are not operands: close the gap they leave
+            gap = deps[:, 0] < 0
+            deps[gap] = deps[gap][:, ::-1]
+        if size:
+            self._count = start + size
+            self._blocks.append((kind, size, self._overlap > 0, self._label))
+            self._deps.append(deps)
+        return Traced(val, ids)
 
-    def input(self, value: float) -> TracedReal:
-        return self._emit("input", float(value), ())
+    def input(self, value) -> Traced:
+        return self._emit(_INPUT, np.array(value, dtype=float))
 
-    def output(self, traced: TracedReal):
-        if traced.node is not None:
-            self._emit("output", traced.value, (traced,))
+    def output(self, traced: Traced):
+        """An output node for each element that is not a constant."""
+        self._emit(_OUTPUT, traced.val, traced.node, mask=traced.node >= 0)
 
     @contextmanager
     def label(self, lab):
@@ -126,62 +285,90 @@ class TraceBuilder:
         finally:
             self._overlap -= 1
 
-    # -- real scalar ops
+    # -- real elementwise ops
 
-    def add(self, a: TracedReal, b: TracedReal) -> TracedReal:
-        if a.flag == _S_ZERO:
-            return b
-        if b.flag == _S_ZERO:
-            return a
-        return self._emit("add", a.value + b.value, (a, b))
+    def _sum(self, a: Traced, b: Traced, val) -> Traced:
+        # an addition of value ``val``; a structural zero forwards the
+        # other operand
+        if a.flag is None and b.flag is None:
+            return self._emit(_ADD, val, a.node, b.node)
+        za, zb = _is(a, _S_ZERO), _is(b, _S_ZERO)
+        out = self._emit(_ADD, val, a.node, b.node, ~(za | zb))
+        return _select(za, b, _select(zb, a, out))
 
-    def sub(self, a: TracedReal, b: TracedReal) -> TracedReal:
-        if b.flag == _S_ZERO:
-            return a
-        if a.flag == _S_ZERO:
-            return self.neg(b)
-        return self._emit("add", a.value - b.value, (a, b))
+    def add(self, a: Traced, b: Traced) -> Traced:
+        return self._sum(a, b, a.val + b.val)
 
-    def neg(self, a: TracedReal) -> TracedReal:
-        if a.flag == _S_ZERO:
-            return a
-        return TracedReal(-a.value, a.node, _GENERIC)
+    def sub(self, a: Traced, b: Traced) -> Traced:
+        return self._sum(a, self.neg(b), a.val - b.val)
 
-    def mul(self, a: TracedReal, b: TracedReal) -> TracedReal:
-        if a.flag == _S_ZERO or b.flag == _S_ZERO:
-            return ZERO
-        if a.flag == _S_ONE:
-            return b
-        if b.flag == _S_ONE:
-            return a
-        return self._emit("mul", a.value * b.value, (a, b))
+    def add_or_sub(self, a: Traced, b: Traced, plus) -> Traced:
+        """a + b where ``plus`` holds, a - b elsewhere."""
+        b_signed = _select(plus, b, self.neg(b))
+        return self._sum(a, b_signed, np.where(plus, a.val + b.val, a.val - b.val))
 
-    def div(self, a: TracedReal, b: TracedReal) -> TracedReal:
-        if a.flag == _S_ZERO:
-            return a
-        if b.flag == _S_ONE:
-            return a
-        val = a.value / b.value if b.value != 0.0 else math.inf
-        return self._emit("div", val, (a, b))
+    def neg(self, a: Traced) -> Traced:
+        if a.flag is None:
+            return Traced(-a.val, a.node)
+        zero = a.flag == _S_ZERO
+        return Traced(np.where(zero, a.val, -a.val), a.node, np.where(zero, a.flag, _GENERIC))
 
-    def sqrt(self, a: TracedReal) -> TracedReal:
-        if a.flag in (_S_ZERO, _S_ONE):
-            return a
-        return self._emit("sqrt", math.sqrt(max(a.value, 0.0)), (a,))
+    def mul(self, a: Traced, b: Traced) -> Traced:
+        val = a.val * b.val
+        if a.flag is None and b.flag is None:
+            return self._emit(_MUL, val, a.node, b.node)
+        zero = _is(a, _S_ZERO) | _is(b, _S_ZERO)
+        oa, ob = _is(a, _S_ONE), _is(b, _S_ONE)
+        out = self._emit(_MUL, val, a.node, b.node, ~(zero | oa | ob))
+        return _select(zero, ZERO, _select(oa, b, _select(ob, a, out)))
 
-    def shift(self, a: TracedReal, factor: float) -> TracedReal:
+    def div(self, a: Traced, b: Traced) -> Traced:
+        val = a.val / b.val
+        if not b.val.all():
+            val = np.where(b.val != 0.0, val, np.inf)
+        if a.flag is None and b.flag is None:
+            return self._emit(_DIV, val, a.node, b.node)
+        keep = _is(a, _S_ZERO) | _is(b, _S_ONE)
+        return _select(keep, a, self._emit(_DIV, val, a.node, b.node, ~keep))
+
+    def sqrt(self, a: Traced) -> Traced:
+        val = np.sqrt(np.where(a.val < 0.0, 0.0, a.val))
+        if a.flag is None:
+            return self._emit(_SQRT, val, a.node)
+        keep = a.flag != _GENERIC
+        return _select(keep, a, self._emit(_SQRT, val, a.node, mask=~keep))
+
+    def shift(self, a: Traced, factor: float) -> Traced:
         # multiplication by a power of two: a wire, not an operator
-        if a.flag == _S_ZERO:
-            return a
-        return TracedReal(a.value * factor, a.node, _GENERIC)
+        if a.flag is None:
+            return Traced(a.val * factor, a.node)
+        zero = a.flag == _S_ZERO
+        return Traced(
+            np.where(zero, a.val, a.val * factor), a.node, np.where(zero, a.flag, _GENERIC)
+        )
 
-    def tree_sum(self, items) -> TracedReal:
-        return _pairwise(items, self.add, ZERO)
+    def tree_sum(self, items) -> Traced:
+        """Balanced adder tree over the last axis (or over a list of
+        values): adjacent pairs, an odd tail carried up, one block per
+        level."""
+        x = _stack(items, axis=-1)
+        n = x.val.shape[-1]
+        if n == 0:
+            return _select(np.ones(x.val.shape[:-1], dtype=bool), ZERO, ZERO)
+        while n > 1:
+            half = n // 2
+            pairs = self.add(x[..., 0 : 2 * half : 2], x[..., 1 : 2 * half : 2])
+            x = _concat([pairs, x[..., n - 1 :]], axis=-1) if n % 2 else pairs
+            n = half + n % 2
+        return x[..., 0]
 
     # -- complex helpers
 
-    def cinput(self, z: complex) -> TracedComplex:
-        return TracedComplex(self.input(z.real), self.input(z.imag))
+    def cinput(self, z) -> TracedComplex:
+        # each element's real part, then its imaginary part
+        z = np.asarray(z, dtype=complex)
+        t = self.input(np.stack([z.real, z.imag], axis=-1))
+        return TracedComplex(t[..., 0], t[..., 1])
 
     def cadd(self, x: TracedComplex, y: TracedComplex) -> TracedComplex:
         return TracedComplex(self.add(x.re, y.re), self.add(x.im, y.im))
@@ -200,48 +387,28 @@ class TraceBuilder:
     def cneg(self, x: TracedComplex) -> TracedComplex:
         return TracedComplex(self.neg(x.re), self.neg(x.im))
 
-    def cabs2(self, x: TracedComplex) -> TracedReal:
+    def cabs2(self, x: TracedComplex) -> Traced:
         return self.add(self.mul(x.re, x.re), self.mul(x.im, x.im))
 
-    def cscale(self, x: TracedComplex, r: TracedReal) -> TracedComplex:
+    def cscale(self, x: TracedComplex, r: Traced) -> TracedComplex:
         return TracedComplex(self.mul(x.re, r), self.mul(x.im, r))
 
-    def cdivr(self, x: TracedComplex, r: TracedReal) -> TracedComplex:
+    def cdivr(self, x: TracedComplex, r: Traced) -> TracedComplex:
         return TracedComplex(self.div(x.re, r), self.div(x.im, r))
 
-    def ctree_sum(self, items) -> TracedComplex:
-        return _pairwise(items, self.cadd, CZERO)
+    def ctree_sum(self, x: TracedComplex) -> TracedComplex:
+        return TracedComplex(self.tree_sum(x.re), self.tree_sum(x.im))
 
     def cshift(self, x: TracedComplex, factor: float) -> TracedComplex:
         return TracedComplex(self.shift(x.re, factor), self.shift(x.im, factor))
 
 
-def _pairwise(items, combine, empty):
-    # balanced reduction tree: adjacent pairs, an odd tail carried up
-    work = list(items)
-    if not work:
-        return empty
-    while len(work) > 1:
-        nxt = [combine(work[i], work[i + 1]) for i in range(0, len(work) - 1, 2)]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
-
-
-def _real_entry(re: TracedReal) -> TracedComplex:
-    # diagonal entries are real by construction; the vanished imaginary
-    # part rides along as a plain zero constant so multiplications with
-    # these entries still price as full complex products
-    return TracedComplex(re, const(0.0))
-
-
-def _reflect(tb: TraceBuilder, xs, label: tuple):
+def _reflect(tb: TraceBuilder, x: TracedComplex, label: tuple):
     """Head of every Householder reflection, stages 1-4 under ``label + (stage,)``:
     norm, pivot phase, reflector numerator and normalized reflector."""
     with tb.label(label + (1,)):
-        sq = [tb.cabs2(xe) for xe in xs]
-        if len(xs) >= 2:
+        sq = tb.cabs2(x)
+        if len(x) >= 2:
             partial = tb.tree_sum(sq[1:])
             total = tb.add(sq[0], partial)
         else:
@@ -249,16 +416,14 @@ def _reflect(tb: TraceBuilder, xs, label: tuple):
             total = sq[0]
         xnorm = tb.sqrt(total)
     with tb.label(label + (2,)), tb.overlapped():
-        absx1 = tb.sqrt(sq[0])
-        phase = TracedComplex(tb.div(xs[0].re, absx1), tb.div(xs[0].im, absx1))
+        phase = tb.cdivr(x[0], tb.sqrt(sq[0]))
     with tb.label(label + (3,)):
-        v1 = tb.cadd(xs[0], tb.cscale(phase, xnorm))
+        v1 = tb.cadd(x[0], tb.cscale(phase, xnorm))
     with tb.label(label + (4,)):
         vnsq = tb.cabs2(v1)
         if partial is not None:
             vnsq = tb.add(vnsq, partial)
-        vnorm = tb.sqrt(vnsq)
-        v = [tb.cdivr(v1, vnorm)] + [tb.cdivr(xe, vnorm) for xe in xs[1:]]
+        v = tb.cdivr(_cconcat([v1[None], x[1:]]), tb.sqrt(vnsq))
     return xnorm, phase, v
 
 
@@ -266,71 +431,70 @@ def _reflect(tb: TraceBuilder, xs, label: tuple):
 # Householder tridiagonalization schedule
 
 
+@_quiet
 def trace_tridiagonalize(tb: TraceBuilder, bmat: np.ndarray):
-    """Traced Householder reduction; returns (diag, offdiag) traced values."""
+    """Traced Householder reduction; returns (diag, offdiag, Q) traced values."""
     k = bmat.shape[0]
-    up: dict = {}
-    for p in range(k):
-        for q in range(p + 1, k):
-            up[(p, q)] = tb.cinput(complex(bmat[p, q]))
-    dg = [tb.input(float(bmat[p, p].real)) for p in range(k)]
-    qmat = [[tb.cinput(complex(1.0 if r == c else 0.0)) for c in range(k)] for r in range(k)]
+    upper = np.triu_indices(k, 1)
+    up = tb.cinput(bmat[upper])
+    dg = tb.input(bmat.diagonal().real)
+    qmat = tb.cinput(np.eye(k))
 
-    def entry(p, q) -> TracedComplex:
-        if p == q:
-            return _real_entry(dg[p])
-        if p < q:
-            return up[(p, q)]
-        return tb.conj(up[(q, p)])
+    # the Hermitian working matrix: the upper triangle's entries, their
+    # conjugates below it, and the real diagonal, whose vanished imaginary
+    # part rides along as a plain zero constant so that multiplications
+    # with it still price as full complex products
+    h = TracedComplex(
+        Traced(np.zeros((k, k)), np.zeros((k, k), dtype=ID)),
+        Traced(np.zeros((k, k)), np.full((k, k), -1, dtype=ID), np.zeros((k, k), np.int8)),
+    )
+
+    def put_upper(rows, cols, z: TracedComplex):
+        h[rows, cols] = z
+        h[cols, rows] = tb.conj(z)
+
+    put_upper(*upper, up)
+    diag = np.diag_indices(k)
+    h.re[diag] = dg
 
     off = []
     for step in range(k - 1):
-        i = k - 1 - step
-        x = [entry(r, step) for r in range(step + 1, k)]
-        xnorm, phase, v = _reflect(tb, x, ("tridiag", step))
+        lo = step + 1
+        xnorm, phase, v = _reflect(tb, h[lo:, step], ("tridiag", step))
         off.append(xnorm)
 
         with tb.label(("tridiag", step, 5)):
-            p_vec = []
-            for r in range(i):
-                prods = [tb.cmul(entry(step + 1 + r, step + 1 + c), v[c]) for c in range(i)]
-                p_vec.append(tb.cshift(tb.ctree_sum(prods), 2.0))
+            p = tb.cshift(tb.ctree_sum(tb.cmul(h[lo:, lo:], v[None, :])), 2.0)
 
         with tb.label(("tridiag", step, 6)):
-            sdot = tb.ctree_sum([tb.cmul(tb.conj(p_vec[j]), v[j]) for j in range(i)])
-            w = [tb.csub(p_vec[j], tb.cmul(sdot, v[j])) for j in range(i)]
+            sdot = tb.ctree_sum(tb.cmul(tb.conj(p), v))
+            w = tb.csub(p, tb.cmul(sdot, v))
 
         with tb.label(("tridiag", step, 7)):
-            # in place: each entry is read once, just before it is replaced
-            for a in range(i):
-                ga = step + 1 + a
-                r1 = tb.add(tb.mul(v[a].re, w[a].re), tb.mul(v[a].im, w[a].im))
-                r2 = tb.add(tb.mul(w[a].re, v[a].re), tb.mul(w[a].im, v[a].im))
-                dg[ga] = tb.sub(tb.sub(dg[ga], r1), r2)
-                for b in range(a + 1, i):
-                    gb = step + 1 + b
-                    t1 = tb.cmul(v[a], tb.conj(w[b]))
-                    t2 = tb.cmul(w[a], tb.conj(v[b]))
-                    up[(ga, gb)] = tb.csub(tb.csub(up[(ga, gb)], t1), t2)
+            # every entry of the trailing block is read once and replaced
+            r1 = tb.add(tb.mul(v.re, w.re), tb.mul(v.im, w.im))
+            r2 = tb.add(tb.mul(w.re, v.re), tb.mul(w.im, v.im))
+            h.re[diag[0][lo:], diag[1][lo:]] = tb.sub(tb.sub(h.re[diag][lo:], r1), r2)
+            a, b = np.triu_indices(k - lo, 1)
+            t1 = tb.cmul(v[a], tb.conj(w[b]))
+            t2 = tb.cmul(w[a], tb.conj(v[b]))
+            put_upper(lo + a, lo + b, tb.csub(tb.csub(h[lo + a, lo + b], t1), t2))
 
         with tb.label(("tridiag", step, 8)), tb.overlapped():
             nphase = tb.cneg(phase)
-            y = [
-                tb.cshift(tb.ctree_sum([tb.cmul(qmat[r][step + 1 + c], v[c]) for c in range(i)]), 2.0)
-                for r in range(k)
-            ]
-            for r in range(k):
-                for c in range(i):
-                    t = tb.cmul(y[r], tb.conj(v[c]))
-                    qmat[r][step + 1 + c] = tb.cmul(nphase, tb.csub(qmat[r][step + 1 + c], t))
+            block = qmat[:, lo:]
+            y = tb.cshift(tb.ctree_sum(tb.cmul(block, v[None, :])), 2.0)
+            t = tb.cmul(y[:, None], tb.conj(v)[None, :])
+            qmat[:, lo:] = tb.cmul(nphase, tb.csub(block, t))
 
-    return dg, off, qmat
+    return h.re[diag], _stack(off), qmat
 
 
 # ---------------------------------------------------------------------------
 # divide and conquer schedule
 
 
+@_quiet
 def trace_dc(tb: TraceBuilder, diag, offdiag, iters: int):
     """Traced divide-and-conquer on traced tridiagonal values.
 
@@ -338,169 +502,156 @@ def trace_dc(tb: TraceBuilder, diag, offdiag, iters: int):
     unit of the solver's budget. The bracket safeguard, and the hold on a
     value that meets the solver's stopping test, are free clamps, so the
     node count depends only on the matrix size and the iteration budget.
+    A merge solves all its roots in lockstep, as arrays over (root, pole).
     Each merge sorts its poles by value, so which nodes its adder trees
     pair follows the input. This prices the no-deflation schedule, the
     worst case, and not the solver's origin probe, one secular
     evaluation per interior root.
     """
 
-    def rec(d, e):
+    def rec(d: Traced, e: Traced):
         ll = len(d)
         if ll == 1:
-            return [d[0]], [[ONE]]
+            return d, ONE[None, None]
         cut = (ll + 1) // 2
         alpha = e[cut - 1]
         with tb.label(("dc", ll, "split")):
-            dl = list(d[:cut])
-            dl[-1] = tb.sub(dl[-1], alpha)
-            dr = list(d[cut:])
-            dr[0] = tb.sub(dr[0], alpha)
-        lam1, q1 = rec(dl, e[: cut - 1])
-        lam2, q2 = rec(dr, e[cut:])
+            ends = tb.sub(d[cut - 1 : cut + 1], alpha)
+        lam1, q1 = rec(_concat([d[: cut - 1], ends[:1]]), e[: cut - 1])
+        lam2, q2 = rec(_concat([ends[1:], d[cut + 1 :]]), e[cut:])
         l1 = cut
 
-        d_all = lam1 + lam2
-        u_all = list(q1[-1]) + list(q2[0])
-        order = sorted(range(ll), key=lambda j: d_all[j].value)
-        ds = [d_all[j] for j in order]
-        us = [u_all[j] for j in order]
+        d_all = _concat([lam1, lam2])
+        order = np.argsort(d_all.val, kind="stable")
+        ds = d_all[order]
+        us = _concat([q1[-1], q2[0]])[order]
+        roots = np.arange(ll)
+        p1 = np.minimum(roots, ll - 2)
+        p2 = p1 + 1
 
         with tb.label(("dc", ll, "secular")):
-            asq = [tb.mul(alpha, tb.mul(uj, uj)) for uj in us]
+            asq = tb.mul(alpha, tb.mul(us, us))
             rho = tb.tree_sum(asq)
-            lams = []
-            for r in range(ll):
-                if r < ll - 1:
-                    p1, p2 = r, r + 1
-                    blo, bhi = ds[r].value, ds[r + 1].value
-                    y = tb.shift(tb.add(ds[r], ds[r + 1]), 0.5)
-                else:
-                    p1, p2 = ll - 2, ll - 1
-                    blo = ds[-1].value
-                    bhi = ds[-1].value + rho.value
-                    y = tb.add(ds[-1], tb.shift(rho, 0.5))
-                for _ in range(iters):
-                    delta = [tb.sub(ds[j], y) for j in range(ll)]
-                    t = [tb.div(asq[j], delta[j]) for j in range(ll)]
-                    s = [tb.div(t[j], delta[j]) for j in range(ll)]
-                    fv = tb.add(tb.tree_sum(t), const(1.0))
-                    fder = tb.tree_sum(s)
-                    done = abs(fv.value) <= _SECULAR_TOL * (1.0 + sum(abs(tj.value) for tj in t))
-                    if fv.value < 0.0:
-                        blo = y.value
-                    else:
-                        bhi = y.value
-                    d1 = delta[p1]
-                    d2 = delta[p2]
-                    beta = tb.div(fder, tb.add(s[p1], s[p2]))
-                    c1 = tb.mul(beta, asq[p1])
-                    c2 = tb.mul(beta, asq[p2])
-                    c3 = tb.sub(fv, tb.mul(beta, tb.add(t[p1], t[p2])))
-                    sumd = tb.add(d1, d2)
-                    bq = tb.add(tb.add(tb.mul(c3, sumd), c1), c2)
-                    cq = tb.tree_sum(
-                        [tb.mul(c3, tb.mul(d1, d2)), tb.mul(c1, d2), tb.mul(c2, d1)]
-                    )
-                    disc = tb.sub(tb.mul(bq, bq), tb.shift(tb.mul(c3, cq), 4.0))
-                    sq = tb.sqrt(disc)
-                    denom = tb.add(bq, sq) if bq.value >= 0.0 else tb.sub(bq, sq)
-                    eta = tb.div(tb.shift(cq, 2.0), denom)
-                    cand = tb.add(y, eta)
-                    val = cand.value
-                    if done:
-                        val = y.value
-                    elif not blo < val < bhi:
-                        val = 0.5 * (blo + bhi)
-                    # free clamp: the value saturates, the dependency stays
-                    y = TracedReal(val, cand.node, _GENERIC)
-                lams.append(y)
+            # each root starts inside its bracket: the midpoint of its two
+            # poles, or the top pole plus half the weight
+            blo = ds.val
+            bhi = np.append(ds.val[1:], ds.val[-1] + rho.val)
+            y = tb.add(ds, _concat([ds[1:], tb.shift(rho, 0.5)[None]]))
+            y.val = np.where(roots < ll - 1, y.val * 0.5, y.val)
+            one = const(1.0)
+            for _ in range(iters):
+                delta = tb.sub(ds[None, :], y[:, None])
+                t = tb.div(asq[None, :], delta)
+                s = tb.div(t, delta)
+                fv = tb.add(tb.tree_sum(t), one)
+                fder = tb.tree_sum(s)
+                # the stopping test sums |t| left to right, as the solver does
+                tsum = np.cumsum(np.abs(t.val), axis=1)[:, -1]
+                done = np.abs(fv.val) <= _SECULAR_TOL * (1.0 + tsum)
+                below = fv.val < 0.0
+                blo = np.where(below, y.val, blo)
+                bhi = np.where(below, bhi, y.val)
+                d1 = delta[roots, p1]
+                d2 = delta[roots, p2]
+                beta = tb.div(fder, tb.add(s[roots, p1], s[roots, p2]))
+                c1 = tb.mul(beta, asq[p1])
+                c2 = tb.mul(beta, asq[p2])
+                c3 = tb.sub(fv, tb.mul(beta, tb.add(t[roots, p1], t[roots, p2])))
+                sumd = tb.add(d1, d2)
+                bq = tb.add(tb.add(tb.mul(c3, sumd), c1), c2)
+                cq = tb.tree_sum([tb.mul(c3, tb.mul(d1, d2)), tb.mul(c1, d2), tb.mul(c2, d1)])
+                disc = tb.sub(tb.mul(bq, bq), tb.shift(tb.mul(c3, cq), 4.0))
+                sq = tb.sqrt(disc)
+                denom = tb.add_or_sub(bq, sq, bq.val >= 0.0)
+                eta = tb.div(tb.shift(cq, 2.0), denom)
+                cand = tb.add(y, eta)
+                # free clamp: the value saturates, the dependency stays
+                inside = (blo < cand.val) & (cand.val < bhi)
+                val = np.where(done, y.val, np.where(inside, cand.val, 0.5 * (blo + bhi)))
+                y = Traced(val, cand.node, cand.flag)
+            lams = y
 
         with tb.label(("dc", ll, "eigvec")):
-            s_rows = [[None] * ll for _ in range(ll)]
-            for r in range(ll):
-                delta = [tb.sub(ds[j], lams[r]) for j in range(ll)]
-                w = [tb.div(us[j], delta[j]) for j in range(ll)]
-                nrm = tb.sqrt(tb.tree_sum([tb.mul(wj, wjb) for wj, wjb in zip(w, w)]))
-                col = [tb.div(wj, nrm) for wj in w]
-                for j in range(ll):
-                    s_rows[order[j]][r] = col[j]
+            delta = tb.sub(ds[None, :], lams[:, None])
+            w = tb.div(us[None, :], delta)
+            nrm = tb.sqrt(tb.tree_sum(tb.mul(w, w)))
+            # row j of the merge's eigenvectors is pole j's component, in
+            # the unsorted order
+            s_rows = tb.div(w, nrm[:, None]).T[np.argsort(order)]
 
         with tb.label(("dc", ll, "qacc")):
-            q_new = []
-            for r in range(ll):
-                if r < l1:
-                    qrow, base = q1[r], 0
-                    span = l1
-                else:
-                    qrow, base = q2[r - l1], l1
-                    span = ll - l1
-                row = []
-                for c in range(ll):
-                    prods = [tb.mul(qrow[j], s_rows[base + j][c]) for j in range(span)]
-                    row.append(tb.tree_sum(prods))
-                q_new.append(row)
+            top = tb.tree_sum(tb.mul(q1[:, None, :], s_rows[:l1].T[None]))
+            bottom = tb.tree_sum(tb.mul(q2[:, None, :], s_rows[l1:].T[None]))
+            q_new = _concat([top, bottom])
 
-        perm = sorted(range(ll), key=lambda j: lams[j].value)
-        lams_sorted = [lams[j] for j in perm]
-        q_sorted = [[q_new[r][c] for c in perm] for r in range(ll)]
-        return lams_sorted, q_sorted
+        perm = np.argsort(lams.val, kind="stable")
+        return lams[perm], q_new[:, perm]
 
-    return rec(list(diag), list(offdiag))
+    return rec(_stack(diag), _stack(offdiag))
+
+
+def _combine(tb: TraceBuilder, c: Traced, s: Traced, u, v, plus, scalars_first=True) -> Traced:
+    """c u + s v where ``plus`` holds, c u - s v elsewhere, elementwise,
+    with c and s as the first operands of the products if
+    ``scalars_first``. ``u`` and ``v`` are arrays or lists of scalars."""
+    u, v = _stack(u), _stack(v)
+    if scalars_first:
+        return tb.add_or_sub(tb.mul(c, u), tb.mul(s, v), plus)
+    return tb.add_or_sub(tb.mul(u, c), tb.mul(v, s), plus)
+
+
+def _rotate(tb: TraceBuilder, rows: Traced, a: int, b: int, c: Traced, s: Traced, scalars_first=True):
+    """Plane rotation of rows a and b, in place:
+    (row a, row b) <- (c row a + s row b, c row b - s row a)."""
+    pair = rows[[a, b]]
+    plus = np.array([True, False]).reshape((2,) + (1,) * (pair.val.ndim - 1))
+    rows[[a, b]] = _combine(tb, c, s, pair, pair[::-1], plus, scalars_first)
 
 
 # ---------------------------------------------------------------------------
 # QR iteration schedule
 
 
+@_quiet
 def trace_qr_sweeps(tb: TraceBuilder, diag, offdiag, sweeps: int):
     """Traced plain QR sweeps on a tridiagonal, in deferred-bulge form.
 
     Each rotation reads the raw band entry it needs and applies the
     previous rotation's scaling itself, so a new sweep depends only on
     the first two rotations of the previous one: successive sweeps add
-    two rotations each to the critical path.
+    two rotations each to the critical path. Row c of the returned
+    accumulator is eigenvector column c.
     """
     d = list(diag)
     e = list(offdiag)
     kk = len(d)
-    qcols = [[ONE if r == c else ZERO for r in range(kk)] for c in range(kk)]
+    eye = np.eye(kk)
+    qcols = Traced(eye, np.full((kk, kk), -1, dtype=ID), np.where(eye == 1.0, _S_ONE, _S_ZERO))
     for s in range(sweeps):
         with tb.label(("qr", s, "rot")):
             x = d[0]
-            c_prev = None
-            s_prev = None
+            cs_prev = None
             for j in range(kk - 1):
                 if j > 0:
-                    z = tb.mul(s_prev, e[j])
-                    e_eff = tb.mul(c_prev, e[j])
+                    z, e_eff = tb.mul(cs_prev[::-1], e[j])
                 else:
-                    z = e[0]
-                    e_eff = e[0]
+                    z = e_eff = e[0]
                 r = tb.sqrt(tb.add(tb.mul(x, x), tb.mul(z, z)))
-                c = tb.div(x, r)
-                sn = tb.div(z, r)
+                cs = tb.div(_stack([x, z]), r)
+                c, sn = cs
                 if j > 0:
                     e[j - 1] = r
-                p1 = tb.add(tb.mul(c, d[j]), tb.mul(sn, e_eff))
-                p2 = tb.add(tb.mul(c, e_eff), tb.mul(sn, d[j + 1]))
-                q1 = tb.sub(tb.mul(c, e_eff), tb.mul(sn, d[j]))
-                q2 = tb.sub(tb.mul(c, d[j + 1]), tb.mul(sn, e_eff))
-                d[j] = tb.add(tb.mul(c, p1), tb.mul(sn, p2))
-                e[j] = tb.sub(tb.mul(c, p2), tb.mul(sn, p1))
-                d[j + 1] = tb.sub(tb.mul(c, q2), tb.mul(sn, q1))
+                p1, p2, q1, q2 = _combine(
+                    tb, c, sn, [d[j], e_eff, e_eff, d[j + 1]], [e_eff, d[j + 1], d[j], e_eff],
+                    (True, True, False, False),
+                )
+                d[j], e[j], d[j + 1] = _combine(
+                    tb, c, sn, [p1, p2, q2], [p2, p1, q1], (True, False, False)
+                )
                 x = e[j]
-                c_prev, s_prev = c, sn
+                cs_prev = cs
                 with tb.label(("qr", s, "qacc")):
-                    colj = qcols[j]
-                    colj1 = qcols[j + 1]
-                    newj = [None] * kk
-                    newj1 = [None] * kk
-                    for row in range(kk):
-                        a_, b_ = colj[row], colj1[row]
-                        newj[row] = tb.add(tb.mul(c, a_), tb.mul(sn, b_))
-                        newj1[row] = tb.sub(tb.mul(c, b_), tb.mul(sn, a_))
-                    qcols[j] = newj
-                    qcols[j + 1] = newj1
+                    _rotate(tb, qcols, j, j + 1, c, sn)
     return d, e, qcols
 
 
@@ -508,16 +659,11 @@ def trace_qr_sweeps(tb: TraceBuilder, diag, offdiag, sweeps: int):
 # Golub-Kahan schedule
 
 
-def _reflect_rows(tb: TraceBuilder, rows, lo: int, v, phase):
-    """Right-multiply each row's entries lo, lo + 1, ... by a reflector:
-    row <- -phase (row - 2 (row . v) v^H), in place."""
-    nphase = tb.cneg(phase)
-    n = len(v)
-    for row in rows:
-        seg = row[lo : lo + n]
-        dot = tb.cshift(tb.ctree_sum([tb.cmul(seg[t], v[t]) for t in range(n)]), 2.0)
-        for t in range(n):
-            row[lo + t] = tb.cmul(nphase, tb.csub(seg[t], tb.cmul(dot, tb.conj(v[t]))))
+def _reflect_rows(tb: TraceBuilder, seg: TracedComplex, v: TracedComplex, phase) -> TracedComplex:
+    """Right-multiply each row of ``seg`` by a reflector:
+    row <- -phase (row - 2 (row . v) v^H)."""
+    dot = tb.cshift(tb.ctree_sum(tb.cmul(seg, v[None, :])), 2.0)
+    return tb.cmul(tb.cneg(phase), tb.csub(seg, tb.cmul(dot[:, None], tb.conj(v)[None, :])))
 
 
 def _bare_phase(tb: TraceBuilder, piv: TracedComplex, label: tuple):
@@ -530,127 +676,101 @@ def _bare_phase(tb: TraceBuilder, piv: TracedComplex, label: tuple):
     return ap, cph
 
 
+@_quiet
 def trace_gk_bidiagonalize(tb: TraceBuilder, amat: np.ndarray):
     """Traced complex Householder bidiagonalization of an M x K matrix."""
     m, k = amat.shape
-    work = [[tb.cinput(complex(amat[r, c])) for c in range(k)] for r in range(m)]
-    umat = [[tb.cinput(complex(1.0 if r == c else 0.0)) for c in range(m)] for r in range(m)]
-    vmat = [[tb.cinput(complex(1.0 if r == c else 0.0)) for c in range(k)] for r in range(k)]
+    work = tb.cinput(amat)
+    umat = tb.cinput(np.eye(m))
+    vmat = tb.cinput(np.eye(k))
     dvals = [None] * k
     evals = [None] * max(k - 1, 0)
 
     for j in range(k):
-        i = m - j
         col = ("gk-bidiag", j, "col")
-        if i > 1:
-            xs = [work[r][j] for r in range(j, m)]
-            xnorm, phase, v = _reflect(tb, xs, col)
+        if m - j > 1:
+            xnorm, phase, v = _reflect(tb, work[j:, j], col)
             nphase = tb.cneg(tb.conj(phase))
             with tb.label(col + (5,)):
-                for c in range(j + 1, k):
-                    colv = [work[r][c] for r in range(j, m)]
-                    dot = tb.ctree_sum([tb.cmul(tb.conj(v[t]), colv[t]) for t in range(i)])
-                    dot2 = tb.cshift(dot, 2.0)
-                    for t in range(i):
-                        work[j + t][c] = tb.cmul(
-                            nphase, tb.csub(colv[t], tb.cmul(dot2, v[t]))
-                        )
+                block = work[j:, j + 1 :]
+                dot2 = tb.cshift(tb.ctree_sum(tb.cmul(tb.conj(v)[None, :], block.T)), 2.0)
+                work[j:, j + 1 :] = tb.cmul(nphase, tb.csub(block, tb.cmul(dot2[None, :], v[:, None])))
             dvals[j] = xnorm
-            for r in range(j + 1, m):
-                work[r][j] = CZERO
+            work[j + 1 :, j] = CZERO
             with tb.label(col + (6,)), tb.overlapped():
-                _reflect_rows(tb, umat, j, v, phase)
+                umat[:, j:] = _reflect_rows(tb, umat[:, j:], v, phase)
         else:
-            dvals[j], cph = _bare_phase(tb, work[j][j], col)
+            dvals[j], cph = _bare_phase(tb, work[j, j], col)
             with tb.label(col + (5,)):
-                for c in range(j + 1, k):
-                    work[j][c] = tb.cmul(cph, work[j][c])
+                work[j, j + 1 :] = tb.cmul(cph, work[j, j + 1 :])
             with tb.label(col + (6,)), tb.overlapped():
-                phc = tb.conj(cph)
-                for r in range(m):
-                    umat[r][j] = tb.cmul(phc, umat[r][j])
+                umat[:, j] = tb.cmul(tb.conj(cph), umat[:, j])
 
         row = ("gk-bidiag", j, "row")
         if j < k - 2:
-            xs = [tb.conj(work[j][c]) for c in range(j + 1, k)]
-            xnorm, phase, v = _reflect(tb, xs, row)
+            xnorm, phase, v = _reflect(tb, tb.conj(work[j, j + 1 :]), row)
             with tb.label(row + (5,)):
-                _reflect_rows(tb, work[j:], j + 1, v, phase)
+                work[j:, j + 1 :] = _reflect_rows(tb, work[j:, j + 1 :], v, phase)
             evals[j] = xnorm
-            for c in range(j + 2, k):
-                work[j][c] = CZERO
+            work[j, j + 2 :] = CZERO
             with tb.label(row + (6,)), tb.overlapped():
-                _reflect_rows(tb, vmat, j + 1, v, phase)
+                vmat[:, j + 1 :] = _reflect_rows(tb, vmat[:, j + 1 :], v, phase)
         elif j == k - 2:
-            evals[j], cph = _bare_phase(tb, work[j][j + 1], row)
+            evals[j], cph = _bare_phase(tb, work[j, j + 1], row)
             with tb.label(row + (5,)):
-                for r in range(j + 1, m):
-                    work[r][j + 1] = tb.cmul(cph, work[r][j + 1])
+                work[j + 1 :, j + 1] = tb.cmul(cph, work[j + 1 :, j + 1])
             with tb.label(row + (6,)), tb.overlapped():
-                for r in range(k):
-                    vmat[r][j + 1] = tb.cmul(cph, vmat[r][j + 1])
+                vmat[:, j + 1] = tb.cmul(cph, vmat[:, j + 1])
 
     return dvals, evals, umat, vmat
 
 
+@_quiet
 def trace_gk_sweeps(tb: TraceBuilder, dvals, evals, sweeps: int, m_rows: int):
     """Traced zero-shift bidiagonal sweeps with the deferred bulge form.
 
     A new sweep only needs the first few updates of the previous one, so
     successive sweeps overlap naturally in the graph: each extra sweep
-    adds four rotations to the critical path.
+    adds four rotations to the critical path. Entry c of each returned
+    accumulator holds its column c: real parts, then imaginary parts.
     """
     d = list(dvals)
     e = list(evals)
     kk = len(d)
-    ucols = [
-        [tb.cinput(complex(1.0 if r == c else 0.0)) for r in range(m_rows)]
-        for c in range(kk)
-    ]
-    vcols = [
-        [tb.cinput(complex(1.0 if r == c else 0.0)) for r in range(kk)]
-        for c in range(kk)
-    ]
+    def stacked(z: TracedComplex) -> Traced:
+        # column c's real parts, then its imaginary parts: a real plane
+        # rotation acts on both alike
+        return _join(np.stack, [z.re, z.im], axis=1)
 
-    def rotate_cols(cols, a, b, c, s, lab):
-        # real plane rotation applied to complex accumulator columns
-        with tb.label(lab):
-            ca, cb = cols[a], cols[b]
-            na = [tb.cadd(tb.cscale(ca[r], c), tb.cscale(cb[r], s)) for r in range(len(ca))]
-            nb = [tb.csub(tb.cscale(cb[r], c), tb.cscale(ca[r], s)) for r in range(len(ca))]
-            cols[a] = na
-            cols[b] = nb
+    ucols = stacked(tb.cinput(np.eye(kk, m_rows)))
+    vcols = stacked(tb.cinput(np.eye(kk)))
 
     for s in range(sweeps):
         with tb.label(("gk", s, "rot")):
             f = tb.mul(d[0], d[0])
             g = tb.mul(d[0], e[0])
-            c2_prev = None
-            s2_prev = None
+            cs2_prev = None
             for j in range(kk - 1):
                 if j > 0:
-                    g = tb.mul(s2_prev, e[j])
-                    e_eff = tb.mul(c2_prev, e[j])
+                    g, e_eff = tb.mul(cs2_prev[::-1], e[j])
                 else:
                     e_eff = e[j]
                 r1 = tb.sqrt(tb.add(tb.mul(f, f), tb.mul(g, g)))
-                c = tb.div(f, r1)
-                sn = tb.div(g, r1)
+                c, sn = tb.div(_stack([f, g]), r1)
                 if j > 0:
                     e[j - 1] = r1
-                f = tb.add(tb.mul(c, d[j]), tb.mul(sn, e_eff))
-                e_tmp = tb.sub(tb.mul(c, e_eff), tb.mul(sn, d[j]))
-                g2 = tb.mul(sn, d[j + 1])
-                dj1 = tb.mul(c, d[j + 1])
-                rotate_cols(vcols, j, j + 1, c, sn, ("gk", s, "vacc"))
+                f, e_tmp = _combine(tb, c, sn, [d[j], e_eff], [e_eff, d[j]], (True, False))
+                g2, dj1 = tb.mul(_stack([sn, c]), d[j + 1])
+                with tb.label(("gk", s, "vacc")):
+                    _rotate(tb, vcols, j, j + 1, c, sn, scalars_first=False)
                 r2 = tb.sqrt(tb.add(tb.mul(f, f), tb.mul(g2, g2)))
-                c2 = tb.div(f, r2)
-                s2 = tb.div(g2, r2)
+                cs2 = tb.div(_stack([f, g2]), r2)
+                c2, s2 = cs2
                 d[j] = r2
-                f = tb.add(tb.mul(c2, e_tmp), tb.mul(s2, dj1))
-                d[j + 1] = tb.sub(tb.mul(c2, dj1), tb.mul(s2, e_tmp))
-                rotate_cols(ucols, j, j + 1, c2, s2, ("gk", s, "uacc"))
-                c2_prev, s2_prev = c2, s2
+                f, d[j + 1] = _combine(tb, c2, s2, [e_tmp, dj1], [dj1, e_tmp], (True, False))
+                with tb.label(("gk", s, "uacc")):
+                    _rotate(tb, ucols, j, j + 1, c2, s2, scalars_first=False)
+                cs2_prev = cs2
             e[kk - 2] = f
     return d, e, ucols, vcols
 
@@ -659,6 +779,7 @@ def trace_gk_sweeps(tb: TraceBuilder, dvals, evals, sweeps: int, m_rows: int):
 # entry point
 
 
+@_quiet
 def trace_run(algorithm: str, matrix, iters: int = 4) -> Dfg:
     """Run an instrumented solver on a concrete matrix and return its DFG.
 
@@ -681,18 +802,17 @@ def trace_run(algorithm: str, matrix, iters: int = 4) -> Dfg:
         if a.shape[0] < a.shape[1]:
             raise DimensionError(f"gk trace expects rows >= cols, got {a.shape}")
         dv, ev, _, _ = trace_gk_bidiagonalize(tb, a)
-        outs = dv if a.shape[1] == 1 else trace_gk_sweeps(tb, dv, ev, iters, a.shape[0])[0]
+        outs = [_stack(dv if a.shape[1] == 1 else trace_gk_sweeps(tb, dv, ev, iters, a.shape[0])[0])]
     else:
         herm = HermitianMatrix.from_matrix(a)
         diag, off, _ = trace_tridiagonalize(tb, herm.mat)
         if alg == "tridiag" or herm.dim == 1:
-            outs = diag + off
+            outs = [diag, off]
         elif alg == "4step-dc":
-            lams, qrows = trace_dc(tb, diag, off, iters)
-            outs = lams + [t for row in qrows for t in row]
+            lams, q = trace_dc(tb, diag, off, iters)
+            outs = [lams, q.ravel()]
         else:
             d, _, qcols = trace_qr_sweeps(tb, diag, off, iters)
-            outs = d + [t for col in qcols for t in col]
-    for t in outs:
-        tb.output(t)
+            outs = [_stack(d), qcols.ravel()]
+    tb.output(_concat(outs))
     return tb.dfg

@@ -35,7 +35,7 @@ def test_every_benchmark_check_passes(monkeypatch):
             assert op.check(op.call()) is None, f"{name}: {op.label}"
 
 
-@pytest.mark.parametrize("name", ["svd-gaussian", "svd-deflating", "mimo-budget"])
+@pytest.mark.parametrize("name", ["svd-gaussian", "svd-deflating", "mimo-budget", "latency-model"])
 def test_solver_workloads_pass_at_full_size(monkeypatch, name):
     # the smallest-size check above cannot see a failure that shows only
     # at K = 256; a raised ParsvdError is a failed operation too. Two

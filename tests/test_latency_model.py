@@ -9,7 +9,9 @@ from parsvd.gram_svd import HermitianMatrix, TridiagonalReal, gram, tridiagonali
 from parsvd.latency_model import (
     BUILTIN_PROFILES,
     Dfg,
+    OP_KINDS,
     HardwareProfile,
+    LatencyEstimate,
     OpCount,
     analytic_latency,
     ceil_log2,
@@ -20,6 +22,7 @@ from parsvd.latency_model import (
     trace_run,
 )
 from parsvd.latency_model.analytic import latency_breakdown
+from parsvd.latency_model.dfg import KINDS
 from parsvd.latency_model.trace import TraceBuilder, trace_dc
 
 from conftest import rand_complex
@@ -128,6 +131,123 @@ def test_empty_graph_zero():
     assert est.ns == 0.0
 
 
+def _reference_critical_path(dfg, profile):
+    # the node-at-a-time loop that critical_path relaxes in blocks: a
+    # node's distance is its weight plus the largest operand distance, the
+    # first operand in order winning while strictly greater than the best
+    # so far (which starts at zero), and the path ends at the first argmax
+    lat = profile.latency_ns
+    nodes = list(dfg.nodes())
+    n = len(nodes)
+    if n == 0:
+        return LatencyEstimate(ns=0.0, normalized_adders=0.0, critical_path=OpCount())
+    dist = [0.0] * n
+    pred = [-1] * n
+    for i, (kind, deps, over, _) in enumerate(nodes):
+        best = 0.0
+        best_pred = -1
+        for d in deps:
+            if d >= i:
+                raise ParsvdError(f"dfg inconsistency: node {i} depends on {d} (cycle)")
+            if dist[d] > best:
+                best = dist[d]
+                best_pred = d
+        dist[i] = best + (0.0 if over else lat.get(kind, 0.0))
+        pred[i] = best_pred
+    end = max(range(n), key=dist.__getitem__)
+    counts = dict.fromkeys(OP_KINDS, 0)
+    i = end
+    while i != -1:
+        kind, _, over, _ = nodes[i]
+        if kind in counts and not over:
+            counts[kind] += 1
+        i = pred[i]
+    return LatencyEstimate.from_path_counts(OpCount(**counts), profile)
+
+
+# every operator costs the same, so that paths of different operations tie
+UNIT = HardwareProfile(
+    name="unit", latency_ns=dict.fromkeys(OP_KINDS, 1.0), lut=dict.fromkeys(OP_KINDS, 1)
+)
+
+
+def _graph(nodes, blocks):
+    # nodes: (kind, operand ids, overlapped)
+    deps = np.full((len(nodes), 2), -1)
+    for i, (_, ops, _) in enumerate(nodes):
+        deps[i, : len(ops)] = ops
+    return Dfg(
+        kinds=np.array([KINDS.index(kind) for kind, _, _ in nodes], dtype=np.int8),
+        deps=deps,
+        overlapped=np.array([over for _, _, over in nodes], dtype=bool),
+        blocks=np.array(blocks),
+        labels=[None] * len(blocks),
+    )
+
+
+_TIES = [
+    ("input", (), False),           # 0
+    ("input", (), False),           # 1
+    ("add", (0, 1), False),         # 2: operands at distance zero
+    ("mul", (0, 0), False),         # 3: a duplicate operand
+    ("sqrt", (1,), True),           # 4: overlapped, so at distance zero
+    ("div", (2, 3), False),         # 5: operands at equal distance, add first
+    ("div", (3, 2), False),         # 6: the same, mul first
+    ("mul", (4, 4), False),         # 7: an overlapped operand at distance zero
+    ("add", (4, 2), False),         # 8: zero then positive distance
+    ("sqrt", (6,), True),           # 9: an overlapped terminal, tied with 5 and 6
+    ("output", (5,), False),        # 10
+    ("output", (6,), False),        # 11
+]
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [list(range(12)), [0, 2, 5, 9, 10], [0], [0, 5]],
+    ids=["per-node", "runs", "one-block", "two-blocks"],
+)
+def test_critical_path_ties_match_reference(blocks):
+    # blocks that hold nodes depending on each other ("one-block",
+    # "two-blocks") relax node by node
+    g = _graph(_TIES, blocks)
+    for profile in (UNIT, FP, FXP):
+        assert critical_path(g, profile) == _reference_critical_path(g, profile)
+    # the first of the equal terminals ends the path, through the first
+    # of its equally distant operands
+    assert critical_path(g, UNIT).critical_path == OpCount(add=1, div=1)
+    swapped = [_TIES[i] for i in (0, 1, 2, 3, 4, 6, 5)]
+    assert critical_path(_graph(swapped, [0]), UNIT).critical_path == OpCount(mul=1, div=1)
+
+
+def test_critical_path_matches_reference_on_random_graphs():
+    # many ties: integer weights, few kinds, runs of blocks of every size
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 80))
+        nodes, blocks, start = [], [], 0
+        while start < n:
+            size = int(rng.integers(1, 6))
+            blocks.append(start)
+            for i in range(start, min(start + size, n)):
+                arity = 0 if start == 0 else int(rng.integers(0, 3))
+                ops = tuple(int(d) for d in rng.integers(0, start, arity)) if arity else ()
+                kind = "input" if not ops else str(rng.choice(OP_KINDS + ("output",)))
+                nodes.append((kind, ops, bool(rng.random() < 0.2)))
+            start += size
+        g = _graph(nodes, blocks)
+        for profile in (UNIT, FP):
+            assert critical_path(g, profile) == _reference_critical_path(g, profile)
+
+
+@pytest.mark.parametrize("alg", ["tridiag", "4step-dc", "4step-qr", "gk"])
+def test_critical_path_matches_reference_on_traces(rng, alg):
+    for k in (1, 2, 3, 6):
+        a = rand_complex(rng, k + 2, k)
+        g = trace_run(alg, a if alg == "gk" else gram(a).mat, 2)
+        for profile in (UNIT, FP, FXP):
+            assert critical_path(g, profile) == _reference_critical_path(g, profile)
+
+
 def test_path_dominance(rng):
     b = gram(rand_complex(rng, 6, 4)).mat
     dfg = trace_run("4step-dc", b, iters=2)
@@ -151,8 +271,15 @@ def test_profile_linearity(rng):
 
 
 def test_cycle_detection():
-    dfg = Dfg(kinds=["add", "input"], deps=[(1,), ()], overlapped=[False, False], labels=[None, None])
-    with pytest.raises(ParsvdError):
+    # node 0 reads node 1, which comes after it
+    dfg = Dfg(
+        kinds=np.array([KINDS.index("add"), KINDS.index("input")], dtype=np.int8),
+        deps=np.array([[1, -1], [-1, -1]]),
+        overlapped=np.zeros(2, dtype=bool),
+        blocks=np.array([0, 1]),
+        labels=[None, None],
+    )
+    with pytest.raises(ParsvdError, match="node 0 depends on 1"):
         critical_path(dfg, FP)
 
 
