@@ -65,7 +65,8 @@ class Dfg:
     hides the node behind other work (it keeps its place in the census but
     adds zero weight to any path). The nodes come in blocks: ``blocks``
     holds the first id of each and ``labels`` the schedule label of its
-    nodes. No node depends on a node of its own block.
+    nodes. A traced graph has no node that reads its own block;
+    critical_path relaxes a block that does node by node.
     """
 
     kinds: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
