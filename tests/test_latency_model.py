@@ -8,8 +8,8 @@ from parsvd.errors import ParsvdError, ProfileError, TraceLimitError
 from parsvd.gram_svd import HermitianMatrix, TridiagonalReal, gram, tridiagonalize
 from parsvd.latency_model import (
     BUILTIN_PROFILES,
-    Dfg,
     OP_KINDS,
+    Dfg,
     HardwareProfile,
     LatencyEstimate,
     OpCount,
