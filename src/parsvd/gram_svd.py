@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
-from .matrix_core import as_count, as_matrix, as_vector, fro_norm, pow2_scale
+from .matrix_core import as_count, as_matrix, as_vector, fro_norm, one_shape, pow2_scale
 
 _EPS = np.finfo(np.float64).eps
 _HERMITIAN_TOL = 1e-12  # relative deviation from Hermitian that from_matrix accepts
@@ -266,11 +266,11 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
     and its product B v are corrected on the fly by the panel's earlier
     V W^H + W V^H, and after the panel one rank-2nb product
     X = V W^H updates the trailing block, B -= X + X^H. Q_T is built
-    backward from the same panels, each as I - V S V^H in compact-WY form
-    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10(1), 1989). The
-    unit phase that makes each off-diagonal entry real and nonnegative is
-    a diagonal factor that commutes to the right, so all of them become
-    one final column scaling of Q_T.
+    backward from the same panels by _reflector_product, each as
+    I - V S V^H in compact-WY form. The unit phase that makes each
+    off-diagonal entry real and nonnegative is a diagonal factor that
+    commutes to the right, so all of them become one final column scaling
+    of Q_T.
     """
     if isinstance(b, HermitianMatrix):
         bh = b
@@ -311,26 +311,48 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
             vw[j + 1 :, 2 * c + 1] = p - np.vdot(v, p) * v
         x = vw[j1:, 0::2] @ vw[j1:, 1::2].conj().T
         work[j1:, j1:] -= x + x.conj().T
-        panels.append((j0, vw[:, 0::2]))
+        panels.append((j0, vw[None, :, 0::2]))
     diag[k - 1] = work[k - 1, k - 1]
     imag = np.abs(diag.imag) + np.abs(b_s.diagonal().imag)
     if np.max(imag) > 1e-10 * fro_norm(b_s):
         raise ValidationError("tridiagonalization produced a complex diagonal")
 
-    # Q_T = H_0 H_1 ... H_{k-2} diag(phases); each panel's product of
-    # reflections is I - V S V^H with S upper triangular (a skipped step's
-    # v is zero, so its entries of S never reach the product)
-    q = np.eye(k, dtype=np.complex128)
-    for j0, vs in reversed(panels):
-        nb = vs.shape[1]
-        gv = vs.conj().T @ vs
-        s = 2.0 * np.eye(nb, dtype=np.complex128)
-        for c in range(1, nb):
-            s[:c, c] = -2.0 * (s[:c, :c] @ gv[:c, c])
-        vb = vs[j0 + 1 :]
-        q[j0 + 1 :, j0 + 1 :] -= vb @ (s @ (vb.conj().T @ q[j0 + 1 :, j0 + 1 :]))
-    q[:, 1:] *= np.cumprod(turn)
+    q = _reflector_product(panels, turn[None], 1)[0]
     return TridiagonalReal(diag=np.ldexp(diag.real, e), offdiag=np.ldexp(off, e)), q
+
+
+def _reflector_product(panels, turn: np.ndarray, offset: int) -> np.ndarray:
+    """Q = H_0 H_1 ... H_{r-1} diag(1, ..., 1, cumprod(turn)) for each
+    member of a stack, with H_j = I - 2 v_j v_j^H.
+
+    ``panels`` lists (j0, vs) in order, vs an (S, n, nb) stack whose column
+    c is v_{j0+c}, zero above row j0 + c + ``offset``; a zero column is an
+    identity step. ``turn`` is (S, n - offset): the unit phase of step j
+    scales rows j + offset onward, and as it commutes with every later
+    reflection, all of them become one cumulative scaling of the columns
+    from ``offset`` on. Q is built backward from the panels, each as
+    I - V S V^H with S upper triangular, in compact-WY form (Schreiber &
+    Van Loan, SIAM J. Sci. Stat. Comput. 10(1), 1989).
+    """
+    count, n = turn.shape[0], turn.shape[1] + offset
+    q = np.zeros((count, n, n), dtype=np.complex128)
+    q[:, range(n), range(n)] = 1.0
+    for j0, vs in reversed(panels):
+        nb = vs.shape[2]
+        # S is built for the whole stack; products and scalings run member
+        # by member, so that no temporary is the size of the stack
+        gv = np.array([v.conj().T @ v for v in vs])
+        s = np.zeros((count, nb, nb), dtype=np.complex128)
+        s[:, range(nb), range(nb)] = 2.0
+        for c in range(1, nb):
+            s[:, :c, c : c + 1] = -2.0 * (s[:, :c, :c] @ gv[:, :c, c : c + 1])
+        del gv
+        lo = j0 + offset
+        for q_i, s_i, vb in zip(q, s, vs[:, lo:]):
+            q_i[lo:, lo:] -= vb @ (s_i @ (vb.conj().T @ q_i[lo:, lo:]))
+    for q_i, phases in zip(q, np.cumprod(turn, axis=1)):
+        q_i[:, offset:] *= phases
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -872,9 +894,7 @@ def svd_4step_stack(
     """
     cap = _solve_cap(iter_budget, sv_threshold)
     mats = [as_matrix(a) for a in mats]
-    shapes = sorted({a.shape for a in mats})
-    if len(shapes) != 1:
-        raise DimensionError(f"svd_4step_stack needs a nonempty stack of one shape, got {shapes}")
+    one_shape((a.shape for a in mats), "svd_4step_stack")
     scaled = [pow2_scale(a) for a in mats]
     reduced = [tridiagonalize(gram(a_s)) for a_s, _ in scaled]
     eigs = _dc([t for t, _ in reduced], cap)

@@ -59,6 +59,15 @@ def as_count(value, name: str) -> int:
     return n
 
 
+def one_shape(shapes, name: str):
+    """The one shape of a nonempty stack; DimensionError naming ``name``
+    for an empty stack or one of mixed shapes."""
+    found = sorted(set(shapes))
+    if len(found) != 1:
+        raise DimensionError(f"{name} needs a nonempty stack of one shape, got {found}")
+    return found[0]
+
+
 def fro_norm(a) -> float:
     """Frobenius norm, sqrt(sum |a_ij|^2)."""
     a = as_matrix(a)

@@ -31,10 +31,13 @@ from .latency_model.analytic import _resolve
 from .matrix_core import as_count, as_matrix
 from .reference_solvers import (
     gk_bidiagonalize,
+    gk_bidiagonalize_stack,
     gk_fixed_sweeps,
+    gk_fixed_sweeps_stack,
     gk_singular_value_history,
     qr_eigenvalue_history,
     qr_fixed_sweeps,
+    qr_fixed_sweeps_stack,
 )
 
 MIMO_ALGORITHMS = ("4step-dc", "4step-qr", "gk")
@@ -166,6 +169,20 @@ def _truncated_svd(h, algorithm: str, budget: int | None) -> SvdResult:
     return gk_fixed_sweeps(gk_bidiagonalize(h), budget)
 
 
+def _truncated_svd_stack(hs, algorithm: str, budget: int | None) -> list[SvdResult]:
+    """_truncated_svd of each matrix of a stack of one shape, bit for bit,
+    with one stacked solve. For 4step-qr, gram, tridiagonalize and
+    recover_svd stay one call per matrix around it, so that no public
+    stage of the pipeline is handed a stack."""
+    if algorithm == "4step-dc" or budget is None:
+        return svd_4step_stack(hs, budget)
+    if algorithm == "4step-qr":
+        reduced = [tridiagonalize(gram(h)) for h in hs]
+        eigs = qr_fixed_sweeps_stack([t for t, _ in reduced], budget)
+        return [recover_svd(h, eig, q_t) for h, (_, q_t), eig in zip(hs, reduced, eigs)]
+    return gk_fixed_sweeps_stack(gk_bidiagonalize_stack(hs), budget)
+
+
 def _trial_mean(cfg: ChannelConfig, caller: str, trial_value) -> CapacityPoint:
     """Mean of ``trial_value(trial)`` over cfg.trials trials.
 
@@ -195,12 +212,14 @@ def dmimo_capacity(
     Per trial: draw one channel per panel, decompose it (possibly with a
     truncated iteration budget), keep the T dominant left directions per
     panel, stack the reduced channels, and evaluate the log-det capacity.
-    Where the decomposition is svd_4step (4step-dc, and every algorithm at
-    "exact"), a trial's panels go through one svd_4step_stack call, whose
-    divide and conquer solves all of them together; each panel still gets
-    the bits of its own svd_4step. 4step-qr and gk with a budget decompose
-    panel by panel. A panel that fails fails its trial; failed trials are
-    skipped and counted.
+    A trial's panels are decomposed together: through one svd_4step_stack
+    call where the decomposition is svd_4step (4step-dc, and every
+    algorithm at "exact"), whose divide and conquer solves all of them
+    together; through one qr_fixed_sweeps_stack call between per-panel
+    reductions and recoveries for 4step-qr; and through one
+    gk_bidiagonalize_stack and one gk_fixed_sweeps_stack call for gk. Each
+    panel still gets the bits of its own solve. A panel that fails fails
+    its trial; failed trials are skipped and counted.
     An algorithm outside MIMO_ALGORITHMS (after the "4step" alias) or a
     budget other than "exact" or an int >= 1 raises ValidationError
     before any trial runs.
@@ -209,10 +228,7 @@ def dmimo_capacity(
 
     def capacity(trial):
         hs = [gen_iid_channel(cfg, panel, trial) for panel in range(cfg.panels)]
-        if alg == "4step-dc" or budget is None:
-            svds = svd_4step_stack(hs, budget)
-        else:
-            svds = [_truncated_svd(h, alg, budget) for h in hs]
+        svds = _truncated_svd_stack(hs, alg, budget)
         blocks = [dimension_reduce(h, t, svd).h_reduced for h, svd in zip(hs, svds)]
         return capacity_logdet(np.vstack(blocks), cfg.snr_per_link)
 

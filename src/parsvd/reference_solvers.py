@@ -9,6 +9,11 @@ one block scan, one rotation accumulator and one convergence loop. Besides runni
 fixed budget of plain (unshifted) sweeps, or yields a lazy per-sweep
 history of plain-sweep estimates, so iteration-versus-accuracy searches
 stop at the first sweep count that meets their target.
+
+The bidiagonalization and the plain sweeps take a stack of same-shape
+problems (``gk_bidiagonalize_stack``, ``gk_fixed_sweeps_stack``,
+``qr_fixed_sweeps_stack``); the one-matrix functions are stacks of one.
+Each member's band is its own solve, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from .gram_svd import (
     HermitianMatrix,
     SvdResult,
     TridiagonalReal,
-    householder_vector,
+    _reflector_product,
 )
-from .matrix_core import as_count, as_matrix, fro_norm, pow2_scale
+from .matrix_core import as_count, as_matrix, fro_norm, one_shape, pow2_scale
 
 _EPS = np.finfo(np.float64).eps
 _SWEEP_TOL = 1e-12  # a converging solve stops at max |e| <= _SWEEP_TOL * max |d|
@@ -36,10 +41,11 @@ _JACOBI_SWEEPS = 30
 
 @dataclass(frozen=True)
 class Bidiagonal:
-    """Real upper bidiagonal factor with its accumulated unitary factors.
+    """Real upper bidiagonal factor with its unitary factors.
 
     u0^H A v0 equals the (M x K) matrix holding diag/superdiag in its top
-    K x K block and zeros below.
+    K x K block and zeros below. gk_bidiagonalize forms u0 (M x M) and
+    v0 (K x K) once, from the reduction's reflectors and phases.
     """
 
     diag: np.ndarray
@@ -102,10 +108,10 @@ def _sweep_cap(k: int) -> int:
 
 
 def _converge(sweeper, name: str) -> SweepReport:
-    """Sweep until max |e| <= _SWEEP_TOL * max |d|, raising ConvergenceError
-    after _sweep_cap(K) sweeps, or as soon as the band holds a NaN or an
-    infinity."""
-    d, e = sweeper.d, sweeper.e
+    """Sweep a stack of one until max |e| <= _SWEEP_TOL * max |d|, raising
+    ConvergenceError after _sweep_cap(K) sweeps, or as soon as the band
+    holds a NaN or an infinity."""
+    d, e = sweeper.d[0], sweeper.e[0]
     cap = _sweep_cap(d.size)
 
     def metric():
@@ -132,105 +138,206 @@ def _converge(sweeper, name: str) -> SweepReport:
     return report
 
 
-def _apply_col_rotations(mat, rots):
-    """Rotate the column pairs (j, j + 1) of ``mat`` in place by each
-    (j, c, s) of ``rots``, in order."""
-    for j, c, s in rots:
-        cp = mat[:, j].copy()
-        cq = mat[:, j + 1]
-        mat[:, j] = c * cp + s * cq
-        mat[:, j + 1] = -s * cp + c * cq
+def _apply_col_rotations(mats, rots):
+    """Rotate the column pairs (j, j + 1) of each ``mats[i]`` in place by
+    each (j, c, s) of ``rots[i]``, in order.
+
+    The t-th rotations of all members are applied together; a member with
+    fewer than t + 1 rotations is left out of that step rather than given
+    an identity rotation, which would turn -0.0 into +0.0.
+    """
+    counts = np.array([len(r) for r in rots])
+    table = np.zeros((len(rots), counts.max(), 3))
+    for row, r in zip(table, rots):
+        if r:
+            row[: len(r)] = r
+    js = table[:, :, 0].astype(np.intp)
+    # a step that every member takes at one column pair works on views
+    shared = (js == js[0]).all(axis=0) & (np.arange(js.shape[1]) < counts.min())
+    cols = list(mats.transpose(2, 0, 1))
+    if len(rots) == 1:
+        # a lone member's (c, s) as floats, which numpy applies faster
+        # than a broadcast column
+        coefs = table[0, :, 1:].tolist()
+    else:
+        coefs = [(cs[:, :1], cs[:, 1:]) for cs in table[:, :, 1:].transpose(1, 0, 2)]
+    for t, (common, j, (c, s)) in enumerate(zip(shared.tolist(), js[0].tolist(), coefs)):
+        if common:
+            cp, cq = cols[j], cols[j + 1]
+            sp = s * cp
+            cp *= c
+            cp += s * cq
+            cq *= c
+            cq -= sp
+        else:
+            members = np.flatnonzero(counts > t)
+            j, c, s = js[members, t], c[members], s[members]
+            cp, cq = mats[members, :, j], mats[members, :, j + 1]
+            mats[members, :, j] = c * cp + s * cq
+            mats[members, :, j + 1] = c * cq - s * cp
 
 
 class _Sweeper:
-    """Working band (d, e) of a sweep solve and the matrices its rotations
-    accumulate into.
+    """Working bands of a stack of sweep solves, ``d[i]`` and ``e[i]``
+    being member i's, and the stacked matrices their rotations accumulate
+    into.
 
-    ``step(d, e, lo, hi, mu, *rots)`` chases one bulge over a block with
-    the shift ``shift(d, e, lo, hi)`` (zero when ``shift`` is None) and
-    appends its rotations to one list per matrix of ``factors``; an empty
-    ``factors`` keeps no vectors.
+    ``step(d, e, lo, hi, mu, *rots)`` chases one bulge over a block of one
+    member's band with the shift ``shift(d, e, lo, hi)`` (zero when
+    ``shift`` is None) and appends its rotations to one list per matrix of
+    ``factors``; an empty ``factors`` keeps no vectors.
     """
 
     def __init__(self, d, e, step, shift, factors):
-        self.d = d.copy()
-        self.e = e.copy()
+        self.d = [np.array(x, dtype=np.float64) for x in d]
+        self.e = [np.array(x, dtype=np.float64) for x in e]
         self.step = step
         self.shift = shift
         self.factors = factors
 
     def sweep(self):
-        """Chase one bulge across every unreduced block, then rotate the
-        factors' columns."""
-        d, e = self.d, self.e
-        rots = [[] for _ in self.factors]
-        for lo, hi in _unreduced_blocks(d, e):
-            mu = self.shift(d, e, lo, hi) if self.shift else 0.0
-            self.step(d, e, lo, hi, mu, *rots)
-        for mat, r in zip(self.factors, rots):
-            _apply_col_rotations(mat, r)
+        """Chase one bulge across every unreduced block of every member,
+        one member at a time, then rotate the factors' columns."""
+        rots = [[[] for _ in self.factors] for _ in self.d]
+        for d, e, r in zip(self.d, self.e, rots):
+            for lo, hi in _unreduced_blocks(d, e):
+                mu = self.shift(d, e, lo, hi) if self.shift else 0.0
+                self.step(d, e, lo, hi, mu, *r)
+        for i, mat in enumerate(self.factors):
+            _apply_col_rotations(mat, [r[i] for r in rots])
+
+
+def _identities(count: int, k: int) -> np.ndarray:
+    """A stack of K x K identities for rotations to accumulate into, each
+    member's columns contiguous, as the rotations read them."""
+    return np.tile(np.eye(k), (count, 1, 1)).transpose(0, 2, 1)
+
+
+def _history(sw: _Sweeper, sweeps: int, estimate):
+    """Yield ``estimate`` of a stack of one's band after each of ``sweeps``
+    sweeps."""
+    for _ in range(sweeps):
+        sw.sweep()
+        yield estimate(sw.d[0])
 
 
 # ---------------------------------------------------------------------------
 # Golub-Kahan
 
 
-def _reduce_first_column(block, factor):
-    """Left-multiply ``block`` and ``factor`` in place by the unitary that
-    maps x = block[:, 0] onto (||x||, 0, ..., 0).
+def _householder_stack(x: np.ndarray, a1: np.ndarray):
+    """householder_vector of every row of a contiguous (S, n) stack, n >= 2,
+    whose leading magnitudes |x[:, 0]| are ``a1``, as arrays: the
+    reflectors v, the turns -conj(phase) and the norms ||x||.
 
-    Nothing is done when x already has that form (a real nonnegative pivot
-    over exact zeros). A single row takes a bare phase; otherwise the
-    unitary is the reflection -conj(phase) (I - 2 v v^H) of
-    householder_vector, skipped when ||x|| underflows to zero.
+    Bit for bit each row's householder_vector: the rows are contiguous, so
+    each row's sum of squares runs as a lone vector's does. A row whose norm
+    is zero gets a finite v, which the caller must not use.
     """
-    x = block[:, 0]
-    if not np.any(x[1:]) and x[0].imag == 0.0 and x[0].real >= 0.0:
+    xnorm = np.sqrt(np.add.reduce(x.real**2 + x.imag**2, axis=1))
+    x0 = x[:, 0]
+    phase = np.divide(x0, a1, out=np.ones_like(x0), where=a1 > 0.0)
+    w = x.copy()
+    w[:, 0] = x0 + phase * xnorm
+    wnorm = np.sqrt(np.add.reduce(w.real**2 + w.imag**2, axis=1))
+    wnorm[wnorm == 0.0] = 1.0
+    return w / wnorm[:, None], -np.conj(phase), xnorm
+
+
+def _reduce_first_column(block, refl, turn):
+    """Left-multiply each member's ``block[i]`` in place by the unitary
+    turn_i (I - 2 v_i v_i^H) that maps x = block[i, :, 0] onto
+    (||x||, 0, ..., 0); write v_i to ``refl[i]`` and turn_i to ``turn[i]``.
+
+    A member whose x already has that form (a real nonnegative pivot over
+    exact zeros), or whose ||x|| underflows to zero, is left as it is. A
+    single row takes a bare phase, member by member. Otherwise v and turn
+    are householder_vector's, and every member's block takes the
+    operations a lone matrix would, with one batched vector-matrix product.
+    """
+    x = block[:, :, 0].copy()
+    a1 = np.abs(x[:, 0])
+    todo = x[:, 1:].any(axis=1) | (x[:, 0] != a1)
+    if x.shape[1] == 1:
+        for i in np.flatnonzero(todo):
+            xnorm = abs(x[i, 0])
+            turn[i] = np.conj(x[i, 0] / xnorm)
+            block[i] *= turn[i]
+            block[i, 0, 0] = xnorm
         return
-    if x.size == 1:
-        xnorm = abs(x[0])
-        turn = np.conj(x[0] / xnorm)
-        block *= turn
-        factor *= turn
-    else:
-        step = householder_vector(x)
-        if step.skip:
-            return
-        v, turn, xnorm = step.v, -np.conj(step.phase), step.xnorm
-        block[:] = turn * (block - 2.0 * np.outer(v, v.conj() @ block))
-        factor[:] = turn * (factor - 2.0 * np.outer(v, v.conj() @ factor))
-        block[:, 0] = 0.0
-    block[0, 0] = xnorm
+    v, t, xnorm = _householder_stack(x, a1)
+    todo &= xnorm > 0.0
+    # turn (block - 2 v (v^H block)), in one temporary of the block's size
+    new = np.multiply(v[:, :, None], v.conj()[:, None, :] @ block)
+    np.multiply(2.0, new, out=new)
+    np.subtract(block, new, out=new)
+    np.multiply(t[:, None, None], new, out=new)
+    new[:, :, 0] = 0.0
+    new[:, 0, 0] = xnorm
+    np.copyto(block, new, where=todo[:, None, None])
+    np.copyto(refl, v, where=todo[:, None])
+    np.copyto(turn, t, where=todo)
+
+
+def gk_bidiagonalize_stack(mats) -> list[Bidiagonal]:
+    """gk_bidiagonalize of every matrix of a stack, reduced together.
+
+    ``mats`` is a nonempty sequence of M x K matrices of one shape, else
+    DimensionError. Column j of every member is reduced by a left unitary
+    and row j by a right one, which is a left unitary of the transposed
+    view; both come from _reduce_first_column, so the produced diagonal and
+    superdiagonal are real and nonnegative, and each member's are bit for
+    bit those of its reduction alone. No factor is updated step by step:
+    each step's reflector and unit phase are kept, and U0 and V0 are formed
+    once at the end in compact-WY form (gram_svd._reflector_product, as
+    tridiagonalize forms Q_T), the phases as one cumulative column scaling.
+    A member that fails fails the call.
+    """
+    mats = [as_matrix(m) for m in mats]
+    one_shape((m.shape for m in mats), "gk_bidiagonalize_stack")
+    work = np.stack(mats)
+    count, m, k = work.shape
+    if m < k:
+        raise DimensionError(f"gk_bidiagonalize expects rows >= cols, got {m}x{k}")
+    # every step's reflector (zero where it was skipped) and unit phase
+    uref = np.zeros((count, m, k), dtype=np.complex128)
+    vref = np.zeros((count, k, k - 1), dtype=np.complex128)
+    uturn = np.ones((count, m), dtype=np.complex128)
+    vturn = np.ones((count, k - 1), dtype=np.complex128)
+    for j in range(k):
+        _reduce_first_column(work[:, j:, j:], uref[:, j:, j], uturn[:, j])
+        if j < k - 1:
+            _reduce_first_column(
+                work[:, j:, j + 1 :].transpose(0, 2, 1), vref[:, j + 1 :, j], vturn[:, j]
+            )
+
+    diag = work[:, range(k), range(k)]
+    sup = work[:, range(k - 1), range(1, k)]
+    # each stack is freed once read, which keeps the call's peak memory
+    # near that of the factors it returns
+    del work
+    if not (np.isfinite(diag).all() and np.isfinite(sup).all()):
+        raise ValidationError("bidiagonalization overflowed: scale A first (gk_svd does)")
+    for a_i, d_i, s_i in zip(mats, diag, sup):
+        imag = max(np.max(np.abs(d_i.imag)), np.max(np.abs(s_i.imag), initial=0.0))
+        a_s, e = pow2_scale(a_i)
+        if np.ldexp(imag, -e) > 1e-10 * fro_norm(a_s):
+            raise ValidationError("bidiagonalization left complex band entries")
+    # a left step multiplies U^H by turn (I - 2 v v^H), so U takes v and
+    # conj(turn); a right step does so to V^T, so V takes conj(v) and turn
+    v0 = _reflector_product([(0, vref.conj())], vturn, 1)
+    del vref
+    u0 = _reflector_product([(0, uref)], uturn.conj(), 0)
+    return [
+        Bidiagonal(diag=d_i.real.copy(), superdiag=s_i.real.copy(), u0=u_i, v0=v_i)
+        for d_i, s_i, u_i, v_i in zip(diag, sup, u0, v0)
+    ]
 
 
 def gk_bidiagonalize(a) -> Bidiagonal:
-    """Reduce an M x K matrix (M >= K) to real upper bidiagonal form.
-
-    Column j is reduced by a left unitary and row j by a right one, which
-    is a left unitary of the transposed view; both come from
-    _reduce_first_column, so the produced diagonal and superdiagonal are
-    real and nonnegative. U is accumulated as U^H and V as V^T, so that
-    every update of a factor is a left multiplication too.
-    """
-    a = as_matrix(a)
-    m, k = a.shape
-    if m < k:
-        raise DimensionError(f"gk_bidiagonalize expects rows >= cols, got {m}x{k}")
-    work = a.copy()
-    uh = np.eye(m, dtype=np.complex128)
-    vt = np.eye(k, dtype=np.complex128)
-    for j in range(k):
-        _reduce_first_column(work[j:, j:], uh[j:])
-        if j < k - 1:
-            _reduce_first_column(work.T[j + 1 :, j:], vt[j + 1 :])
-
-    diag = work[range(k), range(k)]
-    sup = work[range(k - 1), range(1, k)]
-    imag = max(np.max(np.abs(diag.imag)), np.max(np.abs(sup.imag), initial=0.0))
-    a_s, e = pow2_scale(a)
-    if np.ldexp(imag, -e) > 1e-10 * fro_norm(a_s):
-        raise ValidationError("bidiagonalization left complex band entries")
-    return Bidiagonal(diag=diag.real.copy(), superdiag=sup.real.copy(), u0=uh.conj().T, v0=vt.T)
+    """Reduce an M x K matrix (M >= K) to real upper bidiagonal form with
+    unitary U0 and V0: the stack of one of gk_bidiagonalize_stack."""
+    return gk_bidiagonalize_stack([a])[0]
 
 
 def _gk_step(d, e, lo, hi, mu, urot=None, vrot=None):
@@ -279,23 +386,29 @@ def _gk_shift(d, e, lo, hi):
     return lam
 
 
-def _gk_sweeper(bd: Bidiagonal, shift: bool, vectors: bool = True) -> _Sweeper:
-    """Sweeper on a copy of ``bd``, with U and V accumulated unless
-    ``vectors`` is False."""
-    factors = (bd.u0[:, : bd.dim].copy(), bd.v0.copy()) if vectors else ()
-    return _Sweeper(bd.diag, bd.superdiag, _gk_step, _gk_shift if shift else None, factors)
+def _gk_sweeper(*bds: Bidiagonal, shift: bool, vectors: bool = True) -> _Sweeper:
+    """Sweeper on copies of a stack of bands of one size, accumulating the
+    left and right rotations, from the identity, unless ``vectors`` is
+    False."""
+    _, k = one_shape(((bd.u0.shape[0], bd.dim) for bd in bds), "a GK sweep")
+    factors = (_identities(len(bds), k), _identities(len(bds), k)) if vectors else ()
+    d, e = [bd.diag for bd in bds], [bd.superdiag for bd in bds]
+    return _Sweeper(d, e, _gk_step, _gk_shift if shift else None, factors)
 
 
-def _gk_result(sw: _Sweeper) -> SvdResult:
-    """Economy SVD of the current band: sigma descending, signs absorbed
-    into U."""
-    sigma = np.abs(sw.d)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u, v = sw.factors
-    u = (u * np.where(sw.d < 0, -1.0, 1.0))[:, order]
-    valid = sigma > 0
-    return SvdResult(u=u, sigma=sigma, v=v[:, order], valid=valid, diagnostics=None)
+def _gk_results(sw: _Sweeper, bds) -> list[SvdResult]:
+    """Economy SVD of each member's current band: sigma descending, signs
+    absorbed into U, and U = U0 R_u, V = V0 R_v with the rotations R that
+    the sweeps accumulated (real, K x K: cheaper to rotate than U0 and V0,
+    and applied with one product each)."""
+    out = []
+    for d, bd, ru, rv in zip(sw.d, bds, *sw.factors):
+        sigma = np.abs(d)
+        order = np.argsort(-sigma, kind="stable")
+        sigma = sigma[order]
+        u = bd.u0[:, : bd.dim] @ (ru * np.where(d < 0, -1.0, 1.0))[:, order]
+        out.append(SvdResult(u=u, sigma=sigma, v=bd.v0 @ rv[:, order], valid=sigma > 0, diagnostics=None))
+    return out
 
 
 def gk_diagonalize(bd: Bidiagonal) -> tuple[SvdResult, SweepReport]:
@@ -309,7 +422,7 @@ def gk_diagonalize(bd: Bidiagonal) -> tuple[SvdResult, SweepReport]:
     """
     sw = _gk_sweeper(bd, shift=True)
     report = _converge(sw, "gk_diagonalize")
-    return _gk_result(sw), report
+    return _gk_results(sw, [bd])[0], report
 
 
 def gk_svd(a) -> tuple[SvdResult, SweepReport]:
@@ -320,27 +433,35 @@ def gk_svd(a) -> tuple[SvdResult, SweepReport]:
     return replace(res, sigma=np.ldexp(res.sigma, e)), report
 
 
+def gk_fixed_sweeps_stack(bds, sweeps: int) -> list[SvdResult]:
+    """gk_fixed_sweeps of every band of a stack of one size (M and K), the
+    count checked before any work. Each member's band is chased as it
+    would be alone; the rotations of all members are applied together, and
+    each result is bit for bit the member's stack of one."""
+    sweeps = as_count(sweeps, "sweeps")
+    sw = _gk_sweeper(*bds, shift=False)
+    for _ in range(sweeps):
+        sw.sweep()
+    return _gk_results(sw, bds)
+
+
 def gk_fixed_sweeps(bd: Bidiagonal, sweeps: int) -> SvdResult:
     """Run exactly ``sweeps`` plain sweeps, an integer >= 1, and return the
     (possibly unconverged) decomposition; used for accuracy-versus-iterations
     studies."""
-    sw = _gk_sweeper(bd, shift=False)
-    for _ in range(as_count(sweeps, "sweeps")):
-        sw.sweep()
-    return _gk_result(sw)
+    return gk_fixed_sweeps_stack([bd], sweeps)[0]
 
 
 def gk_singular_value_history(bd: Bidiagonal, max_sweeps: int):
     """Yield |d| of the band sorted descending, the singular-value
-    estimates, after each of up to ``max_sweeps`` plain sweeps.
+    estimates, after each of up to ``max_sweeps`` plain sweeps, an integer
+    >= 1 checked at the call.
 
     Lazy, and runs without accumulating U/V, so it is cheap enough for
     Monte Carlo iteration-count measurements.
     """
-    sw = _gk_sweeper(bd, shift=False, vectors=False)
-    for _ in range(max_sweeps):
-        sw.sweep()
-        yield -np.sort(-np.abs(sw.d))
+    sweeps = as_count(max_sweeps, "max_sweeps")
+    return _history(_gk_sweeper(bd, shift=False, vectors=False), sweeps, lambda d: -np.sort(-np.abs(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,37 +500,48 @@ def _qr_tridiag_step(d, e, lo, hi, mu, rots=None):
             rots.append((j, c, s))
 
 
-def _qr_sweeper(t: TridiagonalReal, shift: bool, vectors: bool = True) -> _Sweeper:
-    """Sweeper on a copy of ``t``, with the eigenvectors accumulated from
-    the identity unless ``vectors`` is False."""
-    factors = (np.eye(t.diag.size),) if vectors else ()
-    return _Sweeper(t.diag, t.offdiag, _qr_tridiag_step, _wilkinson_shift if shift else None, factors)
+def _qr_sweeper(*ts: TridiagonalReal, shift: bool, vectors: bool = True) -> _Sweeper:
+    """Sweeper on copies of a stack of tridiagonals of one size, with the
+    eigenvectors accumulated from the identity unless ``vectors`` is False."""
+    k = one_shape((t.dim for t in ts), "a QR sweep")
+    factors = (_identities(len(ts), k),) if vectors else ()
+    d, e = [t.diag for t in ts], [t.offdiag for t in ts]
+    return _Sweeper(d, e, _qr_tridiag_step, _wilkinson_shift if shift else None, factors)
 
 
-def _qr_result(sw: _Sweeper) -> EigenDecomposition:
-    """Eigenvalues ascending with their real eigenvectors."""
-    order = np.argsort(sw.d, kind="stable")
-    return EigenDecomposition(lam=sw.d[order], q=sw.factors[0][:, order], diagnostics=None)
+def _qr_results(sw: _Sweeper) -> list[EigenDecomposition]:
+    """Each member's eigenvalues ascending with their real eigenvectors."""
+    out = []
+    for d, q in zip(sw.d, sw.factors[0]):
+        order = np.argsort(d, kind="stable")
+        out.append(EigenDecomposition(lam=d[order], q=q[:, order], diagnostics=None))
+    return out
+
+
+def qr_fixed_sweeps_stack(ts, sweeps: int) -> list[EigenDecomposition]:
+    """qr_fixed_sweeps of every tridiagonal of a stack of one size, the
+    count checked before any work; as gk_fixed_sweeps_stack, each result
+    is bit for bit the member's stack of one."""
+    sweeps = as_count(sweeps, "sweeps")
+    sw = _qr_sweeper(*ts, shift=False)
+    for _ in range(sweeps):
+        sw.sweep()
+    return _qr_results(sw)
 
 
 def qr_fixed_sweeps(t: TridiagonalReal, sweeps: int) -> EigenDecomposition:
     """Run exactly ``sweeps`` plain QR iterations, an integer >= 1, and
     return the (possibly unconverged) eigendecomposition with the
     accumulated real eigenvectors."""
-    sw = _qr_sweeper(t, shift=False)
-    for _ in range(as_count(sweeps, "sweeps")):
-        sw.sweep()
-    return _qr_result(sw)
+    return qr_fixed_sweeps_stack([t], sweeps)[0]
 
 
 def qr_eigenvalue_history(t: TridiagonalReal, max_iters: int):
     """Yield the diagonal of the band sorted ascending, the eigenvalue
-    estimates, after each of up to ``max_iters`` plain QR iterations,
-    lazily and without eigenvectors."""
-    sw = _qr_sweeper(t, shift=False, vectors=False)
-    for _ in range(max_iters):
-        sw.sweep()
-        yield np.sort(sw.d, kind="stable")
+    estimates, after each of up to ``max_iters`` plain QR iterations, an
+    integer >= 1 checked at the call, lazily and without eigenvectors."""
+    iters = as_count(max_iters, "max_iters")
+    return _history(_qr_sweeper(t, shift=False, vectors=False), iters, lambda d: np.sort(d, kind="stable"))
 
 
 def qr_tridiag_eigen(t: TridiagonalReal) -> tuple[EigenDecomposition, SweepReport]:
@@ -422,7 +554,7 @@ def qr_tridiag_eigen(t: TridiagonalReal) -> tuple[EigenDecomposition, SweepRepor
     """
     sw = _qr_sweeper(t, shift=True)
     report = _converge(sw, "qr_tridiag_eigen")
-    return _qr_result(sw), report
+    return _qr_results(sw)[0], report
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,18 @@ def test_every_span_target_resolves(monkeypatch):
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
 
 
+def test_blas_is_single_threaded(monkeypatch):
+    # conftest pins BLAS before numpy loads it; ask every loaded OpenBLAS,
+    # numpy's and scipy's, as the benchmark does
+    try:
+        import scipy.linalg  # noqa: F401  (loads scipy's own BLAS, if it has one)
+    except ImportError:
+        pass
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    threads = importlib.import_module("run").blas_threads()
+    assert all(n == 1 for n in threads.values()), threads
+
+
 def test_every_benchmark_check_passes(monkeypatch):
     monkeypatch.syspath_prepend(BENCH_DIR)
     workloads = importlib.import_module("workloads")

@@ -8,7 +8,15 @@ from parsvd.latency_model import BUILTIN_PROFILES, analytic_latency, total_ops, 
 from parsvd.latency_model.analytic import latency_breakdown
 from parsvd.matrix_core import as_matrix, fro_norm
 from parsvd.mimo_harness import ChannelConfig, iterations_to_mse, mmimo_rate
-from parsvd.reference_solvers import gk_bidiagonalize, gk_fixed_sweeps, qr_fixed_sweeps
+from parsvd.reference_solvers import (
+    gk_bidiagonalize,
+    gk_fixed_sweeps,
+    gk_fixed_sweeps_stack,
+    gk_singular_value_history,
+    qr_eigenvalue_history,
+    qr_fixed_sweeps,
+    qr_fixed_sweeps_stack,
+)
 
 
 def test_fro_norm_cases():
@@ -47,6 +55,12 @@ _COUNT_ENTRY_POINTS = {
     "latency_breakdown": lambda n: latency_breakdown("gk", (6, 4), n, _FP),
     "qr_fixed_sweeps": lambda n: qr_fixed_sweeps(_T, n).q.tobytes(),
     "gk_fixed_sweeps": lambda n: gk_fixed_sweeps(gk_bidiagonalize(_A), n).u.tobytes(),
+    "qr_fixed_sweeps_stack": lambda n: qr_fixed_sweeps_stack([_T, _T], n)[1].q.tobytes(),
+    "gk_fixed_sweeps_stack": lambda n: gk_fixed_sweeps_stack([gk_bidiagonalize(_A)] * 2, n)[1].u.tobytes(),
+    "qr_eigenvalue_history": lambda n: [lam.tobytes() for lam in qr_eigenvalue_history(_T, n)],
+    "gk_singular_value_history": lambda n: [
+        sigma.tobytes() for sigma in gk_singular_value_history(gk_bidiagonalize(_A), n)
+    ],
     "ChannelConfig.panels": lambda n: ChannelConfig(m=8, k=4, panels=n),
     "ChannelConfig.trials": lambda n: ChannelConfig(m=8, k=4, trials=n),
     "iterations_to_mse": lambda n: iterations_to_mse("gk", _CFG, 1.0, sweep_cap=n),

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from parsvd import reference_solvers
-from parsvd.errors import ConvergenceError, ValidationError
+from parsvd.errors import ConvergenceError, DimensionError, ValidationError
 from parsvd.gram_svd import (
     HermitianMatrix,
     TridiagonalReal,
@@ -19,13 +21,16 @@ from parsvd.reference_solvers import (
     _converge,
     _qr_sweeper,
     gk_bidiagonalize,
+    gk_bidiagonalize_stack,
     gk_diagonalize,
     gk_fixed_sweeps,
+    gk_fixed_sweeps_stack,
     gk_singular_value_history,
     gk_svd,
     jacobi_eigen_oracle,
     qr_eigenvalue_history,
     qr_fixed_sweeps,
+    qr_fixed_sweeps_stack,
     qr_tridiag_eigen,
 )
 
@@ -158,6 +163,130 @@ def test_bidiagonalize_matches_two_sided_reference(rng, make):
         assert np.max(np.abs(got - want), initial=0.0) <= tol
 
 
+def _per_step_bidiagonalize(a):
+    """Reference copy of the one-matrix gk_bidiagonalize loop that updated
+    U^H and V^T at every step; the stacked reduction must give its band
+    bit for bit."""
+    m, k = a.shape
+    work = a.copy()
+    uh = np.eye(m, dtype=np.complex128)
+    vt = np.eye(k, dtype=np.complex128)
+
+    def reduce_first_column(block, factor):
+        x = block[:, 0]
+        if not np.any(x[1:]) and x[0].imag == 0.0 and x[0].real >= 0.0:
+            return
+        if x.size == 1:
+            xnorm = abs(x[0])
+            turn = np.conj(x[0] / xnorm)
+            block *= turn
+            factor *= turn
+        else:
+            step = householder_vector(x)
+            if step.skip:
+                return
+            v, turn, xnorm = step.v, -np.conj(step.phase), step.xnorm
+            block[:] = turn * (block - 2.0 * np.outer(v, v.conj() @ block))
+            factor[:] = turn * (factor - 2.0 * np.outer(v, v.conj() @ factor))
+            block[:, 0] = 0.0
+        block[0, 0] = xnorm
+
+    for j in range(k):
+        reduce_first_column(work[j:, j:], uh[j:])
+        if j < k - 1:
+            reduce_first_column(work.T[j + 1 :, j:], vt[j + 1 :])
+    diag = work[range(k), range(k)].real
+    sup = work[range(k - 1), range(1, k)].real
+    return diag, sup, uh.conj().T, vt.T
+
+
+def _mixed_stack(rng, m, k):
+    """Same-shape members that take every path of a reduction step: generic
+    draws, a zero column, exact zeros from rounding, a real nonnegative
+    bidiagonal (every step skipped), a complex bidiagonal (bare phases),
+    and tiny entries whose squares underflow, below a pivot or in a whole
+    column (a zero norm: the step is skipped)."""
+    generic = [rand_complex(rng, m, k) for _ in range(3)]
+    zero_col = rand_complex(rng, m, k)
+    zero_col[:, k // 2] = 0.0
+    rounded = np.round(2.0 * rand_complex(rng, m, k))
+    band = np.zeros((m, k), dtype=complex)
+    band[range(k), range(k)] = np.abs(rng.standard_normal(k))
+    band[range(k - 1), range(1, k)] = np.abs(rng.standard_normal(k - 1))
+    phased = band * np.exp(1j * rng.uniform(0.0, 6.0, (m, k)))
+    tiny = rand_complex(rng, m, k)
+    tiny[1:, 0] = 1e-170
+    tinier = rand_complex(rng, m, k)
+    tinier[:, 0] = 1e-170 + 1e-170j
+    # (a lone tiny column would be all of A, whose complex band is loud)
+    return generic[:1] + [zero_col, rounded, band] + generic[1:] + [phased, tiny] + [tinier] * (k > 1)
+
+
+@pytest.mark.parametrize("m, k", [(6, 6), (7, 4), (9, 1), (2, 2), (64, 32)])
+def test_stacked_bidiagonalize_matches_per_step_reference(rng, m, k):
+    # each member's band has the bytes of the per-step loop, whatever the
+    # other members' steps do; U0 and V0, formed once from the reflectors,
+    # agree to rounding
+    mats = _mixed_stack(rng, m, k)
+    for a, bd in zip(mats, gk_bidiagonalize_stack(mats)):
+        diag, sup, u0, v0 = _per_step_bidiagonalize(a)
+        assert bd.diag.tobytes() == diag.tobytes()
+        assert bd.superdiag.tobytes() == sup.tobytes()
+        tol = 1e-13 * fro_norm(a)
+        assert np.max(np.abs(bd.u0 - u0)) <= tol
+        assert np.max(np.abs(bd.v0 - v0)) <= tol
+
+
+def test_stacked_bidiagonalize_checks_the_stack(rng):
+    with pytest.raises(DimensionError, match="one shape"):
+        gk_bidiagonalize_stack([rand_complex(rng, 6, 4), rand_complex(rng, 6, 3)])
+    with pytest.raises(DimensionError, match="one shape"):
+        gk_bidiagonalize_stack([])
+    with pytest.raises(DimensionError, match="rows >= cols"):
+        gk_bidiagonalize_stack([rand_complex(rng, 3, 4)])
+    with pytest.raises(ValidationError, match="complex band"):
+        gk_bidiagonalize_stack([rand_complex(rng, 16, 8), 1e-170 * rand_complex(rng, 16, 8)])
+
+
+def _decoupled(band, offdiag, cuts):
+    """``band`` with the couplings at ``cuts`` set to zero (one of them -0.0)."""
+    e = np.array(offdiag, dtype=float)
+    e[cuts] = 0.0
+    if cuts:
+        e[cuts[0]] = -0.0
+    return replace(band, superdiag=e) if isinstance(band, Bidiagonal) else TridiagonalReal(band.diag, e)
+
+
+@pytest.mark.parametrize("sweeps", [1, 3, 12])
+def test_stacked_fixed_sweeps_match_stack_of_one(rng, sweeps):
+    # members with different deflated couplings chase different blocks, so
+    # their rotation lists differ in length and position; each member
+    # still gets the bytes of its own solve
+    a = [rand_complex(rng, 12, 7) for _ in range(5)]
+    cuts = [[], [3], [0, 5], [1, 2, 4], [2]]
+    bds = [_decoupled(bd, bd.superdiag, c) for bd, c in zip(gk_bidiagonalize_stack(a), cuts)]
+    bds.append(replace(bds[0], superdiag=np.zeros(6)))  # already diagonal: no rotation at all
+    for got, bd in zip(gk_fixed_sweeps_stack(bds, sweeps), bds):
+        want = gk_fixed_sweeps(bd, sweeps)
+        for field in ("sigma", "u", "v", "valid"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    ts = [tridiagonalize(gram(x))[0] for x in a]
+    ts = [_decoupled(t, t.offdiag, c) for t, c in zip(ts, cuts)]
+    ts.append(TridiagonalReal(ts[0].diag, np.zeros(6)))
+    for got, t in zip(qr_fixed_sweeps_stack(ts, sweeps), ts):
+        want = qr_fixed_sweeps(t, sweeps)
+        assert got.lam.tobytes() == want.lam.tobytes()
+        assert got.q.tobytes() == want.q.tobytes()
+
+
+def test_stacked_fixed_sweeps_check_the_stack(rng):
+    bd = gk_bidiagonalize(rand_complex(rng, 6, 4))
+    with pytest.raises(DimensionError, match="one shape"):
+        gk_fixed_sweeps_stack([bd, gk_bidiagonalize(rand_complex(rng, 5, 4))], 2)
+    with pytest.raises(DimensionError, match="one shape"):
+        qr_fixed_sweeps_stack([TridiagonalReal([1.0], []), TridiagonalReal([1.0, 2.0], [0.5])], 2)
+
+
 def test_permutation_matrix_singular_values():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sv, _ = gk_svd(a)
@@ -276,7 +405,7 @@ def test_givens_rotations_preserve_norm(rng):
     mat = rand_complex(rng, 6, 6)
     before = fro_norm(mat)
     rots = [(0, 0.6, 0.8), (2, 0.8, -0.6), (4, 1.0, 0.0)]
-    _apply_col_rotations(mat, rots)
+    _apply_col_rotations(mat[None], [rots])
     assert fro_norm(mat) == pytest.approx(before, rel=1e-12)
 
 
@@ -351,6 +480,18 @@ def test_histories_are_lazy(rng):
     assert next(gk_singular_value_history(gk_bidiagonalize(a), 10**5)).shape == (4,)
     t, _ = tridiagonalize(gram(a))
     assert next(qr_eigenvalue_history(t, 10**5)).shape == (4,)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.5])
+def test_history_counts_checked_at_the_call(rng, bad):
+    # a bad count raises when the history is asked for, not at its first
+    # next(), and never gives an empty or one-sweep history
+    a = rand_complex(rng, 6, 4)
+    t, _ = tridiagonalize(gram(a))
+    with pytest.raises(ValidationError, match="max_sweeps must be an integer >= 1"):
+        gk_singular_value_history(gk_bidiagonalize(a), bad)
+    with pytest.raises(ValidationError, match="max_iters must be an integer >= 1"):
+        qr_eigenvalue_history(t, bad)
 
 
 # ---------------------------------------------------------------------------
