@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 numerical or convergence error.
-All randomness is controlled by --seed, or by a channel config's seed
-when the flag is not given; the same argv and files always produce
-byte-identical output.
+All randomness is controlled by --seed, which only the commands that draw
+random inputs accept, or by a channel config's seed when the flag is not
+given; the same argv and files always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .latency_model import (
     trace_run,
 )
 from .latency_model.analytic import _resolve, latency_breakdown
-from .matrix_core import as_matrix, fro_norm
+from .matrix_core import fro_norm
 from .mimo_harness import (
     ChannelConfig,
     SweepResult,
@@ -101,35 +101,26 @@ def read_matrix_text(path: str) -> np.ndarray:
     return data.reshape(rows, cols)
 
 
-def write_matrix_text(a: np.ndarray, path: str):
-    a = as_matrix(a)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        for z in row:
-            lines.append(f"{float(z.real)!r} {float(z.imag)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _random_matrix(size: tuple[int, int], seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     m, k = size
     return (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2.0)
 
 
-def _random_hermitian(k: int, seed: int) -> np.ndarray:
-    a = _random_matrix((k + 2, k), seed)
-    return gram_svd.gram(a).mat
+def _random_hermitian(k: int, seed: int) -> HermitianMatrix:
+    return gram_svd.gram(_random_matrix((k + 2, k), seed))
 
 
-def _load_input(args, square_hermitian: bool) -> np.ndarray:
+def _load_input(args, square_hermitian: bool) -> np.ndarray | HermitianMatrix:
+    """The matrix of --input or --random; a validated HermitianMatrix when
+    ``square_hermitian``, else an array."""
     if args.input is not None and args.random is not None:
         raise UsageError("--input and --random are mutually exclusive")
     if args.input is not None:
         mat = read_matrix_text(args.input)
         if square_hermitian:
             try:
-                return HermitianMatrix.from_matrix(mat).mat
+                return HermitianMatrix.from_matrix(mat)
             except ParsvdError as exc:
                 raise UsageError(f"--input {args.input}: {exc}") from exc
         return mat
@@ -230,12 +221,12 @@ def _cmd_svd(args):
 
 def _cmd_eig(args):
     b = _load_input(args, square_hermitian=True)
-    t, q_t = tridiagonalize(HermitianMatrix.from_matrix(b))
+    t, q_t = tridiagonalize(b)
     eig = gram_svd.dc_eigen(t)
     vecs = q_t @ eig.q
-    res = fro_norm(b @ vecs - vecs * eig.lam) / max(fro_norm(b), 1e-300)
+    res = fro_norm(b.mat @ vecs - vecs * eig.lam) / max(fro_norm(b.mat), 1e-300)
     payload = {
-        "dim": b.shape[0],
+        "dim": b.dim,
         "eigenvalues": [float(v) for v in eig.lam],
         "residual": res,
         "newton_iterations_total": eig.diagnostics.newton_iterations_total,
@@ -285,7 +276,7 @@ def _cmd_trace_export(args):
     else:
         if dims[0] != dims[1]:
             raise UsageError("tridiag/4step traces need a square Hermitian input size KxK")
-        mat = _random_hermitian(dims[1], args.seed)
+        mat = _random_hermitian(dims[1], args.seed).mat
     dfg = trace_run(alg, mat, iters=args.iters)
     text = dfg.export_edges()
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -374,8 +365,9 @@ def build_parser() -> _Parser:
     p = _Parser(prog="parsvd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, matrix_input=False):
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, matrix_input=False, seed=True):
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
         if matrix_input:
             sp.add_argument("--input", help="matrix text file (rows cols header, re im pairs)")
@@ -393,7 +385,7 @@ def build_parser() -> _Parser:
 
     def model_query(name, text, func, profile="zynq-fp32", profile_help=None):
         sp = sub.add_parser(name, help=text)
-        common(sp)
+        common(sp, seed=False)
         sp.add_argument("--alg", required=True)
         sp.add_argument("--size", required=True, metavar="MxK")
         sp.add_argument("--iters", type=int, default=4)
@@ -404,6 +396,7 @@ def build_parser() -> _Parser:
     model_query("latency", "critical-path latency model", _cmd_latency)
     model_query("ops", "expanded real-operation counts", _cmd_ops, None, "adds a LUT-weighted total")
     sp = model_query("trace-export", "emit a dataflow graph edge list", _cmd_trace_export)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("sweep", help="latency/ops versus size at an MSE target")

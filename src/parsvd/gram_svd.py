@@ -9,22 +9,22 @@ The divide and conquer fixes every split first, top down, then merges
 bottom up one recursion level at a time. It takes a stack of tridiagonals
 of one size, whose split trees are the same, so a level holds the merges
 of every member (a single solve is a stack of one). The merges of one
-size are sorted and deflated together, as array expressions, and only a
-merge with coincident poles rotates them on its own; the level's merges
-are then grouped by their number n of kept poles, and
-one lockstep kernel solves every secular root of a group as one
-(roots x n poles) array: a midpoint probe, then a bracketed two-pole
-rational iteration, with each root's own origin, bracket and pole pair,
-and an active set that shrinks as roots converge. One secular iteration
+size, at most two sizes per level, are one batch, and the batches run
+one after the other, the smaller size first. A batch is sorted and
+deflated as array expressions, and only a merge with coincident poles
+rotates them on its own; the batch's merges are then grouped by their
+number n of kept poles, and one lockstep kernel solves every secular
+root of a group as one (roots x n poles) array: a midpoint probe, then
+a bracketed two-pole rational iteration, with each root's own origin,
+bracket and pole pair, and an active set that shrinks as roots converge. One secular iteration
 is one rational-model step; iteration counts and budgets leave the probe
 out. From the roots it recomputes the rank-1 weights (Gu & Eisenstat,
 SIAM J. Matrix Anal. Appl. 16(1), 1995), so that the eigenvectors come
 out orthogonal; the weights, the eigenvector columns and the interlacing
 check are (merges, n, n) array expressions, and the products that carry
-the eigenvectors up are one stacked matmul per run of merges of one
-size. Groups are not padded to a
-common n: numpy's pairwise sum groups a row's terms by the row's length,
-so a padded row would add in another order. Unpadded, every root gets
+the eigenvectors up are one stacked matmul per batch. Groups are not
+padded to a common n: numpy's pairwise sum groups a row's terms by the
+row's length, so a padded row would add in another order. Unpadded, every root gets
 the operations, in the order, of a scalar solve of that root alone, and
 the result does not depend on how the merges are batched.
 
@@ -34,7 +34,6 @@ step treats its inputs as read-only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -551,30 +550,31 @@ def _merge_level(
 
     Each batch (d, u, rho) holds m merges of one size n as (m, n), (m, n)
     and (m,) arrays and gets back (lam, s) as (m, n) and (m, n, n) arrays.
-    The level's merges are numbered in batch order, then row order; merge
-    r adds its counts to diags[r % len(diags)], its member of the stack.
+    Row r of every batch is a merge of member r % len(diags) of the stack,
+    which gets its counts.
 
-    The sort, the deflation tests, the placement of the kept eigenvectors
-    and of the deflated unit vectors, the unsort and the final sort are
-    array expressions over a batch. The coincident-pole rotations run
-    merge by merge, and only in a merge with two adjacent sorted poles
-    within the deflation tolerance: anywhere else they rotate nothing. A
-    merge whose weight rho |u|^2 or whose spread of kept poles is not
-    finite raises ValidationError before any root of the level is solved.
-    The merges of the whole level are then grouped, unpadded, by their
-    number n of kept poles, groups in the order of their first merge: one
-    lockstep solve finds every root of a group, and (m, n, n) array
-    expressions give its weights, eigenvector columns and interlacing count.
+    A batch is finished before the next is read. The sort, the deflation
+    tests, the placement of the kept eigenvectors and of the deflated unit
+    vectors, the unsort and the final sort are array expressions over the
+    batch. The coincident-pole rotations run merge by merge, and only in a
+    merge with two adjacent sorted poles within the deflation tolerance:
+    anywhere else they rotate nothing. A merge whose weight rho |u|^2 or
+    whose spread of kept poles is not finite raises ValidationError before
+    any root of its batch is solved. The batch's merges are then grouped,
+    unpadded, by their number n of kept poles, groups in the order of their
+    first merge: one lockstep solve finds every root of a group, and
+    (m, n, n) array expressions give its weights, eigenvector columns and
+    interlacing count.
     """
     members = len(diags)
     deflations, iters_total, iters_max, violations = (
         np.zeros(members, dtype=np.int64) for _ in range(4)
     )
-    prepared = []
-    start = 0
+    out = []
     for d, u, rho in batches:
         m, n = d.shape
         r = np.arange(m)[:, None]
+        owner = r[:, 0] % members
         p = np.argsort(d, axis=1, kind="stable")
         ds = d[r, p]
         us = u[r, p]
@@ -602,75 +602,51 @@ def _merge_level(
             i: _rotate_coincident(ds[i], us[i], deflated[i], tol[i])
             for i in np.nonzero(close.any(axis=1))[0]
         }
-        n_keep = n - np.count_nonzero(deflated, axis=1)
-        owner = (start + r[:, 0]) % members
-        start += m
-        np.add.at(deflations, owner, n - n_keep)
-        # kept components first, then the deflated ones, each in sorted order
+        counts = n - np.count_nonzero(deflated, axis=1)
+        np.add.at(deflations, owner, n - counts)
+        # kept components first, then the deflated ones, each in sorted order;
+        # a deflated component keeps its pole as its eigenvalue
         perm = np.argsort(deflated, axis=1, kind="stable")
-        prepared.append((p, perm, n_keep, ds[r, perm], us[r, perm], owner, rots))
-    # per batch: sort order, kept-first order, kept count, sorted poles and
-    # weights in kept-first order, owning member, rotations by merge
-    sorts, perms, counts, kds, kus, owners, rotations = zip(*prepared)
-
-    lam_kept = [np.empty(kd.shape) for kd in kds]
-    vectors = [np.zeros(kd.shape + kd.shape[1:]) for kd in kds]
-    # groups in the order of their first merge
-    for n_keep in dict.fromkeys(np.concatenate(counts).tolist()):
-        if n_keep == 0:
-            continue
-        picks = [(b, np.nonzero(c == n_keep)[0]) for b, c in enumerate(counts)]
-        picks = [(b, rows) for b, rows in picks if rows.size]
-        dk = np.concatenate([kds[b][rows, :n_keep] for b, rows in picks])
-        uk = np.concatenate([kus[b][rows, :n_keep] for b, rows in picks])
-        rho = np.concatenate([batches[b][2][rows] for b, rows in picks])
-        owner = np.concatenate([owners[b][rows] for b, rows in picks])
-        asq = rho[:, None] * uk * uk
-        origin, tau, iters = _secular_roots(dk, asq, cap)
-        lam = np.take_along_axis(dk, origin, axis=1) + tau
-        # the top root is the only one not bracketed by two poles
-        if not np.all(np.isfinite(lam[:, -1])):
-            raise ValidationError("merge eigenvalue overflowed: tridiagonal entries must be finite")
-        np.add.at(iters_total, owner, iters.sum(axis=1))
-        np.maximum.at(iters_max, owner, iters.max(axis=1))
-        # strict interlacing, verified on the shifted (origin, tau) values
-        # where pole differences are exact; a single surviving component is
-        # the closed-form case whose root sits exactly on the upper bound
-        if n_keep > 1:
-            hi = np.concatenate([np.diff(dk, axis=1), asq.sum(axis=1)[:, None]], axis=1)
-            ok = np.where(
-                origin == np.arange(n_keep), (0.0 < tau) & (tau < hi), (-hi < tau) & (tau < 0.0)
-            )
-            np.add.at(violations, owner, np.count_nonzero(~ok, axis=1))
-        w = _eigenvectors(dk, uk, origin, tau)
-        at = 0
-        for b, rows in picks:
-            lam_kept[b][rows, :n_keep] = lam[at : at + rows.size]
+        kd, ku = ds[r, perm], us[r, perm]
+        lam_all = kd.copy()
+        vt = np.zeros((m, n, n))
+        # groups in the order of their first merge
+        for n_keep in dict.fromkeys(counts.tolist()):
+            if n_keep == 0:
+                continue
+            rows = np.nonzero(counts == n_keep)[0]
+            dk, uk = kd[rows, :n_keep], ku[rows, :n_keep]
+            asq = rho[rows, None] * uk * uk
+            origin, tau, iters = _secular_roots(dk, asq, cap)
+            lam = np.take_along_axis(dk, origin, axis=1) + tau
+            # the top root is the only one not bracketed by two poles
+            if not np.all(np.isfinite(lam[:, -1])):
+                raise ValidationError(
+                    "merge eigenvalue overflowed: tridiagonal entries must be finite"
+                )
+            np.add.at(iters_total, owner[rows], iters.sum(axis=1))
+            np.maximum.at(iters_max, owner[rows], iters.max(axis=1))
+            # strict interlacing, verified on the shifted (origin, tau) values
+            # where pole differences are exact; a single surviving component is
+            # the closed-form case whose root sits exactly on the upper bound
+            if n_keep > 1:
+                hi = np.concatenate([np.diff(dk, axis=1), asq.sum(axis=1)[:, None]], axis=1)
+                ok = np.where(
+                    origin == np.arange(n_keep), (0.0 < tau) & (tau < hi), (-hi < tau) & (tau < 0.0)
+                )
+                np.add.at(violations, owner[rows], np.count_nonzero(~ok, axis=1))
+            lam_all[rows, :n_keep] = lam
             # row i holds root i's eigenvector (row i of w) over the kept components
-            vectors[b][rows, :n_keep, :n_keep] = w[at : at + rows.size]
-            at += rows.size
-    for diag, defl, total, most, bad in zip(diags, deflations, iters_total, iters_max, violations):
-        diag.deflation_count += int(defl)
-        diag.newton_iterations_total += int(total)
-        diag.newton_iterations_max_per_root = max(diag.newton_iterations_max_per_root, int(most))
-        diag.interlacing_violations += int(bad)
-
-    # Every s[i] is Fortran-ordered (eigenvector c is row c of the memory
-    # under s): BLAS picks its kernel, and so its rounding, by operand
-    # layout, and this is the layout in which dc_eigen has always formed
-    # its eigenvector products.
-    out = []
-    for p, perm, n_keep, kd, lk, vt, rots in zip(sorts, perms, counts, kds, lam_kept, vectors, rotations):
-        m, n = kd.shape
-        r = np.arange(m)[:, None]
-        dropped = np.arange(n) >= n_keep[:, None]
+            vt[rows, :n_keep, :n_keep] = _eigenvectors(dk, uk, origin, tau)
         # a deflated component keeps its unit vector, as eigenvector j >= n_keep
-        i_idx, j_idx = np.nonzero(dropped)
+        i_idx, j_idx = np.nonzero(np.arange(n) >= counts[:, None])
         vt[i_idx, j_idx, j_idx] = 1.0
-        lam_all = np.where(dropped, kd, lk)
         order = np.argsort(lam_all, axis=1, kind="stable")
-        # entry a of an eigenvector in vt is sorted component perm[a], so
-        # input component p[perm[a]]
+        # Every s[i] is Fortran-ordered (eigenvector c is row c of the memory
+        # under s): BLAS picks its kernel, and so its rounding, by operand
+        # layout, and this is the layout in which dc_eigen has always formed
+        # its eigenvector products. Entry a of an eigenvector in vt is sorted
+        # component perm[a], so input component p[perm[a]].
         s = np.empty_like(vt).transpose(0, 2, 1)
         s[r, p[r, perm]] = vt[r, order].transpose(0, 2, 1)
         # map eigenvectors back through the deflation rotations (apply R, the
@@ -682,6 +658,11 @@ def _merge_level(
                 s[i, p[i, c], :] = cs * row_c + sn * row_j
                 s[i, p[i, jj], :] = -sn * row_c + cs * row_j
         out.append((lam_all[r, order], s))
+    for diag, defl, total, most, bad in zip(diags, deflations, iters_total, iters_max, violations):
+        diag.deflation_count += int(defl)
+        diag.newton_iterations_total += int(total)
+        diag.newton_iterations_max_per_root = max(diag.newton_iterations_max_per_root, int(most))
+        diag.interlacing_violations += int(bad)
     return out
 
 
@@ -691,8 +672,9 @@ def _dc(ts: list[TridiagonalReal], cap: int | None) -> list[EigenDecomposition]:
 
     The split tree depends only on K, so every split is made for the whole
     stack at once, and every merge of a recursion level, across the stack,
-    goes to one _merge_level call. A member gets the bits of its solve
-    alone: nothing in a merge reads another merge.
+    goes to one _merge_level call, as one batch per merge size. A member
+    gets the bits of its solve alone: nothing in a merge reads another
+    merge.
     """
     k = ts[0].dim
     members = len(ts)
@@ -726,11 +708,13 @@ def _dc(ts: list[TridiagonalReal], cap: int | None) -> list[EigenDecomposition]:
 
     # bottom up, one level at a time: a merge joins the eigen decompositions
     # of its two halves, keyed by their first row, each as (members, ...)
-    # arrays. A run of merges of one size is one batch, whose row
-    # i * members + s is member s of the run's merge i.
+    # arrays. The merges of one size, at most two per level, are one batch,
+    # ordered by size; row i * members + s of a batch is member s of its
+    # merge i, in tree order.
     solved = {i: (d[:, i : i + 1], np.ones((members, 1, 1))) for i in range(k)}
     for level in reversed(levels):
-        runs = [list(run) for _, run in itertools.groupby(level, key=lambda x: x[2] - x[0])]
+        sizes = sorted({hi - lo for lo, _, hi in level})
+        runs = [[x for x in level if x[2] - x[0] == n] for n in sizes]
         batches, halves = [], []
         for run in runs:
             n = run[0][2] - run[0][0]
@@ -757,22 +741,24 @@ def dc_eigen(t: TridiagonalReal) -> EigenDecomposition:
     """Divide-and-conquer eigendecomposition of a real symmetric tridiagonal.
 
     Splits at the middle recursively (every split first, top down), then
-    merges one recursion level at a time, deepest first: each rank-1 merge
-    deflates negligible components and coincident poles, every secular
-    root of the level is solved in lockstep with the other roots of merges
-    that keep as many poles, and the eigenvectors are accumulated per
-    level. Eigenvalues come out ascending, with a real eigenvector matrix.
-    A secular root that does not converge in ``_MAX_NEWTON_ITERS`` (50)
+    merges one recursion level at a time, deepest first, and within a
+    level the merges of one size at a time, the smaller size first: each
+    rank-1 merge deflates negligible components and coincident poles,
+    every secular root is solved in lockstep with the other roots of
+    merges of its size that keep as many poles, and the eigenvectors are
+    accumulated per size. Eigenvalues come out ascending, with a real
+    eigenvector matrix. A secular root that does not converge in ``_MAX_NEWTON_ITERS`` (50)
     model steps raises ConvergenceError; an overflowing split, a merge
     whose weight or spread of kept poles overflows, and a merge whose top
     root overflows raise ValidationError. Since all splits come before any
-    merge, and a level's merges are solved together, an input with more
-    than one such fault reports the first split fault if there is one, and
-    otherwise the first fault of the deepest level that has one: an
-    overflowing weight or spread, else the fault of the first group of
-    merges to hit one. With roots failing in two merges, the bracket may
-    belong to a different root than a depth-first recursion would
-    report. It is the solve of a stack of one (svd_4step_stack).
+    merge, and the merges of one size are solved together, an input with
+    more than one such fault reports the first split fault if there is
+    one, and otherwise the first fault of the deepest level that has one,
+    in its smallest merge size that has one: an overflowing weight or
+    spread, else the fault of the first group of merges to hit one. With
+    roots failing in two merges, the bracket may belong to a different
+    root than a depth-first recursion would report. It is the solve of a
+    stack of one (svd_4step_stack).
     """
     return _dc([t], None)[0]
 
@@ -890,7 +876,8 @@ def svd_4step_stack(
     same error type. With faults in several members, the first stage to
     fail reports: scaling, gram and tridiagonalize run member by member,
     in stack order; the divide and conquer reports as dc_eigen does, with
-    a level's merges ordered by position in the tree, then by member.
+    a level's merges ordered by size, then position in the tree, then
+    member.
     """
     cap = _solve_cap(iter_budget, sv_threshold)
     mats = [as_matrix(a) for a in mats]

@@ -200,6 +200,13 @@ def _dc_model(iters: int, d_dep: list, e_dep: list, w: tuple):
 # QR iteration
 
 
+def _givens(x, z, w: tuple):
+    """Depths of r = sqrt(x^2 + z^2) and of (c, s) = (x, z) / r, from the
+    depths of x and z."""
+    r = _plus(max(_plus(x, _M1, w), _plus(z, _M1, w)), _AS, w)
+    return r, _plus(r, _D1, w)
+
+
 def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, w: tuple):
     """Returns the path depth of ``sweeps`` pipelined plain QR sweeps."""
     d = list(d_dep)
@@ -214,8 +221,7 @@ def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, w: tuple):
             else:
                 z = e[0]
                 e_eff = e[0]
-            r = _plus(max(_plus(x, _M1, w), _plus(z, _M1, w)), _AS, w)
-            cd = _plus(r, _D1, w)
+            r, cd = _givens(x, z, w)
             if j > 0:
                 e[j - 1] = r
             # p1 and q1, p2 and q2 have equal depths, and so have the three
@@ -283,16 +289,14 @@ def _gk_sweep_model(k_dim, sweeps, d_dep, e_dep, w: tuple):
                 e_eff = g
             else:
                 e_eff = e[j]
-            r1 = _plus(max(_plus(f, _M1, w), _plus(g, _M1, w)), _AS, w)
-            cd = _plus(r1, _D1, w)
+            r1, cd = _givens(f, g, w)
             if j > 0:
                 e[j - 1] = r1
             f = _plus(max(_plus(max(cd, d[j]), _M1, w), _plus(max(cd, e_eff), _M1, w)), _A1, w)
             e_tmp = f
             g2 = _plus(max(cd, d[j + 1]), _M1, w)
             dj1 = g2
-            r2 = _plus(max(_plus(f, _M1, w), _plus(g2, _M1, w)), _AS, w)
-            c2 = _plus(r2, _D1, w)
+            r2, c2 = _givens(f, g2, w)
             d[j] = r2
             f = _plus(max(_plus(max(c2, e_tmp), _M1, w), _plus(max(c2, dj1), _M1, w)), _A1, w)
             d[j + 1] = f

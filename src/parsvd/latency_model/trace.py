@@ -600,6 +600,13 @@ def _combine(tb: TraceBuilder, c: Traced, s: Traced, u, v, plus, scalars_first=T
     return tb.add_or_sub(tb.mul(u, c), tb.mul(v, s), plus)
 
 
+def _givens(tb: TraceBuilder, x: Traced, z: Traced) -> tuple[Traced, Traced]:
+    """r = sqrt(x^2 + z^2) and the stacked (c, s) = (x, z) / r of the plane
+    rotation that maps (x, z) onto (r, 0)."""
+    r = tb.sqrt(tb.add(tb.mul(x, x), tb.mul(z, z)))
+    return r, tb.div(_stack([x, z]), r)
+
+
 def _rotate(tb: TraceBuilder, rows: Traced, a: int, b: int, c: Traced, s: Traced, scalars_first=True):
     """Plane rotation of rows a and b, in place:
     (row a, row b) <- (c row a + s row b, c row b - s row a)."""
@@ -636,8 +643,7 @@ def trace_qr_sweeps(tb: TraceBuilder, diag, offdiag, sweeps: int):
                     z, e_eff = tb.mul(cs_prev[::-1], e[j])
                 else:
                     z = e_eff = e[0]
-                r = tb.sqrt(tb.add(tb.mul(x, x), tb.mul(z, z)))
-                cs = tb.div(_stack([x, z]), r)
+                r, cs = _givens(tb, x, z)
                 c, sn = cs
                 if j > 0:
                     e[j - 1] = r
@@ -755,16 +761,14 @@ def trace_gk_sweeps(tb: TraceBuilder, dvals, evals, sweeps: int, m_rows: int):
                     g, e_eff = tb.mul(cs2_prev[::-1], e[j])
                 else:
                     e_eff = e[j]
-                r1 = tb.sqrt(tb.add(tb.mul(f, f), tb.mul(g, g)))
-                c, sn = tb.div(_stack([f, g]), r1)
+                r1, (c, sn) = _givens(tb, f, g)
                 if j > 0:
                     e[j - 1] = r1
                 f, e_tmp = _combine(tb, c, sn, [d[j], e_eff], [e_eff, d[j]], (True, False))
                 g2, dj1 = tb.mul(_stack([sn, c]), d[j + 1])
                 with tb.label(("gk", s, "vacc")):
                     _rotate(tb, vcols, j, j + 1, c, sn, scalars_first=False)
-                r2 = tb.sqrt(tb.add(tb.mul(f, f), tb.mul(g2, g2)))
-                cs2 = tb.div(_stack([f, g2]), r2)
+                r2, cs2 = _givens(tb, f, g2)
                 c2, s2 = cs2
                 d[j] = r2
                 f, d[j + 1] = _combine(tb, c2, s2, [e_tmp, dj1], [dj1, e_tmp], (True, False))

@@ -86,7 +86,8 @@ def _givens(a: float, b: float) -> tuple[float, float, float]:
 
 def _unreduced_blocks(d, e):
     """Yield the unreduced blocks [lo, hi] of a band left to right, zeroing
-    negligible couplings; each block is chased before the scan reads on."""
+    negligible couplings; each block is chased before the scan reads on.
+    A block has hi > lo, and e[lo:hi] holds no zero."""
     k = d.size
     lo = 0
     while lo < k - 1:
@@ -371,8 +372,6 @@ def _gk_step(d, e, lo, hi, mu, urot=None, vrot=None):
 
 def _gk_shift(d, e, lo, hi):
     """Shift: smallest eigenvalue of the trailing 2x2 of B^T B."""
-    if hi == lo:
-        return 0.0
     dm, em = d[hi - 1], e[hi - 1]
     dn = d[hi]
     a11 = dm * dm + (e[hi - 2] * e[hi - 2] if hi - 1 > lo else 0.0)
@@ -473,8 +472,6 @@ def _wilkinson_shift(d, e, lo, hi):
     b = e[hi - 1]
     c = d[hi]
     delta = 0.5 * (a - c)
-    if delta == 0.0 and b == 0.0:
-        return c
     sgn = 1.0 if delta >= 0 else -1.0
     return c - b * b / (delta + sgn * math.hypot(delta, b))
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from parsvd.cli import emit_plot_data, main, read_matrix_text, write_matrix_text
+from parsvd.cli import emit_plot_data, main, read_matrix_text
 from parsvd.latency_model import BUILTIN_PROFILES, analytic_latency, total_ops
 from parsvd.mimo_harness import SweepResult
 
@@ -32,10 +32,16 @@ def test_same_argv_same_bytes(capsys):
     assert out1 == out2
 
 
+def _write_matrix(path, a):
+    # the matrix text format: a "rows cols" header, then re/im pairs row-major
+    pairs = [f"{float(z.real)!r} {float(z.imag)!r}" for z in np.ravel(a)]
+    path.write_text("\n".join([f"{a.shape[0]} {a.shape[1]}", *pairs]) + "\n")
+
+
 def test_matrix_file_roundtrip(tmp_path, capsys, rng):
     a = rand_complex(rng, 5, 3)
     path = tmp_path / "mat.txt"
-    write_matrix_text(a, str(path))
+    _write_matrix(path, a)
     back = read_matrix_text(str(path))
     np.testing.assert_array_equal(a, back)
     code, out, _ = run_cli(capsys, "svd", "--input", str(path), "--format", "json")
@@ -59,6 +65,11 @@ def test_usage_errors(capsys):
     assert "bogus" in err
     code, _, err = run_cli(capsys, "svd")
     assert code == 1
+    # latency and ops draw nothing at random, so they have no --seed
+    for command in ("latency", "ops"):
+        code, _, err = run_cli(capsys, command, "--alg", "dc", "--size", "8x8", "--seed", "1")
+        assert code == 1
+        assert "--seed" in err
 
 
 @pytest.mark.parametrize(
@@ -108,6 +119,37 @@ def test_latency_matches_model(capsys):
     assert payload["breakdown_ns"]["tridiagonalization"] > 0
 
 
+def test_eig_input_file(tmp_path, capsys):
+    # a Hermitian file solves; a non-Hermitian one is a usage error
+    h = np.array([[2.0, 1.0 - 1.0j, 0.0], [1.0 + 1.0j, 3.0, 0.5j], [0.0, -0.5j, 1.0]])
+    path = tmp_path / "herm.txt"
+    _write_matrix(path, h)
+    code, out, _ = run_cli(capsys, "eig", "--input", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == 3 and payload["residual"] <= 1e-12
+    np.testing.assert_allclose(payload["eigenvalues"], np.linalg.eigvalsh(h), rtol=1e-12)
+    h[0, 1] += 0.1
+    _write_matrix(path, h)
+    code, _, err = run_cli(capsys, "eig", "--input", str(path))
+    assert code == 1
+    assert "not Hermitian" in err
+
+
+def test_sweep_csv(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--algs", "dc,qr", "--sizes", "4,8", "--trials", "1",
+        "--out", str(out_path), "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    lines = out_path.read_text().strip().split("\n")
+    assert lines[0].split(",") == ["x", "4step-dc", "4step-dc:ops", "4step-qr", "4step-qr:ops"]
+    assert [row.split(",")[0] for row in lines[1:]] == ["4x4", "8x8"]
+    assert [float(row.split(",")[1]) for row in lines[1:]] == payload["4step-dc"]
+
+
 def test_trace_export(tmp_path, capsys):
     out_path = tmp_path / "graph.txt"
     code, out, _ = run_cli(
@@ -120,6 +162,19 @@ def test_trace_export(tmp_path, capsys):
     assert len(lines) == payload["nodes"]
     census = total_ops("tridiag", (4, 4))
     assert sum(payload["census"].values()) == census.total()
+
+
+def test_trace_export_gk(tmp_path, capsys):
+    # gk traces a random M x K matrix of --seed; the census is the model's
+    out_path = tmp_path / "gk.txt"
+    argv = ["trace-export", "--alg", "gk", "--size", "8x4", "--iters", "2", "--out", str(out_path)]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(out_path.read_text().strip().split("\n")) == payload["nodes"]
+    assert sum(payload["census"].values()) == total_ops("gk", (8, 4), 2).total()
+    code, again, _ = run_cli(capsys, *argv, "--seed", "3", "--format", "json")
+    assert code == 0 and again == out
 
 
 def test_emit_plot_data_single_point(tmp_path):

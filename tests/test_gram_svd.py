@@ -537,6 +537,62 @@ def test_stall_merge_raises_with_its_bracket():
     np.testing.assert_array_equal(iters, [[4, 50, 3]])
 
 
+def test_gaussian_merge_raises_with_its_bracket():
+    # ROADMAP item 1's benchmarked failure: the merge that stalls in
+    # svd_4step on workloads.build("svd-gaussian", seed=51, cycle=48), its
+    # 512x256 draw with BLAS at one thread; it is row 3 of a 4 x 64 kernel
+    # group, 64 kept poles with weights rho u^2. Root 11 alternates between
+    # the ends of its bracket and is still open after _MAX_NEWTON_ITERS steps
+    d = np.array(
+        [
+            106.19777672691124, 110.06505073571432, 123.620504653543, 127.01169604961315,
+            134.87013020519868, 135.17655409431592, 141.4019112454699, 146.9759226111659,
+            152.27767315087442, 155.64661518788517, 171.82389682076655, 172.56495541509588,
+            176.59472032249076, 181.63113534519488, 185.4485943944518, 192.32327569800148,
+            203.9685622117735, 209.46668838389866, 217.09658451139353, 218.82213206604203,
+            223.92424966034815, 230.36960289411115, 237.82716720993858, 238.95075361738074,
+            247.13417216671226, 253.96286770675306, 258.6446467902402, 264.5933521068898,
+            277.2394550730592, 282.4567572516955, 282.70256150304635, 286.8166587741773,
+            295.73443291362975, 300.57788156162, 309.6728387958618, 320.82613495691163,
+            330.81657874218814, 336.5334008483544, 336.78196113997734, 348.36483845386306,
+            353.6039376647001, 363.87255592769213, 374.9042773436579, 379.3498187597958,
+            386.2441305061644, 392.5391286772534, 398.48031061406283, 419.7304751553593,
+            430.37226594764917, 439.18118749876527, 445.9209577892786, 457.6111823976436,
+            461.40063868327286, 486.9053276786925, 488.5198065637136, 502.9427074816681,
+            513.2974480268944, 531.8546423628013, 542.2295809603079, 569.9133699680418,
+            575.2571485786532, 607.0197169298926, 627.8984065180297, 641.8734175796085
+        ]
+    )
+    asq = np.array(
+        [
+            1.806117734066051e-05, 0.00010178137362939348, 0.8603347911973568, 6.107925747888647,
+            24.724607031440797, 10.844271533656961, 5.156152381383283, 1.7515802884337914,
+            2.832715755630473, 2.1500064354413113, 4.098019171651604, 0.00036787208437969625,
+            11.693669472287818, 8.290762865937515, 3.0308825928097036, 0.48645976057262097,
+            15.912713194411383, 2.6397902531300055, 1.0555566076640022, 9.322200487805459,
+            1.8630203733280166, 5.374745019135474, 2.1601712642187625, 10.814711956125949,
+            3.655951580804607, 6.834339139688797, 0.49995684802973217, 1.5802832863751857,
+            1.2887712381657097, 1.1215227344128433, 0.6762046366624802, 2.5265898686510693,
+            2.149972668183543, 0.6026149547825108, 2.2635160848974683, 0.177852486422444,
+            1.440560583130781, 1.5886231908775883, 0.6238089375148239, 0.11472403668059002,
+            2.915162663359076, 0.42210259881150175, 1.9841806908172688, 3.137221919405754,
+            0.9431479569026886, 1.6586562750632128, 0.721337901948463, 1.0735186580846001,
+            0.4771721203896768, 0.7055586781405353, 0.7504529107346617, 1.9600372065335177,
+            0.5017777725895913, 0.7280212260590637, 0.24384679535277046, 0.7827664185144049,
+            0.10910457297330421, 0.11561967121239392, 0.0017021197565491302, 1.433553079489849e-05,
+            3.4090290884155996e-06, 1.7857106094136214e-10, 3.2543273840437147e-12,
+            4.31057373323159e-15
+        ]
+    )
+    with pytest.raises(ConvergenceError) as err:
+        _secular_roots(d[None], asq[None], None)
+    assert err.value.bracket == (0.0016242733609712623, 0.6088923057406935)
+    # with a cap, root 11 spends the whole budget and every other root converges
+    _, _, iters = _secular_roots(d[None], asq[None], 60)
+    assert iters[0, 11] == _MAX_NEWTON_ITERS
+    assert np.all(np.delete(iters[0], 11) < _MAX_NEWTON_ITERS)
+
+
 def test_dc_2x2_analytic():
     t = TridiagonalReal(diag=[2.0, 2.0], offdiag=[1.0])
     eig = dc_eigen(t)

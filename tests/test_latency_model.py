@@ -63,6 +63,20 @@ def test_profile_file_roundtrip(tmp_path):
     assert prof.lut["sqrt"] == 40
 
 
+def test_profile_file_key_equals_value(tmp_path):
+    # "key=value" pairs, comments and blank lines read as the plain form does
+    path = tmp_path / "equals.profile"
+    path.write_text(
+        "# board timings\n\nname = myboard  # trailing comment\n"
+        "add.ns=1.5\nmul.ns = 2.0\n   \ndiv.ns 4.0\nsqrt.ns=3.0\n"
+        "add.lut=10\nmul.lut=20\ndiv.lut=30\nsqrt.lut=40\n# end\n"
+    )
+    prof = load_profile(str(path))
+    assert prof.name == "myboard"
+    assert prof.latency_ns == {"add": 1.5, "mul": 2.0, "div": 4.0, "sqrt": 3.0}
+    assert prof.lut == {"add": 10, "mul": 20, "div": 30, "sqrt": 40}
+
+
 def test_profile_zero_latency_rejected(tmp_path):
     path = tmp_path / "bad.profile"
     path.write_text(
@@ -392,6 +406,21 @@ def test_dc_closed_form_bounds_trace(rng, k_dim):
             assert want.ns >= got.ns
             for kind in ("add", "mul", "div", "sqrt"):
                 assert getattr(want.critical_path, kind) >= getattr(got.critical_path, kind), kind
+
+
+@pytest.mark.parametrize("algorithm", ["tridiag", "4step-dc", "4step-qr", "gk"])
+@pytest.mark.parametrize("k_dim", [1, 2, 4])
+def test_zero_matrix_trace_equals_analytic(algorithm, k_dim):
+    # a zero matrix divides by zero norms (TraceBuilder.div's zero-divisor
+    # branch): every division is still an operator of the census, and the
+    # path is the closed form's
+    for iters in (1, 3):
+        dfg = trace_run(algorithm, np.zeros((k_dim, k_dim)), iters=iters)
+        assert dfg.census() == total_ops(algorithm, (k_dim, k_dim), iters)
+        got = critical_path(dfg, FP)
+        want = analytic_latency(algorithm, (k_dim, k_dim), iters, FP)
+        assert got.critical_path == want.critical_path
+        assert got.ns == pytest.approx(want.ns, abs=1e-9)
 
 
 # Closed forms beyond the explicit trace limit, at the iteration budgets of

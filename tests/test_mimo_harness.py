@@ -378,3 +378,34 @@ def test_latency_size_sweep_structure():
     assert sweep.series["gk"][1] > sweep.series["gk"][0]
     assert sweep.series["gk:ops"][1] > sweep.series["gk:ops"][0]
     assert "gk@8x8" in sweep.meta["iterations"]
+
+
+def test_failed_trials_are_counted(monkeypatch):
+    # a trial whose solve raises is skipped and counted, and the mean is
+    # over the other trials; when every trial fails, the mean raises
+    solve = mimo_harness._truncated_svd
+    calls = []
+
+    def flaky(h, algorithm, budget):
+        calls.append(budget)
+        if len(calls) == 2:
+            raise ConvergenceError("stalled")
+        return solve(h, algorithm, budget)
+
+    monkeypatch.setattr(mimo_harness, "_truncated_svd", flaky)
+    cfg = ChannelConfig(m=16, k=4, trials=3)
+    point = mmimo_rate(cfg)
+    assert (point.trials_ok, point.trials_failed) == (2, 1)
+    rates = []
+    for trial in (0, 2):
+        h = gen_iid_channel(cfg, 0, trial)
+        svd = svd_4step(h)
+        rates.append(achievable_rate(h, svd.u, svd.v, cfg.snr_per_link))
+    assert point.value == float(np.mean(rates))
+
+    def failing(h, algorithm, budget):
+        raise ValidationError("no solve")
+
+    monkeypatch.setattr(mimo_harness, "_truncated_svd", failing)
+    with pytest.raises(ConvergenceError, match="every trial failed in mmimo_rate"):
+        mmimo_rate(cfg)
