@@ -197,6 +197,8 @@ def _sweep_payload(sweep: SweepResult) -> dict:
         payload[name] = list(sweep.series[name])
     if sweep.reference is not None:
         payload["reference"] = sweep.reference
+    if "trials_failed" in sweep.meta:
+        payload["trials_failed"] = sweep.meta["trials_failed"]
     return payload
 
 

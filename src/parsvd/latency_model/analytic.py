@@ -320,11 +320,14 @@ def _resolve(algorithm: str) -> str:
 
 
 def _checked(algorithm: str, dims, iters: int):
-    """Returns (algorithm, M, K) with the alias resolved and the inputs checked."""
+    """Returns (algorithm, M, K) with the alias resolved and the inputs
+    checked: DimensionError unless ``dims`` is a pair of integers >= 1
+    (numpy integers included, a bool not)."""
     alg = _resolve(algorithm)
-    m_dim, k_dim = dims
-    if m_dim < 1 or k_dim < 1:
-        raise DimensionError(f"dims must be positive, got {dims}")
+    try:
+        m_dim, k_dim = (as_count(d, "dims") for d in dims)
+    except (TypeError, ValueError, ValidationError):
+        raise DimensionError(f"dims must be a pair of integers >= 1, got {dims!r}") from None
     as_count(iters, "iters")
     if alg == "gk" and m_dim < k_dim:
         raise DimensionError(f"gk expects rows >= cols, got {dims}")

@@ -2,18 +2,20 @@
 
 Each schedule executes the algorithm on traced values: arrays that carry,
 per element, the value, the id of the graph node that computes it (-1 for
-a constant) and a structural flag. Every real addition, multiplication,
-division, and square root emits one node, with edges following the
-actual data dependencies. An operation on arrays emits one block of
-nodes, one per element that needs one, with ids in element order, so a
-node's id is its place in emission order. Complex arithmetic is expanded
-on the spot (a generic complex multiply costs four real multiplies and
-two adds, a conjugate-self product two multiplies and one add, scaling
-by a power of two is free). Reductions use balanced adder trees, whose
-levels are emitted as blocks. Values are carried along, so a trace both
-prices and computes the algorithm; each element follows the IEEE
-operation of the scalar schedule, so the values are those of a scalar
-run.
+a constant) and a structural flag. A complex value is one such array
+with a trailing (re, im) axis of length 2. Every real addition,
+multiplication, division, and square root emits one node, with edges
+following the actual data dependencies. An operation on arrays emits one
+block of nodes, one per element that needs one, with ids in element
+order, so a node's id is its place in emission order; one block covers
+both lanes of a complex operation. Complex arithmetic is expanded on the
+spot (a generic complex multiply costs four real multiplies, one block,
+and two adds, another; a conjugate-self product two multiplies and one
+add; conjugation and scaling by a power of two are free). Reductions use
+balanced adder trees, whose levels are emitted as blocks. Values are
+carried along, so a trace both prices and computes the algorithm; each
+element follows the IEEE operation of the scalar schedule, so the values
+are those of a scalar run.
 
 Structural bookkeeping:
 
@@ -61,11 +63,14 @@ _ADD, _MUL, _DIV, _SQRT, _INPUT, _OUTPUT = (
     KINDS.index(k) for k in ("add", "mul", "div", "sqrt", "input", "output")
 )
 
+_IM = np.array([False, True])  # the imaginary lane of a trailing (re, im) axis
+
 
 class Traced:
     """Traced real values: an array ``val``, the node id of each element
     (-1 for a constant) and each element's structural flag. ``flag`` is
-    None when every element is a node, which is the common case."""
+    None when every element is a node, which is the common case. A
+    complex array holds (re, im) on its last axis."""
 
     __slots__ = ("val", "node", "flag")
 
@@ -81,7 +86,11 @@ class Traced:
 
     @property
     def T(self) -> "Traced":
-        return Traced(self.val.T, self.node.T, None if self.flag is None else self.flag.T)
+        return self.swapaxes(0, 1)
+
+    def swapaxes(self, a: int, b: int) -> "Traced":
+        flag = None if self.flag is None else self.flag.swapaxes(a, b)
+        return Traced(self.val.swapaxes(a, b), self.node.swapaxes(a, b), flag)
 
     def __len__(self) -> int:
         return len(self.val)
@@ -156,37 +165,6 @@ def _stack(items, axis=0) -> Traced:
 
 def _concat(items, axis=0) -> Traced:
     return _join(np.concatenate, items, axis)
-
-
-class TracedComplex:
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Traced, im: Traced):
-        self.re = re
-        self.im = im
-
-    @property
-    def T(self) -> "TracedComplex":
-        return TracedComplex(self.re.T, self.im.T)
-
-    def __len__(self) -> int:
-        return len(self.re)
-
-    def __getitem__(self, idx) -> "TracedComplex":
-        return TracedComplex(self.re[idx], self.im[idx])
-
-    def __setitem__(self, idx, other: "TracedComplex"):
-        self.re[idx] = other.re
-        self.im[idx] = other.im
-
-
-def _cconcat(items, axis=0) -> TracedComplex:
-    return TracedComplex(
-        _concat([z.re for z in items], axis), _concat([z.im for z in items], axis)
-    )
-
-
-CZERO = TracedComplex(ZERO, ZERO)
 
 
 def _quiet(fn):
@@ -362,48 +340,36 @@ class TraceBuilder:
             n = half + n % 2
         return x[..., 0]
 
-    # -- complex helpers
+    # -- complex values: a trailing (re, im) axis, which the real ops
+    # above broadcast over; a real scale r needs r[..., None]
 
-    def cinput(self, z) -> TracedComplex:
+    def cinput(self, z) -> Traced:
         # each element's real part, then its imaginary part
         z = np.asarray(z, dtype=complex)
-        t = self.input(np.stack([z.real, z.imag], axis=-1))
-        return TracedComplex(t[..., 0], t[..., 1])
+        return self.input(np.stack([z.real, z.imag], axis=-1))
 
-    def cadd(self, x: TracedComplex, y: TracedComplex) -> TracedComplex:
-        return TracedComplex(self.add(x.re, y.re), self.add(x.im, y.im))
+    def cmul(self, x: Traced, y: Traced) -> Traced:
+        # (re re, im im, re im, im re), then re re - im im and re im + im re
+        p = self.mul(x[..., [0, 1, 0, 1]], y[..., [0, 1, 1, 0]])
+        return self.add_or_sub(p[..., 0::2], p[..., 1::2], _IM)
 
-    def csub(self, x: TracedComplex, y: TracedComplex) -> TracedComplex:
-        return TracedComplex(self.sub(x.re, y.re), self.sub(x.im, y.im))
+    def conj(self, x: Traced) -> Traced:
+        return _concat([x[..., :1], self.neg(x[..., 1:])], axis=-1)
 
-    def cmul(self, x: TracedComplex, y: TracedComplex) -> TracedComplex:
-        re = self.sub(self.mul(x.re, y.re), self.mul(x.im, y.im))
-        im = self.add(self.mul(x.re, y.im), self.mul(x.im, y.re))
-        return TracedComplex(re, im)
+    def rdot(self, x: Traced, y: Traced) -> Traced:
+        """Re(x conj(y)): re re + im im."""
+        p = self.mul(x, y)
+        return self.add(p[..., 0], p[..., 1])
 
-    def conj(self, x: TracedComplex) -> TracedComplex:
-        return TracedComplex(x.re, self.neg(x.im))
+    def cabs2(self, x: Traced) -> Traced:
+        return self.rdot(x, x)
 
-    def cneg(self, x: TracedComplex) -> TracedComplex:
-        return TracedComplex(self.neg(x.re), self.neg(x.im))
-
-    def cabs2(self, x: TracedComplex) -> Traced:
-        return self.add(self.mul(x.re, x.re), self.mul(x.im, x.im))
-
-    def cscale(self, x: TracedComplex, r: Traced) -> TracedComplex:
-        return TracedComplex(self.mul(x.re, r), self.mul(x.im, r))
-
-    def cdivr(self, x: TracedComplex, r: Traced) -> TracedComplex:
-        return TracedComplex(self.div(x.re, r), self.div(x.im, r))
-
-    def ctree_sum(self, x: TracedComplex) -> TracedComplex:
-        return TracedComplex(self.tree_sum(x.re), self.tree_sum(x.im))
-
-    def cshift(self, x: TracedComplex, factor: float) -> TracedComplex:
-        return TracedComplex(self.shift(x.re, factor), self.shift(x.im, factor))
+    def ctree_sum(self, x: Traced) -> Traced:
+        """Adder tree over the element axis, the one before (re, im)."""
+        return self.tree_sum(x.swapaxes(-1, -2))
 
 
-def _reflect(tb: TraceBuilder, x: TracedComplex, label: tuple):
+def _reflect(tb: TraceBuilder, x: Traced, label: tuple):
     """Head of every Householder reflection, stages 1-4 under ``label + (stage,)``:
     norm, pivot phase, reflector numerator and normalized reflector."""
     with tb.label(label + (1,)):
@@ -416,14 +382,14 @@ def _reflect(tb: TraceBuilder, x: TracedComplex, label: tuple):
             total = sq[0]
         xnorm = tb.sqrt(total)
     with tb.label(label + (2,)), tb.overlapped():
-        phase = tb.cdivr(x[0], tb.sqrt(sq[0]))
+        phase = tb.div(x[0], tb.sqrt(sq[0])[..., None])
     with tb.label(label + (3,)):
-        v1 = tb.cadd(x[0], tb.cscale(phase, xnorm))
+        v1 = tb.add(x[0], tb.mul(phase, xnorm[..., None]))
     with tb.label(label + (4,)):
         vnsq = tb.cabs2(v1)
         if partial is not None:
             vnsq = tb.add(vnsq, partial)
-        v = tb.cdivr(_cconcat([v1[None], x[1:]]), tb.sqrt(vnsq))
+        v = tb.div(_concat([v1[None], x[1:]]), tb.sqrt(vnsq)[..., None])
     return xnorm, phase, v
 
 
@@ -444,18 +410,17 @@ def trace_tridiagonalize(tb: TraceBuilder, bmat: np.ndarray):
     # conjugates below it, and the real diagonal, whose vanished imaginary
     # part rides along as a plain zero constant so that multiplications
     # with it still price as full complex products
-    h = TracedComplex(
-        Traced(np.zeros((k, k)), np.zeros((k, k), dtype=ID)),
-        Traced(np.zeros((k, k)), np.full((k, k), -1, dtype=ID), np.zeros((k, k), np.int8)),
-    )
+    node = np.zeros((k, k, 2), dtype=ID)
+    node[..., 1] = -1
+    h = Traced(np.zeros((k, k, 2)), node, np.zeros((k, k, 2), np.int8))
 
-    def put_upper(rows, cols, z: TracedComplex):
+    def put_upper(rows, cols, z: Traced):
         h[rows, cols] = z
         h[cols, rows] = tb.conj(z)
 
     put_upper(*upper, up)
-    diag = np.diag_indices(k)
-    h.re[diag] = dg
+    diag = np.arange(k)
+    h[diag, diag, 0] = dg
 
     off = []
     for step in range(k - 1):
@@ -464,30 +429,25 @@ def trace_tridiagonalize(tb: TraceBuilder, bmat: np.ndarray):
         off.append(xnorm)
 
         with tb.label(("tridiag", step, 5)):
-            p = tb.cshift(tb.ctree_sum(tb.cmul(h[lo:, lo:], v[None, :])), 2.0)
+            p = tb.shift(tb.ctree_sum(tb.cmul(h[lo:, lo:], v[None, :])), 2.0)
 
         with tb.label(("tridiag", step, 6)):
             sdot = tb.ctree_sum(tb.cmul(tb.conj(p), v))
-            w = tb.csub(p, tb.cmul(sdot, v))
+            w = tb.sub(p, tb.cmul(sdot, v))
 
         with tb.label(("tridiag", step, 7)):
             # every entry of the trailing block is read once and replaced
-            r1 = tb.add(tb.mul(v.re, w.re), tb.mul(v.im, w.im))
-            r2 = tb.add(tb.mul(w.re, v.re), tb.mul(w.im, v.im))
-            h.re[diag[0][lo:], diag[1][lo:]] = tb.sub(tb.sub(h.re[diag][lo:], r1), r2)
+            r1, r2 = tb.rdot(v, w), tb.rdot(w, v)
+            h[diag[lo:], diag[lo:], 0] = tb.sub(tb.sub(h[diag[lo:], diag[lo:], 0], r1), r2)
             a, b = np.triu_indices(k - lo, 1)
             t1 = tb.cmul(v[a], tb.conj(w[b]))
             t2 = tb.cmul(w[a], tb.conj(v[b]))
-            put_upper(lo + a, lo + b, tb.csub(tb.csub(h[lo + a, lo + b], t1), t2))
+            put_upper(lo + a, lo + b, tb.sub(tb.sub(h[lo + a, lo + b], t1), t2))
 
         with tb.label(("tridiag", step, 8)), tb.overlapped():
-            nphase = tb.cneg(phase)
-            block = qmat[:, lo:]
-            y = tb.cshift(tb.ctree_sum(tb.cmul(block, v[None, :])), 2.0)
-            t = tb.cmul(y[:, None], tb.conj(v)[None, :])
-            qmat[:, lo:] = tb.cmul(nphase, tb.csub(block, t))
+            qmat[:, lo:] = _reflect_rows(tb, qmat[:, lo:], v, phase)
 
-    return h.re[diag], _stack(off), qmat
+    return h[diag, diag, 0], _stack(off), qmat
 
 
 # ---------------------------------------------------------------------------
@@ -665,20 +625,20 @@ def trace_qr_sweeps(tb: TraceBuilder, diag, offdiag, sweeps: int):
 # Golub-Kahan schedule
 
 
-def _reflect_rows(tb: TraceBuilder, seg: TracedComplex, v: TracedComplex, phase) -> TracedComplex:
+def _reflect_rows(tb: TraceBuilder, seg: Traced, v: Traced, phase: Traced) -> Traced:
     """Right-multiply each row of ``seg`` by a reflector:
     row <- -phase (row - 2 (row . v) v^H)."""
-    dot = tb.cshift(tb.ctree_sum(tb.cmul(seg, v[None, :])), 2.0)
-    return tb.cmul(tb.cneg(phase), tb.csub(seg, tb.cmul(dot[:, None], tb.conj(v)[None, :])))
+    dot = tb.shift(tb.ctree_sum(tb.cmul(seg, v[None, :])), 2.0)
+    return tb.cmul(tb.neg(phase), tb.sub(seg, tb.cmul(dot[:, None], tb.conj(v)[None, :])))
 
 
-def _bare_phase(tb: TraceBuilder, piv: TracedComplex, label: tuple):
+def _bare_phase(tb: TraceBuilder, piv: Traced, label: tuple):
     """Head of a one-entry reduction, stages 1-2 under ``label + (stage,)``:
     |piv| and the conjugated unit phase that maps piv onto it."""
     with tb.label(label + (1,)):
         ap = tb.sqrt(tb.cabs2(piv))
     with tb.label(label + (2,)), tb.overlapped():
-        cph = TracedComplex(tb.div(piv.re, ap), tb.neg(tb.div(piv.im, ap)))
+        cph = tb.conj(tb.div(piv, ap[..., None]))
     return ap, cph
 
 
@@ -696,13 +656,13 @@ def trace_gk_bidiagonalize(tb: TraceBuilder, amat: np.ndarray):
         col = ("gk-bidiag", j, "col")
         if m - j > 1:
             xnorm, phase, v = _reflect(tb, work[j:, j], col)
-            nphase = tb.cneg(tb.conj(phase))
+            nphase = tb.neg(tb.conj(phase))
             with tb.label(col + (5,)):
                 block = work[j:, j + 1 :]
-                dot2 = tb.cshift(tb.ctree_sum(tb.cmul(tb.conj(v)[None, :], block.T)), 2.0)
-                work[j:, j + 1 :] = tb.cmul(nphase, tb.csub(block, tb.cmul(dot2[None, :], v[:, None])))
+                dot2 = tb.shift(tb.ctree_sum(tb.cmul(tb.conj(v)[None, :], block.T)), 2.0)
+                work[j:, j + 1 :] = tb.cmul(nphase, tb.sub(block, tb.cmul(dot2[None, :], v[:, None])))
             dvals[j] = xnorm
-            work[j + 1 :, j] = CZERO
+            work[j + 1 :, j] = ZERO
             with tb.label(col + (6,)), tb.overlapped():
                 umat[:, j:] = _reflect_rows(tb, umat[:, j:], v, phase)
         else:
@@ -718,7 +678,7 @@ def trace_gk_bidiagonalize(tb: TraceBuilder, amat: np.ndarray):
             with tb.label(row + (5,)):
                 work[j:, j + 1 :] = _reflect_rows(tb, work[j:, j + 1 :], v, phase)
             evals[j] = xnorm
-            work[j, j + 2 :] = CZERO
+            work[j, j + 2 :] = ZERO
             with tb.label(row + (6,)), tb.overlapped():
                 vmat[:, j + 1 :] = _reflect_rows(tb, vmat[:, j + 1 :], v, phase)
         elif j == k - 2:
@@ -737,19 +697,15 @@ def trace_gk_sweeps(tb: TraceBuilder, dvals, evals, sweeps: int, m_rows: int):
 
     A new sweep only needs the first few updates of the previous one, so
     successive sweeps overlap naturally in the graph: each extra sweep
-    adds four rotations to the critical path. Entry c of each returned
-    accumulator holds its column c: real parts, then imaginary parts.
+    adds four rotations to the critical path. Row c of each returned
+    accumulator is its column c, complex: a real plane rotation acts on
+    both lanes alike.
     """
     d = list(dvals)
     e = list(evals)
     kk = len(d)
-    def stacked(z: TracedComplex) -> Traced:
-        # column c's real parts, then its imaginary parts: a real plane
-        # rotation acts on both alike
-        return _join(np.stack, [z.re, z.im], axis=1)
-
-    ucols = stacked(tb.cinput(np.eye(kk, m_rows)))
-    vcols = stacked(tb.cinput(np.eye(kk)))
+    ucols = tb.cinput(np.eye(kk, m_rows))
+    vcols = tb.cinput(np.eye(kk))
 
     for s in range(sweeps):
         with tb.label(("gk", s, "rot")):

@@ -290,6 +290,12 @@ def _dc_sigma_history(t):
         yield _lam_to_sigma(truncated_dc_eigen(t, iter_budget=budget).lam)
 
 
+def _reported(alg: str, k_dim: int, budget: int) -> int:
+    """The reported iteration count of a budget: times the recursion depth
+    for divide and conquer, whose budget is per secular root."""
+    return budget * max(ceil_log2(k_dim), 1) if alg == "4step-dc" else budget
+
+
 def iterations_to_mse(
     algorithm: str,
     cfg: ChannelConfig,
@@ -317,23 +323,23 @@ def iterations_to_mse(
 
     if alg == "4step-dc":
         hists = [_dc_sigma_history(tridiagonalize(gram(h))[0]) for h in channels]
-        per_budget, cap = max(ceil_log2(cfg.k), 1), f"dc budget cap {_MAX_NEWTON_ITERS}"
+        cap = f"dc budget cap {_MAX_NEWTON_ITERS}"
     elif alg == "4step-qr":
         hists = [
             map(_lam_to_sigma, qr_eigenvalue_history(tridiagonalize(gram(h))[0], sweep_cap))
             for h in channels
         ]
-        per_budget, cap = 1, f"sweep cap {sweep_cap}"
+        cap = f"sweep cap {sweep_cap}"
     else:
         hists = [gk_singular_value_history(gk_bidiagonalize(h), sweep_cap) for h in channels]
-        per_budget, cap = 1, f"sweep cap {sweep_cap}"
+        cap = f"sweep cap {sweep_cap}"
 
     # the histories are lazy: each runs only up to the first budget that meets the target
     achieved = math.inf
     for budget, estimates in enumerate(zip(*hists), start=1):
         achieved = float(np.mean([sv_mse(x, r) for x, r in zip(estimates, refs)]))
         if achieved <= mse_target:
-            return IterationSearch(budget=budget, reported=budget * per_budget)
+            return IterationSearch(budget=budget, reported=_reported(alg, cfg.k, budget))
     raise ConvergenceError(f"{cap} reached; achieved mean MSE {achieved:.3e}")
 
 
@@ -381,18 +387,23 @@ def _budget_sweep(cfg: ChannelConfig, budgets, algorithms, point) -> SweepResult
     The reference is the exact (converged) point. The x axis carries the
     raw budgets; ``meta["reported"]`` holds the reported-iteration counts
     per algorithm (budget times recursion depth for the divide-and-conquer
-    path). Every name and budget is checked before the first point runs;
-    names are resolved, so "4step" is keyed and counted as "4step-dc".
+    path), and ``meta["trials_failed"]`` each point's count of skipped
+    trials, per algorithm and under "reference". Every name and budget is
+    checked before the first point runs; names are resolved, so "4step"
+    is keyed and counted as "4step-dc".
     """
     budgets = list(budgets)
     algorithms = [_mimo_algorithm(alg) for alg in algorithms]
     if any(_mimo_budget(b) is None for b in budgets):
         raise ValidationError("sweep budgets must be integers >= 1; the exact point is the reference")
-    ref = point("exact", "4step-dc").value
-    depth = max(ceil_log2(cfg.k), 1)
-    series = {alg: [point(b, alg).value for b in budgets] for alg in algorithms}
-    reported = {alg: [b * depth if alg == "4step-dc" else b for b in budgets] for alg in algorithms}
-    return SweepResult(x=budgets, series=series, reference=ref, meta={"reported": reported})
+    ref = point("exact", "4step-dc")
+    points = {alg: [point(b, alg) for b in budgets] for alg in algorithms}
+    series = {alg: [p.value for p in pts] for alg, pts in points.items()}
+    failed = {alg: [p.trials_failed for p in pts] for alg, pts in points.items()}
+    failed["reference"] = ref.trials_failed
+    reported = {alg: [_reported(alg, cfg.k, b) for b in budgets] for alg in algorithms}
+    meta = {"reported": reported, "trials_failed": failed}
+    return SweepResult(x=budgets, series=series, reference=ref.value, meta=meta)
 
 
 def capacity_vs_iterations(

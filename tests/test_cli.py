@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parsvd.cli import emit_plot_data, main, read_matrix_text
+from parsvd.errors import ConvergenceError
 from parsvd.latency_model import BUILTIN_PROFILES, analytic_latency, total_ops
 from parsvd.mimo_harness import SweepResult
 
@@ -209,6 +210,34 @@ def test_mimo_mmimo_runs(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["4step-dc"][-1] - payload["reference"]) <= 1e-6
+
+
+def test_mimo_payloads_report_failed_trials(monkeypatch, capsys):
+    # a sweep's skipped trials are in the payload, per algorithm and
+    # budget, and for the reference
+    from parsvd import mimo_harness
+
+    def flaky(solve):
+        calls = []
+
+        def one_failure(hs, algorithm, budget):
+            calls.append(budget)
+            if budget == 2 and calls.count(2) == 1:
+                raise ConvergenceError("stalled")
+            return solve(hs, algorithm, budget)
+
+        return one_failure
+
+    for name in ("_truncated_svd", "_truncated_svd_stack"):
+        monkeypatch.setattr(mimo_harness, name, flaky(getattr(mimo_harness, name)))
+    tail = ("--trials", "2", "--budgets", "1,2", "--algs", "qr", "--format", "json")
+    for argv in (
+        ("mimo-mmimo", "--m", "8", "--k", "4") + tail,
+        ("mimo-dmimo", "--panels", "2", "--m", "8", "--k", "4", "--t", "2") + tail,
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["trials_failed"] == {"4step-qr": [0, 1], "reference": 0}
 
 
 def test_channel_config_file(tmp_path, capsys):

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from parsvd.errors import ParsvdError, ProfileError, TraceLimitError
+from parsvd.errors import DimensionError, ParsvdError, ProfileError, TraceLimitError
 from parsvd.gram_svd import HermitianMatrix, TridiagonalReal, gram, tridiagonalize
 from parsvd.latency_model import (
     BUILTIN_PROFILES,
@@ -23,7 +23,7 @@ from parsvd.latency_model import (
 )
 from parsvd.latency_model.analytic import latency_breakdown
 from parsvd.latency_model.dfg import KINDS
-from parsvd.latency_model.trace import TraceBuilder, trace_dc
+from parsvd.latency_model.trace import ZERO, TraceBuilder, trace_dc
 
 from conftest import rand_complex
 
@@ -120,6 +120,59 @@ def test_adder_tree_depth_and_census():
     est = critical_path(dfg, FP)
     assert est.critical_path == OpCount(add=3)
     assert est.ns == pytest.approx(44.730, abs=1e-9)
+
+
+def _priced(emit):
+    # census, critical-path ops and value of what ``emit(tb)`` computes
+    tb = TraceBuilder()
+    out = emit(tb)
+    tb.output(out)
+    return tb.dfg.census(), critical_path(tb.dfg, FP).critical_path, out.val.tolist()
+
+
+def test_complex_multiply_price():
+    # four products and two sums; one product and one sum on the path
+    got = _priced(lambda tb: tb.cmul(tb.cinput(1 + 2j), tb.cinput(3 - 1j)))
+    assert got == (OpCount(add=2, mul=4), OpCount(add=1, mul=1), [5.0, 5.0])
+
+
+def test_conjugate_self_product_price():
+    got = _priced(lambda tb: tb.cabs2(tb.cinput(3 + 4j)))
+    assert got == (OpCount(add=1, mul=2), OpCount(add=1, mul=1), 25.0)
+
+
+@pytest.mark.parametrize(
+    "free, want", [("conj", [1.0, -2.0]), ("shift", [2.0, 4.0])], ids=["conj", "shift"]
+)
+def test_conjugate_and_shift_are_free(free, want):
+    tb = TraceBuilder()
+    z = tb.cinput(1 + 2j)
+    out = tb.conj(z) if free == "conj" else tb.shift(z, 2.0)
+    assert len(tb.dfg) == 2  # the two inputs, nothing else
+    assert out.node.tolist() == z.node.tolist() and out.val.tolist() == want
+
+
+def test_structural_zero_imaginary_lane():
+    # a real value times a complex one: the products with the structural
+    # zero drop out, and so do the sums they fed
+    def real_times_complex(tb):
+        x = tb.cinput(2.0)
+        x[1] = ZERO
+        return tb.cmul(x, tb.cinput(1 + 1j))
+
+    assert _priced(real_times_complex) == (OpCount(mul=2), OpCount(mul=1), [2.0, 2.0])
+
+
+def test_complex_ops_price_per_element():
+    n = 5
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    census, path, val = _priced(lambda tb: tb.cmul(tb.cinput(x), tb.cinput(y)))
+    assert (census, path) == (OpCount(add=2 * n, mul=4 * n), OpCount(add=1, mul=1))
+    np.testing.assert_allclose(np.array(val) @ [1, 1j], x * y, rtol=1e-15)
+    census, path, val = _priced(lambda tb: tb.cabs2(tb.cinput(x)))
+    assert (census, path) == (OpCount(add=n, mul=2 * n), OpCount(add=1, mul=1))
+    np.testing.assert_allclose(val, np.abs(x) ** 2, rtol=1e-15)
 
 
 def test_tree_law_various_sizes():
@@ -590,6 +643,29 @@ def test_traced_graphs_pinned():
             for part in (dfg.census(), critical_path(dfg, FP), sorted(labels.items(), key=repr)):
                 h.update(repr(part).encode())
     assert h.hexdigest() == "7dc6f353016ff220fb2dd7d14494ab4b53926e4cc28a9722e27fe5ad739d7fae"
+
+
+@pytest.mark.parametrize(
+    "dims", [(8.5, 4), (4, 4.0), (True, True), (4, True), (4,), (4, 4, 4), 4, None]
+)
+def test_dims_must_be_a_pair_of_integers(dims):
+    # a float, a bool or anything but a pair is a DimensionError, as a
+    # size below 1 is, in every closed-form entry point
+    for call in (
+        lambda: total_ops("gk", dims, 1),
+        lambda: analytic_latency("4step-dc", dims, 2, FP),
+        lambda: latency_breakdown("4step-qr", dims, 2, FP),
+    ):
+        with pytest.raises(DimensionError, match="pair of integers"):
+            call()
+
+
+def test_numpy_integer_dims_are_plain_ints():
+    dims = (np.int64(12), np.int64(8))
+    for alg in ("tridiag", "4step-dc", "4step-qr", "gk"):
+        assert total_ops(alg, dims, 3) == total_ops(alg, (12, 8), 3)
+        assert analytic_latency(alg, dims, 3, FP) == analytic_latency(alg, (12, 8), 3, FP)
+        assert latency_breakdown(alg, dims, 3, FP) == latency_breakdown(alg, (12, 8), 3, FP)
 
 
 def test_k1_zero_ops():

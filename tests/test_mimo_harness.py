@@ -409,3 +409,21 @@ def test_failed_trials_are_counted(monkeypatch):
     monkeypatch.setattr(mimo_harness, "_truncated_svd", failing)
     with pytest.raises(ConvergenceError, match="every trial failed in mmimo_rate"):
         mmimo_rate(cfg)
+
+
+def test_sweep_reports_failed_trials(monkeypatch):
+    # each point's skipped trials, and the reference's, reach the sweep
+    solve = mimo_harness._truncated_svd
+    calls = []
+
+    def flaky(h, algorithm, budget):
+        calls.append((algorithm, budget))
+        if (algorithm, budget) == ("gk", 2) and calls.count(("gk", 2)) == 1:
+            raise ConvergenceError("stalled")
+        return solve(h, algorithm, budget)
+
+    monkeypatch.setattr(mimo_harness, "_truncated_svd", flaky)
+    cfg = ChannelConfig(m=16, k=4, trials=2)
+    sweep = rate_vs_iterations(cfg, [1, 2], algorithms=("gk", "4step"))
+    assert sweep.meta["trials_failed"] == {"gk": [0, 1], "4step-dc": [0, 0], "reference": 0}
+    assert sweep.meta["reported"] == {"gk": [1, 2], "4step-dc": [2, 4]}
