@@ -13,6 +13,7 @@ from .gram_svd import (
     svd_4step,
     svd_4step_stack,
     tridiagonalize,
+    tridiagonalize_stack,
     truncated_dc_eigen,
 )
 from .matrix_core import fro_norm
@@ -31,5 +32,6 @@ __all__ = [
     "svd_4step",
     "svd_4step_stack",
     "tridiagonalize",
+    "tridiagonalize_stack",
     "truncated_dc_eigen",
 ]

@@ -5,6 +5,11 @@ Householder reflections (applied in panels, with one matrix-matrix update
 of the trailing block per panel), diagonalize the tridiagonal matrix with
 a divide-and-conquer rank-1 eigensolver, then recover U, sigma, V.
 
+The reduction takes a stack of Hermitian matrices of one size, and runs
+each step once for every member, each at its own scale and with its own
+reflector (a single reduction is a stack of one); every member gets the
+bits of its reduction alone.
+
 The divide and conquer fixes every split first, top down, then merges
 bottom up one recursion level at a time. It takes a stack of tridiagonals
 of one size, whose split trees are the same, so a level holds the merges
@@ -222,41 +227,84 @@ def householder_vector(x) -> HouseholderStep:
 
     With phase = x_1/|x_1| (phase = 1 when x_1 = 0), the reflection
     P = -conj(phase) (I - 2 v v^H) maps x onto ||x|| e_1 with a real
-    nonnegative leading entry. A zero column yields a skip step.
+    nonnegative leading entry. A zero column yields a skip step. It is the
+    vector case of _householder_stack, which the reductions call.
     """
     x = as_vector(x)
-    xnorm = float(np.sqrt((x.real**2 + x.imag**2).sum()))
+    v, phase, xnorm = _householder_stack(x, np.abs(x[0]))
     if xnorm == 0.0:
         return HouseholderStep(v=None, phase=1.0 + 0.0j, xnorm=0.0, skip=True)
-    a1 = np.abs(x[0])
-    phase = x[0] / a1 if a1 > 0.0 else complex(1.0)
-    w = x.copy()
-    w[0] = x[0] + phase * xnorm
-    wnorm = float(np.sqrt((w.real**2 + w.imag**2).sum()))
-    v = w / wnorm
-    return HouseholderStep(v=v, phase=complex(phase), xnorm=xnorm, skip=False)
+    return HouseholderStep(v=v, phase=complex(phase), xnorm=float(xnorm), skip=False)
 
 
 # reflectors per panel of the blocked reduction (LAPACK's zhetrd default)
 _PANEL = 32
+# a panel's columns (v_0, w_0, v_1, w_1, ...) in the order (w_0, v_0, w_1, v_1, ...)
+_SWAP = np.arange(2 * _PANEL) ^ 1
 
 
-def _pair_swap(y: np.ndarray) -> np.ndarray:
-    """Swap the entries of each consecutive pair: (a, b, c, d) -> (b, a, d, c)."""
-    return y.reshape(-1, 2)[:, ::-1].ravel()
+def _householder_stack(x: np.ndarray, a1: np.ndarray):
+    """householder_vector of a vector x, or of every row of an (S, n)
+    stack, whose leading magnitudes |x[..., 0]| are ``a1``, as arrays: the
+    reflectors v, the phases and the norms ||x||.
+
+    Each row gets the operations of a lone vector: the squares are one
+    temporary with contiguous rows, so each row's sum runs as a lone
+    vector's does, and ||w|| sums the same squares with the first
+    replaced. A row whose norm is zero gets a finite v, which the caller
+    must not use.
+    """
+    sq = np.square(x.real) + np.square(x.imag)
+    xnorm = np.sqrt(np.add.reduce(sq, axis=-1))
+    x0 = x[..., 0]
+    # a zero pivot takes the unit phase, and a zero column a unit norm of w
+    # (a product that underflows takes the same, exact, slower path)
+    usual = np.count_nonzero(a1 * xnorm) == np.size(a1)
+    if usual:
+        phase = x0 / a1
+    else:
+        phase = np.divide(x0, a1, out=np.ones_like(x0), where=a1 > 0.0)
+    w0 = x0 + phase * xnorm
+    sq[..., 0] = np.square(w0.real) + np.square(w0.imag)
+    wnorm = np.sqrt(np.add.reduce(sq, axis=-1))
+    if not usual:
+        wnorm = np.where(wnorm == 0.0, 1.0, wnorm)
+    v = x / wnorm[..., None]
+    v[..., 0] = w0 / wnorm
+    return v, phase, xnorm
 
 
 def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
-    """Reduce a Hermitian matrix to real symmetric tridiagonal form.
+    """Reduce a Hermitian matrix to real symmetric tridiagonal form: the
+    stack of one of tridiagonalize_stack.
 
     Returns (T, Q_T) with Q_T^H B Q_T = T. Only the strictly lower
-    triangle of B and the real part of its diagonal are read: they are
-    mirrored once into a work copy, which is then updated in place, so B
-    is left unchanged. An imaginary part of the diagonal, in B or in the
-    reduced matrix, above 1e-10 of B's norm raises ValidationError. B is
-    reduced at its power-of-two scale (matrix_core.pow2_scale), so that
-    the reflector norms neither overflow nor underflow, and T is scaled
-    back exactly; Q_T does not depend on the scale.
+    triangle of B and the real part of its diagonal are read, and B is
+    left unchanged. A non-Hermitian B (HermitianMatrix.from_matrix), or an
+    imaginary part of the diagonal, in B or in the reduced matrix, above
+    1e-10 of B's norm, raises ValidationError.
+    """
+    return tridiagonalize_stack([b])[0]
+
+
+def tridiagonalize_stack(bs) -> list[tuple[TridiagonalReal, np.ndarray]]:
+    """tridiagonalize of every Hermitian matrix of a stack, reduced together.
+
+    ``bs`` is a nonempty sequence of K x K matrices or HermitianMatrix of
+    one size, else DimensionError. Each member is checked as Hermitian
+    (HermitianMatrix.from_matrix), in stack order, before any is reduced;
+    after the reduction, the first member in stack order whose diagonal,
+    in B or in the reduced matrix, has an imaginary part above 1e-10 of
+    its norm raises ValidationError. The lower triangles and real
+    diagonals are mirrored once into an (S, K, K) work copy, which is then
+    updated in place. Each member is reduced at its own power-of-two scale
+    (matrix_core.pow2_scale), so that the reflector norms neither
+    overflow nor underflow, and its T is scaled back exactly; Q_T does
+    not depend on the scale. Every step runs once for the whole stack, as
+    array expressions and one batched matrix product per member, and a
+    member whose column is already reduced (a zero column) takes an
+    identity step: each member's T and Q_T are bit for bit its reduction
+    alone.
 
     Step j reflects column j with H = I - 2 v v^H, p = 2 B v and
     w = p - (v^H p) v, so that H B H = B - v w^H - w v^H. Steps run in
@@ -271,53 +319,71 @@ def tridiagonalize(b) -> tuple[TridiagonalReal, np.ndarray]:
     commutes to the right, so all of them become one final column scaling
     of Q_T.
     """
-    if isinstance(b, HermitianMatrix):
-        bh = b
-    else:
-        bh = HermitianMatrix.from_matrix(b)
-    k = bh.dim
-    b_s, e = pow2_scale(bh.mat)
-    work = np.tril(b_s, -1)
-    work += work.conj().T
-    np.fill_diagonal(work, b_s.diagonal().real)
-    diag = np.empty(k, dtype=np.complex128)
-    off = np.zeros(k - 1, dtype=np.float64)
-    # -phase of each reflection, 1 for a skipped (zero) column
-    turn = np.ones(k - 1, dtype=np.complex128)
+    herms = [b if isinstance(b, HermitianMatrix) else HermitianMatrix.from_matrix(b) for b in bs]
+    k = one_shape((h.mat.shape for h in herms), "tridiagonalize_stack")[0]
+    scaled = [pow2_scale(h.mat) for h in herms]
+    count = len(scaled)
+    work = np.zeros((count, k, k), dtype=np.complex128)
+    lower = np.tri(k, k, -1, dtype=bool)
+    for w_i, (m_i, _) in zip(work, scaled):
+        np.copyto(w_i, m_i, where=lower)
+    work += work.conj().transpose(0, 2, 1)
+    # a lone member is reduced as a matrix rather than as a stack of one:
+    # numpy's fixed cost per call is lower on vectors than on stacks of them
+    if count == 1:
+        work = work[0]
+    lead = work.shape[:-2]
+    # a view of every member's diagonal
+    diag = work.reshape(lead + (k * k,))[..., :: k + 1]
+    diag[...] = np.reshape([m_i.diagonal().real for m_i, _ in scaled], diag.shape)
+    off = np.zeros(lead + (k - 1,))
+    phases = np.ones(lead + (k - 1,), dtype=np.complex128)
     panels = []
 
     for j0 in range(0, k - 1, _PANEL):
         j1 = min(j0 + _PANEL, k - 1)
         # column 2c holds the panel's reflector v_c, column 2c + 1 its w_c
-        vw = np.zeros((k, 2 * (j1 - j0)), dtype=np.complex128)
+        vw = np.zeros(lead + (k, 2 * (j1 - j0)), dtype=np.complex128)
         for c, j in enumerate(range(j0, j1)):
-            col = work[j:, j]
-            done = vw[j:, : 2 * c]
-            # V conj(W_j) + W conj(V_j), row j of V W^H + W V^H (empty at c = 0)
-            col -= done @ _pair_swap(done[0]).conj()
-            diag[j] = col[0]
-            step = householder_vector(col[1:])
-            off[j] = step.xnorm
-            if step.skip:
-                continue
-            v = step.v
-            turn[j] = -step.phase
-            p = work[j + 1 :, j + 1 :] @ v
-            # (V W^H + W V^H) v
-            p -= done[1:] @ _pair_swap(v.conj() @ done[1:]).conj()
+            col = work[..., j:, j]
+            done = vw[..., j + 1 :, : 2 * c]
+            swap = _SWAP[: 2 * c]
+            # each member's vector must be contiguous (take copies it so): a
+            # strided one sends BLAS to another loop, which rounds otherwise
+            if c:
+                # V conj(W_j) + W conj(V_j), row j of V W^H + W V^H, into a
+                # contiguous copy: below the diagonal, column j is not read again
+                col = col - np.matvec(vw[..., j:, : 2 * c], vw[..., j, :].take(swap, axis=-1).conj())
+                diag[..., j] = col[..., 0]
+            v, phases[..., j], off[..., j] = _householder_stack(col[..., 1:], np.abs(col[..., 1]))
+            p = np.matvec(work[..., j + 1 :, j + 1 :], v)
+            if c:
+                # (V W^H + W V^H) v
+                vd = np.matvec(done.mT, v.conj())
+                p -= np.matvec(done, vd.take(swap, axis=-1).conj())
             p *= 2.0
-            vw[j + 1 :, 2 * c] = v
-            vw[j + 1 :, 2 * c + 1] = p - np.vdot(v, p) * v
-        x = vw[j1:, 0::2] @ vw[j1:, 1::2].conj().T
-        work[j1:, j1:] -= x + x.conj().T
-        panels.append((j0, vw[None, :, 0::2]))
-    diag[k - 1] = work[k - 1, k - 1]
-    imag = np.abs(diag.imag) + np.abs(b_s.diagonal().imag)
-    if np.max(imag) > 1e-10 * fro_norm(b_s):
-        raise ValidationError("tridiagonalization produced a complex diagonal")
+            vw[..., j + 1 :, 2 * c] = v
+            np.subtract(p, np.vecdot(v, p)[..., None] * v, out=vw[..., j + 1 :, 2 * c + 1])
+            if np.count_nonzero(off[..., j]) < count:
+                # a zero column is an identity step
+                skip = (off[..., j] == 0.0)[..., None, None]
+                np.copyto(vw[..., j + 1 :, 2 * c : 2 * c + 2], 0.0, where=skip)
+        x = vw[..., j1:, 0::2] @ vw[..., j1:, 1::2].conj().mT
+        work[..., j1:, j1:] -= x + x.conj().mT
+        panels.append((j0, vw[..., 0::2].reshape(count, k, -1)))
+    # no step writes an entry of the diagonal after its own column's
+    diag, off, phases = (a.reshape(count, -1) for a in (diag, off, phases))
+    for d_i, (m_i, _) in zip(diag, scaled):
+        if np.max(np.abs(d_i.imag) + np.abs(m_i.diagonal().imag)) > 1e-10 * fro_norm(m_i):
+            raise ValidationError("tridiagonalization produced a complex diagonal")
 
-    q = _reflector_product(panels, turn[None], 1)[0]
-    return TridiagonalReal(diag=np.ldexp(diag.real, e), offdiag=np.ldexp(off, e)), q
+    # -phase of each reflection, 1 for a skipped (zero) column
+    turn = np.where(off == 0.0, 1.0, -phases)
+    q = _reflector_product(panels, turn, 1)
+    return [
+        (TridiagonalReal(diag=np.ldexp(d_i.real, e), offdiag=np.ldexp(o_i, e)), q_i)
+        for d_i, o_i, (_, e), q_i in zip(diag, off, scaled, q)
+    ]
 
 
 def _reflector_product(panels, turn: np.ndarray, offset: int) -> np.ndarray:
@@ -867,23 +933,26 @@ def svd_4step_stack(
     ``mats`` is a nonempty sequence of M x K matrices of one shape, else
     DimensionError; ``iter_budget`` and ``sv_threshold`` are svd_4step's,
     checked as svd_4step checks them, before any work. Each matrix is
-    scaled, and goes through the public gram, tridiagonalize and
-    recover_svd, on its own; the divide and conquer solves every merge of
-    a recursion level, across the stack, together. Result i is bit for bit
+    scaled, and goes through the public gram and recover_svd, on its own;
+    one tridiagonalize_stack reduces every Gram matrix, and the divide and
+    conquer solves every merge of a recursion level, across the stack,
+    together. Result i is bit for bit
     svd_4step(mats[i], iter_budget, sv_threshold=sv_threshold).
 
     A member whose own solve raises makes the whole call raise, with the
     same error type. With faults in several members, the first stage to
-    fail reports: scaling, gram and tridiagonalize run member by member,
-    in stack order; the divide and conquer reports as dc_eigen does, with
-    a level's merges ordered by size, then position in the tree, then
-    member.
+    fail reports: scaling and gram run member by member, in stack order;
+    then every Gram matrix is checked as Hermitian, in stack order, before
+    the one stacked reduction, after which the first member in stack
+    order with a complex reduced diagonal reports; the divide and conquer
+    reports as dc_eigen does, with a level's merges ordered by size, then
+    position in the tree, then member.
     """
     cap = _solve_cap(iter_budget, sv_threshold)
     mats = [as_matrix(a) for a in mats]
     one_shape((a.shape for a in mats), "svd_4step_stack")
     scaled = [pow2_scale(a) for a in mats]
-    reduced = [tridiagonalize(gram(a_s)) for a_s, _ in scaled]
+    reduced = tridiagonalize_stack([gram(a_s) for a_s, _ in scaled])
     eigs = _dc([t for t, _ in reduced], cap)
     out = []
     for (a_s, e), (_, q_t), eig in zip(scaled, reduced, eigs):

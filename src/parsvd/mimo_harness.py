@@ -23,6 +23,7 @@ from .gram_svd import (
     svd_4step,
     svd_4step_stack,
     tridiagonalize,
+    tridiagonalize_stack,
     truncated_dc_eigen,
 )
 from .gram_svd import _MAX_NEWTON_ITERS
@@ -171,13 +172,14 @@ def _truncated_svd(h, algorithm: str, budget: int | None) -> SvdResult:
 
 def _truncated_svd_stack(hs, algorithm: str, budget: int | None) -> list[SvdResult]:
     """_truncated_svd of each matrix of a stack of one shape, bit for bit,
-    with one stacked solve. For 4step-qr, gram, tridiagonalize and
-    recover_svd stay one call per matrix around it, so that no public
-    stage of the pipeline is handed a stack."""
+    with stacked solves. For 4step-qr, one tridiagonalize_stack reduces
+    every Gram matrix and one qr_fixed_sweeps_stack solves every
+    tridiagonal; gram and recover_svd, whose inputs and outputs are one
+    matrix each, stay one call per matrix."""
     if algorithm == "4step-dc" or budget is None:
         return svd_4step_stack(hs, budget)
     if algorithm == "4step-qr":
-        reduced = [tridiagonalize(gram(h)) for h in hs]
+        reduced = tridiagonalize_stack([gram(h) for h in hs])
         eigs = qr_fixed_sweeps_stack([t for t, _ in reduced], budget)
         return [recover_svd(h, eig, q_t) for h, (_, q_t), eig in zip(hs, reduced, eigs)]
     return gk_fixed_sweeps_stack(gk_bidiagonalize_stack(hs), budget)
@@ -215,8 +217,9 @@ def dmimo_capacity(
     A trial's panels are decomposed together: through one svd_4step_stack
     call where the decomposition is svd_4step (4step-dc, and every
     algorithm at "exact"), whose divide and conquer solves all of them
-    together; through one qr_fixed_sweeps_stack call between per-panel
-    reductions and recoveries for 4step-qr; and through one
+    together; through one tridiagonalize_stack and one
+    qr_fixed_sweeps_stack call between per-panel Gram matrices and
+    recoveries for 4step-qr; and through one
     gk_bidiagonalize_stack and one gk_fixed_sweeps_stack call for gk. Each
     panel still gets the bits of its own solve. A panel that fails fails
     its trial; failed trials are skipped and counted.

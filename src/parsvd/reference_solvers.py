@@ -29,6 +29,7 @@ from .gram_svd import (
     HermitianMatrix,
     SvdResult,
     TridiagonalReal,
+    _householder_stack,
     _reflector_product,
 )
 from .matrix_core import as_count, as_matrix, fro_norm, one_shape, pow2_scale
@@ -226,25 +227,6 @@ def _history(sw: _Sweeper, sweeps: int, estimate):
 # Golub-Kahan
 
 
-def _householder_stack(x: np.ndarray, a1: np.ndarray):
-    """householder_vector of every row of a contiguous (S, n) stack, n >= 2,
-    whose leading magnitudes |x[:, 0]| are ``a1``, as arrays: the
-    reflectors v, the turns -conj(phase) and the norms ||x||.
-
-    Bit for bit each row's householder_vector: the rows are contiguous, so
-    each row's sum of squares runs as a lone vector's does. A row whose norm
-    is zero gets a finite v, which the caller must not use.
-    """
-    xnorm = np.sqrt(np.add.reduce(x.real**2 + x.imag**2, axis=1))
-    x0 = x[:, 0]
-    phase = np.divide(x0, a1, out=np.ones_like(x0), where=a1 > 0.0)
-    w = x.copy()
-    w[:, 0] = x0 + phase * xnorm
-    wnorm = np.sqrt(np.add.reduce(w.real**2 + w.imag**2, axis=1))
-    wnorm[wnorm == 0.0] = 1.0
-    return w / wnorm[:, None], -np.conj(phase), xnorm
-
-
 def _reduce_first_column(block, refl, turn):
     """Left-multiply each member's ``block[i]`` in place by the unitary
     turn_i (I - 2 v_i v_i^H) that maps x = block[i, :, 0] onto
@@ -266,7 +248,8 @@ def _reduce_first_column(block, refl, turn):
             block[i] *= turn[i]
             block[i, 0, 0] = xnorm
         return
-    v, t, xnorm = _householder_stack(x, a1)
+    v, phase, xnorm = _householder_stack(x, a1)
+    t = -np.conj(phase)
     todo &= xnorm > 0.0
     # turn (block - 2 v (v^H block)), in one temporary of the block's size
     new = np.multiply(v[:, :, None], v.conj()[:, None, :] @ block)

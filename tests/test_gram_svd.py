@@ -15,6 +15,7 @@ from parsvd.gram_svd import (
     svd_4step,
     svd_4step_stack,
     tridiagonalize,
+    tridiagonalize_stack,
     truncated_dc_eigen,
 )
 from parsvd.gram_svd import (
@@ -24,9 +25,10 @@ from parsvd.gram_svd import (
     _SECULAR_TOL,
     _dc,
     _merge_level,
+    _reflector_product,
     _secular_roots,
 )
-from parsvd.matrix_core import fro_norm
+from parsvd.matrix_core import fro_norm, pow2_scale
 from parsvd.reference_solvers import gk_svd, jacobi_eigen_oracle
 
 from conftest import rand_complex, rand_hermitian
@@ -306,6 +308,135 @@ def test_tridiagonalize_extreme_scale(exp):
     np.testing.assert_array_equal(t.diag, np.ldexp(t_ref.diag, exp))
     np.testing.assert_array_equal(t.offdiag, np.ldexp(t_ref.offdiag, exp))
     np.testing.assert_array_equal(q, q_ref)
+
+
+def _lone_householder(x):
+    # householder_vector as the one-matrix reduction computed it, on scalars:
+    # (v, phase, ||x||), v None for a zero column
+    xnorm = float(np.sqrt((x.real**2 + x.imag**2).sum()))
+    if xnorm == 0.0:
+        return None, 1.0 + 0.0j, 0.0
+    a1 = np.abs(x[0])
+    phase = x[0] / a1 if a1 > 0.0 else complex(1.0)
+    w = x.copy()
+    w[0] = x[0] + phase * xnorm
+    wnorm = float(np.sqrt((w.real**2 + w.imag**2).sum()))
+    return w / wnorm, complex(phase), xnorm
+
+
+def _pair_swap(y):
+    return y.reshape(-1, 2)[:, ::-1].ravel()
+
+
+def _one_matrix_tridiagonalize(b):
+    # the blocked reduction of one matrix, step by step on vectors, that
+    # tridiagonalize_stack replaced: the bit-for-bit reference of every member
+    k = b.shape[0]
+    b_s, e = pow2_scale(b)
+    work = np.tril(b_s, -1)
+    work += work.conj().T
+    np.fill_diagonal(work, b_s.diagonal().real)
+    diag = np.empty(k, dtype=np.complex128)
+    off = np.zeros(k - 1)
+    turn = np.ones(k - 1, dtype=np.complex128)
+    panels = []
+    for j0 in range(0, k - 1, _PANEL):
+        j1 = min(j0 + _PANEL, k - 1)
+        vw = np.zeros((k, 2 * (j1 - j0)), dtype=np.complex128)
+        for c, j in enumerate(range(j0, j1)):
+            col = work[j:, j]
+            done = vw[j:, : 2 * c]
+            col -= done @ _pair_swap(done[0]).conj()
+            diag[j] = col[0]
+            v, phase, off[j] = _lone_householder(col[1:])
+            if v is None:
+                continue
+            turn[j] = -phase
+            p = work[j + 1 :, j + 1 :] @ v
+            p -= done[1:] @ _pair_swap(v.conj() @ done[1:]).conj()
+            p *= 2.0
+            vw[j + 1 :, 2 * c] = v
+            vw[j + 1 :, 2 * c + 1] = p - np.vdot(v, p) * v
+        x = vw[j1:, 0::2] @ vw[j1:, 1::2].conj().T
+        work[j1:, j1:] -= x + x.conj().T
+        panels.append((j0, vw[None, :, 0::2]))
+    diag[k - 1] = work[k - 1, k - 1]
+    q = _reflector_product(panels, turn[None], 1)[0]
+    return np.ldexp(diag.real, e), np.ldexp(off, e), q
+
+
+def _assert_members_match_lone_reductions(mats):
+    stacked = tridiagonalize_stack(mats)
+    assert len(stacked) == len(mats)
+    for i, (mat, (t, q)) in enumerate(zip(mats, stacked)):
+        d_ref, e_ref, q_ref = _one_matrix_tridiagonalize(np.asarray(mat, dtype=complex))
+        assert t.diag.tobytes() == d_ref.tobytes(), i
+        assert t.offdiag.tobytes() == e_ref.tobytes(), i
+        assert q.tobytes() == q_ref.tobytes(), i
+        lone_t, lone_q = tridiagonalize(mat)
+        assert lone_t.diag.tobytes() == d_ref.tobytes() and lone_q.tobytes() == q_ref.tobytes(), i
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL, 2 * _PANEL + 1, 100])
+def test_tridiagonalize_stack_members_match_lone_reductions(k):
+    # a mixed stack across the panel edges: Gram matrices, a Hermitian
+    # matrix with negative eigenvalues, a diagonal one (every step skips)
+    # and a nearly Hermitian one; every member's T and Q_T are the
+    # one-matrix reduction's, byte for byte
+    rng = np.random.default_rng(200 + k)
+    noisy = rand_hermitian(rng, k)
+    noise = rand_complex(rng, k, k)
+    noisy = noisy + 0.4e-12 * fro_norm(noisy) / fro_norm(noise - noise.conj().T) * (noise - noise.conj().T)
+    indefinite = rand_complex(rng, k, k)
+    mats = [
+        rand_hermitian(rng, k),
+        gram(rand_complex(rng, 2 * k, k)).mat,
+        indefinite + indefinite.conj().T,
+        np.diag(rng.standard_normal(k)).astype(complex),
+        noisy,
+    ]
+    _assert_members_match_lone_reductions(mats)
+
+
+def test_tridiagonalize_stack_skipped_reflector_beside_full_steps(rng):
+    # one member is block diagonal, so its column 3 and the first column of
+    # its second panel reduce to zero (identity steps) while its
+    # neighbours' do not
+    k = 2 * _PANEL + 5
+    skipping = np.zeros((k, k), dtype=complex)
+    for lo, hi in ((0, 4), (4, _PANEL + 1), (_PANEL + 1, k)):
+        skipping[lo:hi, lo:hi] = rand_hermitian(rng, hi - lo)
+    mats = [rand_hermitian(rng, k), skipping, rand_hermitian(rng, k)]
+    _assert_members_match_lone_reductions(mats)
+    t, _ = tridiagonalize_stack(mats)[1]
+    np.testing.assert_array_equal(t.offdiag[[3, _PANEL]], 0.0)
+
+
+def test_tridiagonalize_stack_members_keep_their_scales(rng):
+    # every member is reduced at its own power-of-two scale: T scales back
+    # exactly, and Q_T is the same at every scale
+    k = _PANEL + 7
+    b = rand_hermitian(rng, k)
+    mats = [1e-200 * b, b, 1e200 * b, rand_hermitian(rng, k)]
+    _assert_members_match_lone_reductions(mats)
+    (_, q_small), (_, q_one), (_, q_big), _ = tridiagonalize_stack([2.0**-664 * b, b, 2.0**664 * b, b])
+    assert q_small.tobytes() == q_one.tobytes() == q_big.tobytes()
+
+
+def test_tridiagonalize_stack_typed_errors(rng):
+    good = rand_hermitian(rng, 4)
+    complex_diagonal = HermitianMatrix(mat=np.diag([1.0 + 1e-3j, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        tridiagonalize_stack([good, rand_complex(rng, 4, 4)])
+    with pytest.raises(ValidationError, match="complex diagonal"):
+        tridiagonalize_stack([good, complex_diagonal, good])
+    # every member is checked as Hermitian before any is reduced
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        tridiagonalize_stack([complex_diagonal, rand_complex(rng, 4, 4)])
+    with pytest.raises(DimensionError, match="one shape"):
+        tridiagonalize_stack([good, rand_hermitian(rng, 5)])
+    with pytest.raises(DimensionError, match="one shape"):
+        tridiagonalize_stack([])
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +917,25 @@ def test_svd_4step_stack_rejects_mixed_shapes():
         svd_4step_stack([])
     with pytest.raises(ValidationError, match="sv_threshold"):
         svd_4step_stack([np.eye(3)], sv_threshold=1.0)
+
+
+def test_svd_4step_stack_mixed_scales_match_lone_solves():
+    # members far apart in scale (1e-200, 1 and 1e200) and a rank-deficient
+    # one share one stacked reduction: every field of every member is its
+    # lone svd_4step's, byte for byte
+    rng = np.random.default_rng(23)
+    mats = [
+        1e-200 * rand_complex(rng, 64, 32),
+        rand_complex(rng, 64, 32),
+        1e200 * rand_complex(rng, 64, 32),
+        rand_complex(rng, 64, 5) @ rand_complex(rng, 5, 32),
+    ]
+    for budget in (None, 2):
+        for mat, got in zip(mats, svd_4step_stack(mats, budget)):
+            want = svd_4step(mat, budget)
+            for field in ("u", "sigma", "v", "valid"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert got.diagnostics == want.diagnostics
 
 
 def _haar_columns(rng, m, k):

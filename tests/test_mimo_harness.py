@@ -194,6 +194,20 @@ def test_dmimo_matches_per_panel_loop(algorithm, budget):
         assert dmimo_capacity(cfg, t, budget, algorithm) == _dmimo_per_panel(cfg, t, budget, algorithm)
 
 
+@pytest.mark.parametrize("budget", [1, 3])
+def test_dmimo_qr_stack_members_match_lone_solves(budget):
+    # 4step-qr's panels share one stacked reduction and one stacked sweep
+    # solve; on panels far apart in scale every member is its lone
+    # decomposition, byte for byte
+    rng = np.random.default_rng(21)
+    hs = [scale * rand_complex(rng, 64, 32) for scale in (1e-60, 1.0, 1e60, 3.0)]
+    stacked = mimo_harness._truncated_svd_stack(hs, "4step-qr", budget)
+    for h, got in zip(hs, stacked):
+        want = mimo_harness._truncated_svd(h, "4step-qr", budget)
+        for field in ("u", "sigma", "v", "valid"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
 # ---------------------------------------------------------------------------
 # achievable rate
 
