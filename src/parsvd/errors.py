@@ -17,14 +17,19 @@ class ConvergenceError(ParsvdError):
     """An iterative solver failed to converge within its budget.
 
     Attributes carry the last known state so callers can diagnose:
-    ``bracket`` for secular root searches, ``history`` for sweep-based
-    solvers.
+    ``bracket`` for secular root searches, with the failing equation's
+    ascending ``poles``, its ``weights`` and the ``root`` index, so that
+    the equation can be solved again on its own (gram_svd._secular_roots);
+    ``history`` for sweep-based solvers.
     """
 
-    def __init__(self, message, bracket=None, history=None):
+    def __init__(self, message, bracket=None, history=None, poles=None, weights=None, root=None):
         super().__init__(message)
         self.bracket = bracket
         self.history = history
+        self.poles = poles
+        self.weights = weights
+        self.root = root
 
 
 class ProfileError(ParsvdError):

@@ -20,8 +20,10 @@ deflated as array expressions, and only a merge with coincident poles
 rotates them on its own; the batch's merges are then grouped by their
 number n of kept poles, and one lockstep kernel solves every secular
 root of a group as one (roots x n poles) array: a midpoint probe, then
-a bracketed two-pole rational iteration, with each root's own origin,
-bracket and pole pair, and an active set that shrinks as roots converge. One secular iteration
+a bracketed two-pole rational iteration, which bisects a root whose
+iterates cycle between the ends of its bracket, with each root's own
+origin, bracket and pole pair, and an active set that shrinks as roots
+converge. One secular iteration
 is one rational-model step; iteration counts and budgets leave the probe
 out. From the roots it recomputes the rank-1 weights (Gu & Eisenstat,
 SIAM J. Matrix Anal. Appl. 16(1), 1995), so that the eigenvectors come
@@ -465,7 +467,12 @@ def _secular_roots(
     bound d[-1] + sum(asq) is not a pole). The search starts at the middle
     of the remaining bracket, fits a two-pole rational model at the poles
     on either side, and clamps every step to the bisection bracket, so it
-    cannot escape.
+    cannot escape. Where the origin pole's weight is negligible next to
+    its neighbour's, the model can overshoot to the far side of the root
+    on every step, so that the bracket never halves: a root whose f has
+    changed sign on each of its last two steps while its bracket stayed
+    wider than half of what it was two steps before takes the bracket's
+    midpoint as its next iterate.
 
     Each root keeps its own origin, bracket and pole pair. The open roots
     are the rows of one (roots x n) array, which drops a row as its root
@@ -475,7 +482,8 @@ def _secular_roots(
     unless it has converged); the probe is setup and is not counted.
     Without a cap, a root still open after ``_MAX_NEWTON_ITERS`` iterations
     raises ConvergenceError with the bracket of the first such root (lowest
-    g, then lowest i); with one, the iterate after
+    g, then lowest i), and with its equation's poles d[g], weights asq[g]
+    and root index i; with one, the iterate after
     min(cap, ``_MAX_NEWTON_ITERS``) iterations is returned.
     """
     m, n = d.shape
@@ -506,6 +514,11 @@ def _secular_roots(
     tau_out = np.empty(m * n)
     iters = np.full(m * n, limit)
     act = every
+    # the two-cycle guard's state one and two steps back: whether f was
+    # negative, whether it had just changed sign, and the bracket's width,
+    # infinite before the first step so that the guard cannot fire early
+    neg1 = flip1 = np.zeros(m * n, dtype=bool)
+    wide1 = wide2 = np.full(m * n, np.inf)
     for it in range(1, limit + 1):
         delta = dd - tau[:, None]
         t = w / delta
@@ -513,18 +526,30 @@ def _secular_roots(
         neg = fval < 0.0
         lo = np.where(neg, tau, lo)
         hi = np.where(neg, hi, tau)
+        wide = hi - lo
         # a root that passes the f test never reads its new bracket
         with np.errstate(all="ignore"):
-            narrow = (hi - lo) <= 2.0 * _EPS * (np.abs(lo) + np.abs(hi))
+            narrow = wide <= 2.0 * _EPS * (np.abs(lo) + np.abs(hi))
         done = (np.abs(fval) <= _SECULAR_TOL * (1.0 + np.abs(t).sum(axis=1))) | narrow
         if done.any():
             tau_out[act[done]] = tau[done]
             iters[act[done]] = it
-            act, dd, w, p1, lo, hi, tau, delta, t, fval = (
-                x[~done] for x in (act, dd, w, p1, lo, hi, tau, delta, t, fval)
-            )
+            keep = np.flatnonzero(~done)
+            act = act[keep]
             if act.size == 0:
                 break
+            dd, w, p1, lo, hi, tau, delta, t, fval = (
+                x[keep] for x in (dd, w, p1, lo, hi, tau, delta, t, fval)
+            )
+            neg, wide, neg1, flip1, wide1, wide2 = (
+                x[keep] for x in (neg, wide, neg1, flip1, wide1, wide2)
+            )
+        # a model that overshoots to the far side of the root on each of
+        # the last two steps, while the bracket has not halved over them,
+        # is cycling between the bracket's ends: bisect instead
+        flip = neg != neg1
+        cycling = flip & flip1 & (wide > 0.5 * wide2)
+        neg1, flip1, wide1, wide2 = neg, flip, wide, wide1
         # two-pole rational model: the local poles keep their exact
         # weights scaled by beta to match f'; the rest is the constant c3
         s = t / delta
@@ -540,11 +565,17 @@ def _secular_roots(
         bq = c3 * (d1 + d2) + c1 + c2
         cq = c3 * d1 * d2 + c1 * d2 + c2 * d1
         tau = _rational_step(tau, lo, hi, c3, bq, cq)
+        if np.count_nonzero(cycling):
+            tau = np.where(cycling, 0.5 * (lo + hi), tau)
     if act.size:
         if cap is None:
+            g, i = divmod(int(act[0]), n)
             raise ConvergenceError(
                 f"secular root did not converge in {_MAX_NEWTON_ITERS} iterations",
                 bracket=(lo[0], hi[0]),
+                poles=d[g].copy(),
+                weights=asq[g].copy(),
+                root=i,
             )
         tau_out[act] = tau
     return origin.reshape(m, n), tau_out.reshape(m, n), iters.reshape(m, n)

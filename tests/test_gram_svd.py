@@ -564,6 +564,8 @@ def _secular_root(d, asq, i, cap):
     dd = d - d[origin]
     limit = _MAX_NEWTON_ITERS if cap is None else min(_MAX_NEWTON_ITERS, cap)
     tau = 0.5 * (lo + hi)
+    # the signs of f (True where negative) and the bracket widths so far
+    signs, widths = [], []
     for it in range(1, limit + 1):
         delta = dd - tau
         t = asq / delta
@@ -576,6 +578,15 @@ def _secular_root(d, asq, i, cap):
             hi = tau
         if (hi - lo) <= 2.0 * _EPS * (abs(lo) + abs(hi)):
             return origin, tau, it
+        signs.append(fval < 0.0)
+        widths.append(hi - lo)
+        # f changed sign on each of the last two steps while the bracket
+        # did not halve over them: the next iterate is the midpoint
+        cycling = (
+            it >= 3
+            and signs[-1] != signs[-2] != signs[-3]
+            and widths[-1] > 0.5 * widths[-3]
+        )
         s = t / delta
         fder = s.sum()
         d1 = delta[p1]
@@ -589,6 +600,8 @@ def _secular_root(d, asq, i, cap):
         cq = c3 * d1 * d2 + c1 * d2 + c2 * d1
         steps = [tau + eta for eta in _stable_quadratic(c3, bq, cq) if lo < tau + eta < hi]
         tau = min(steps, key=lambda c: abs(c - tau)) if steps else 0.5 * (lo + hi)
+        if cycling:
+            tau = 0.5 * (lo + hi)
     if cap is None:
         raise ConvergenceError(
             f"secular root did not converge in {_MAX_NEWTON_ITERS} iterations", bracket=(lo, hi)
@@ -653,27 +666,50 @@ def test_lockstep_roots_match_scalar_solves(monkeypatch, spectrum, budget):
             assert have.tobytes() == want.astype(have.dtype).tobytes()
 
 
-def test_stall_merge_raises_with_its_bracket():
-    # ROADMAP item 3's stall merge: its middle root is still open after
-    # _MAX_NEWTON_ITERS model steps, with a bracket well above 2 eps wide
+def _bisected_root(d, asq, origin, lo, hi):
+    # the root of 1 + sum asq / ((d - d[origin]) - tau) in (lo, hi), by
+    # bisection to the last representable midpoint
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if 1.0 + np.sum(asq / ((d - d[origin]) - mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_stall_merge_root_converges():
+    # ROADMAP item 1's stall merge: from step 2 on, the model's iterates
+    # alternated between the ends of the middle root's bracket, which was
+    # still (4.33e-07, 2.06e-06) after _MAX_NEWTON_ITERS steps; the
+    # two-cycle guard bisects it, and the root converges in 18 steps
     d = np.array([-1.66870738e-02, -1.79670915e-07, 9.82735371e-01, 1.0])
     u = np.array([1.0, 4.04190502e-06, 1.0, 0.0])
     rho = 0.016976349009189977
-    with pytest.raises(ConvergenceError) as err:
-        _merge_level([(d[None], u[None], np.array([rho]))], None, [DcDiagnostics()])
-    assert err.value.bracket == (4.3276538870171653e-07, 2.0614259683679092e-06)
-    # the zero weight deflates; with a cap the three kept roots return
+    [(lam, _)] = _merge_level([(d[None], u[None], np.array([rho]))], None, [DcDiagnostics()])
+    # the zero weight deflates; the three kept roots converge
     asq = rho * u[:3] * u[:3]
-    _, _, iters = _secular_roots(d[None, :3], asq[None, :], 60)
-    np.testing.assert_array_equal(iters, [[4, 50, 3]])
+    origin, tau, iters = _secular_roots(d[None, :3], asq[None, :], None)
+    np.testing.assert_array_equal(iters, [[4, 18, 3]])
+    want = _bisected_root(d[:3], asq, origin[0, 1], 4.3276538870171653e-07, 2.0614259683679092e-06)
+    # the kernel stops at |f| <= _SECULAR_TOL (1 + sum |terms|), 2e-12 of
+    # this root away from the bisected one
+    assert abs(tau[0, 1] - want) <= 1e-11 * abs(want)
+    assert lam[0, 1] == d[origin[0, 1]] + tau[0, 1]
+    # a cap above the steps taken changes nothing
+    capped = _secular_roots(d[None, :3], asq[None, :], 60)
+    for have, got in zip((origin, tau, iters), capped):
+        np.testing.assert_array_equal(have, got)
 
 
-def test_gaussian_merge_raises_with_its_bracket():
-    # ROADMAP item 1's benchmarked failure: the merge that stalls in
+def test_gaussian_merge_root_converges():
+    # ROADMAP item 1's benchmarked failure: the merge that stalled in
     # svd_4step on workloads.build("svd-gaussian", seed=51, cycle=48), its
     # 512x256 draw with BLAS at one thread; it is row 3 of a 4 x 64 kernel
-    # group, 64 kept poles with weights rho u^2. Root 11 alternates between
-    # the ends of its bracket and is still open after _MAX_NEWTON_ITERS steps
+    # group, 64 kept poles with weights rho u^2. Root 11 alternated between
+    # the ends of its bracket, still (0.0016, 0.609) after _MAX_NEWTON_ITERS
+    # steps; the two-cycle guard bisects it, and it converges in 10 steps
     d = np.array(
         [
             106.19777672691124, 110.06505073571432, 123.620504653543, 127.01169604961315,
@@ -715,13 +751,65 @@ def test_gaussian_merge_raises_with_its_bracket():
             4.31057373323159e-15
         ]
     )
+    origin, tau, iters = _secular_roots(d[None], asq[None], None)
+    want = _bisected_root(d, asq, origin[0, 11], 0.0016242733609712623, 0.6088923057406935)
+    assert abs(tau[0, 11] - want) <= 1e-12 * want
+    # the other 63 roots never trip the guard: they take the 298 steps they
+    # took before it, at most 7 each
+    assert iters[0, 11] == 10
+    assert iters.sum() == 308
+    assert np.delete(iters[0], 11).max() == 7
+
+
+# a clustered merge on which the two-cycle guard does not help: the first
+# failure of workloads.build("svd-known-defects", seed=1, cycle=0), in its
+# 256 x 128 clustered draw, captured with BLAS at one thread from the error
+# it raises (ConvergenceError.poles and .weights, root 5)
+_CLUSTERED_D = np.array(
+    [
+        0.06205237030351865, 0.062247567737319924, 0.2486109763670305, 0.2495373560970675,
+        0.5624999966322441, 0.5624999982657898, 0.9999871825559824, 0.9999999185868917,
+    ]
+)
+_CLUSTERED_ASQ = np.array(
+    [
+        0.0004487404169749392, 5.571654526837522e-29, 1.2206778407720532e-28,
+        0.0004615472055938827, 3.3598675636303743e-09, 1.337974199974099e-23,
+        1.2803428751379727e-05, 1.4095384200012462e-26,
+    ]
+)
+
+
+def test_clustered_merge_raises_with_its_equation():
+    # root 5's origin pole weighs 1.3e-23 against 3.4e-09 for its
+    # neighbour; its bracket shrinks about 2x per step and is still open
+    # after _MAX_NEWTON_ITERS steps. The error carries the bracket and the
+    # equation it failed on, ready to be solved again
+    d, asq = _CLUSTERED_D, _CLUSTERED_ASQ
     with pytest.raises(ConvergenceError) as err:
         _secular_roots(d[None], asq[None], None)
-    assert err.value.bracket == (0.0016242733609712623, 0.6088923057406935)
-    # with a cap, root 11 spends the whole budget and every other root converges
+    assert err.value.bracket == (1.7342098176925817e-09, 1.7342098215517366e-09)
+    assert err.value.root == 5
+    assert err.value.poles.tobytes() == d.tobytes()
+    assert err.value.weights.tobytes() == asq.tobytes()
     _, _, iters = _secular_roots(d[None], asq[None], 60)
-    assert iters[0, 11] == _MAX_NEWTON_ITERS
-    assert np.all(np.delete(iters[0], 11) < _MAX_NEWTON_ITERS)
+    np.testing.assert_array_equal(iters, [[7, 7, 6, 4, 3, _MAX_NEWTON_ITERS, 3, 3]])
+
+
+def test_convergence_error_names_the_first_open_root():
+    # in a group of two equations whose first one converges, the error
+    # carries the second one, and the bracket of its open root
+    rng = np.random.default_rng(3)
+    d_ok = np.sort(rng.standard_normal(8))
+    asq_ok = 0.5 * rng.random(8)
+    with pytest.raises(ConvergenceError) as alone:
+        _secular_roots(_CLUSTERED_D[None], _CLUSTERED_ASQ[None], None)
+    with pytest.raises(ConvergenceError) as err:
+        _secular_roots(np.array([d_ok, _CLUSTERED_D]), np.array([asq_ok, _CLUSTERED_ASQ]), None)
+    assert err.value.root == 5
+    assert err.value.bracket == alone.value.bracket
+    assert err.value.poles.tobytes() == _CLUSTERED_D.tobytes()
+    assert err.value.weights.tobytes() == _CLUSTERED_ASQ.tobytes()
 
 
 def test_dc_2x2_analytic():
