@@ -302,11 +302,12 @@ def tridiagonalize_stack(bs) -> list[tuple[TridiagonalReal, np.ndarray]]:
     updated in place. Each member is reduced at its own power-of-two scale
     (matrix_core.pow2_scale), so that the reflector norms neither
     overflow nor underflow, and its T is scaled back exactly; Q_T does
-    not depend on the scale. Every step runs once for the whole stack, as
-    array expressions and one batched matrix product per member, and a
+    not depend on the scale. Every step runs once for the whole stack: its
+    products are batched matrix-vector products, which BLAS runs member by
+    member on contiguous vectors, and the rest are array expressions; a
     member whose column is already reduced (a zero column) takes an
-    identity step: each member's T and Q_T are bit for bit its reduction
-    alone.
+    identity step. Each member's T and Q_T are bit for bit its reduction
+    alone, and a stack of one is reduced as a single matrix.
 
     Step j reflects column j with H = I - 2 v v^H, p = 2 B v and
     w = p - (v^H p) v, so that H B H = B - v w^H - w v^H. Steps run in
