@@ -19,6 +19,15 @@ steps per secular root, ``4step-qr`` counts tridiagonal QR sweeps, and
 after four rotations, which the dependency bookkeeping reproduces).
 ``4step-dc`` prices the no-deflation schedule, the worst case, and not
 the solver's origin probe, one secular evaluation per interior root.
+
+Cost of one query, in scalar steps: O(K * iters) for the QR and GK sweep
+paths, O(K) for the reduction paths and the D&C path, and O(log K) for
+the D&C census, which counts each distinct merge size once. Each step
+extends a path inline on its unpacked counts. The order in which paths
+are compared and the tie-break between equally long ones (below) are
+those of a step-by-step reference that extends one path per helper call
+(``tests/test_closed_form_reference.py``), and every path, ns value and
+breakdown equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -33,30 +42,19 @@ ALGORITHMS = ("tridiag", "4step", "4step-dc", "4step-qr", "gk")
 
 # path lengths are tuples (ns, add, mul, div, sqrt): tuple order makes
 # ``max`` take the longest path, and of equally long ones the one with the
-# most additions, then multiplications, divisions and square roots. Steps
-# along a path are (add, mul, div, sqrt) tuples.
-_ZERO = (0.0, 0, 0, 0, 0)
-_A1 = (1, 0, 0, 0)
-_M1 = (0, 1, 0, 0)
-_D1 = (0, 0, 1, 0)
-_AS = (1, 0, 0, 1)  # an addition, then a square root
-_M2 = (0, 2, 0, 0)
+# most additions, then multiplications, divisions and square roots
+# (``y if y > x else x`` is ``max(x, y)``). A path is extended inline on its
+# unpacked counts, and its ns term is recomputed from the new counts as
+# OpCount.ns sums them (add, mul, div, sqrt), so it does not depend on how
+# the steps were grouped. Every comparison is between the two extended
+# paths, never the paths before a shared extension, whose order rounding
+# could change. The counts are floats, exact far beyond any path here, so
+# that each extension is float arithmetic; analytic_latency returns ints.
+_ZERO = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _weights(prof: HardwareProfile) -> tuple:
     return tuple(prof.latency_ns[k] for k in OP_KINDS)
-
-
-def _plus(dep: tuple, ops: tuple, w: tuple) -> tuple:
-    """The path ``dep`` extended by the steps ``ops``, priced at the
-    latencies ``w``; the ns term is OpCount.ns of the new counts, summed in
-    the same order, so it does not depend on how the steps were grouped."""
-    _, add, mul, div, sqrt = dep
-    add += ops[0]
-    mul += ops[1]
-    div += ops[2]
-    sqrt += ops[3]
-    return (add * w[0] + mul * w[1] + div * w[2] + sqrt * w[3], add, mul, div, sqrt)
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +72,31 @@ def _tridiag_census(k_dim: int) -> OpCount:
     return OpCount(add=add, mul=mul, div=div, sqrt=sqrt)
 
 
-def _dc_census(ll: int, iters: int) -> OpCount:
-    """Merge tree over ``ll`` tridiagonal entries."""
-    if ll == 1:
-        return OpCount()
-    cut = (ll + 1) // 2
-    total = _dc_census(cut, iters) + _dc_census(ll - cut, iters)
-    # split, weight-sum tree and midpoints
-    total = total + OpCount(add=2 + (ll - 1) + ll)
-    total = total + OpCount(
-        add=(3 * ll + 10) * ll * iters,
-        mul=10 * ll * iters,
-        div=(2 * ll + 2) * ll * iters,
-        sqrt=ll * iters,
-    )
-    total = total + OpCount(add=(2 * ll - 1) * ll, mul=ll * ll, div=2 * ll * ll, sqrt=ll)
-    for half in (cut, ll - cut):
-        if half > 1:
-            # scaled squared weights, then the product with the dense half's vectors
-            total = total + OpCount(add=half * (half - 1) * ll, mul=2 * half + half * half * ll)
-    return total
+def _dc_census(k_dim: int, iters: int) -> OpCount:
+    """Merge tree over ``k_dim`` tridiagonal entries. A level of the tree
+    holds at most two merge sizes, so each distinct size is counted once."""
+    sizes = {1: (0, 0, 0, 0)}
+
+    def count(ll):
+        if ll not in sizes:
+            cut = (ll + 1) // 2
+            a1, m1, d1, s1 = count(cut)
+            a2, m2, d2, s2 = count(ll - cut)
+            # split, weight-sum tree and midpoints; the secular steps; the
+            # eigenvector entries
+            add = a1 + a2 + 2 + (ll - 1) + ll + (3 * ll + 10) * ll * iters + (2 * ll - 1) * ll
+            mul = m1 + m2 + 10 * ll * iters + ll * ll
+            div = d1 + d2 + (2 * ll + 2) * ll * iters + 2 * ll * ll
+            sqrt = s1 + s2 + ll * iters + ll
+            for half in (cut, ll - cut):
+                if half > 1:
+                    # scaled squared weights, then the product with the dense half's vectors
+                    add += half * (half - 1) * ll
+                    mul += 2 * half + half * half * ll
+            sizes[ll] = (add, mul, div, sqrt)
+        return sizes[ll]
+
+    return OpCount(*count(k_dim))
 
 
 def _qr_census(k_dim: int, sweeps: int) -> OpCount:
@@ -110,23 +113,33 @@ def _qr_census(k_dim: int, sweeps: int) -> OpCount:
 
 
 def _gk_census(m_dim: int, k_dim: int, sweeps: int) -> OpCount:
-    def step(n, width):
-        # a reflector of length n > 1, or a bare phase at n == 1, applied
-        # to ``width`` rows and columns of the work matrix and its factor
-        if n > 1:
-            return OpCount(add=2 * n + 3 + (10 * n - 2) * width, mul=2 * n + 4 + 12 * n * width,
-                           div=2 * n + 2, sqrt=3)
-        return OpCount(add=1 + 2 * width, mul=2 + 4 * width, div=2, sqrt=1)
-
-    total = OpCount()
+    add = mul = div = sqrt = 0
     for j in range(k_dim):
-        total = total + step(m_dim - j, k_dim - j - 1 + m_dim)
+        steps = [(m_dim - j, k_dim - j - 1 + m_dim)]
         if j < k_dim - 1:
             r = k_dim - 1 - j
             # a bare row phase leaves the pivot row alone
-            total = total + step(r, (m_dim - j if r > 1 else m_dim - j - 1) + k_dim)
-    per_pair = OpCount(mul=16 + 8 * (k_dim + m_dim), add=6 + 4 * (k_dim + m_dim), sqrt=2, div=4)
-    return total + per_pair.scaled((k_dim - 1) * sweeps)
+            steps.append((r, (m_dim - j if r > 1 else m_dim - j - 1) + k_dim))
+        for n, width in steps:
+            # a reflector of length n > 1, or a bare phase at n == 1, applied
+            # to ``width`` rows and columns of the work matrix and its factor
+            if n > 1:
+                add += 2 * n + 3 + (10 * n - 2) * width
+                mul += 2 * n + 4 + 12 * n * width
+                div += 2 * n + 2
+                sqrt += 3
+            else:
+                add += 1 + 2 * width
+                mul += 2 + 4 * width
+                div += 2
+                sqrt += 1
+    pairs = (k_dim - 1) * sweeps
+    return OpCount(
+        add=add + (6 + 4 * (k_dim + m_dim)) * pairs,
+        mul=mul + (16 + 8 * (k_dim + m_dim)) * pairs,
+        div=div + 4 * pairs,
+        sqrt=sqrt + 2 * pairs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +148,22 @@ def _gk_census(m_dim: int, k_dim: int, sweeps: int) -> OpCount:
 
 def _tridiag_model(k_dim: int, w: tuple):
     """Returns (d_depths, e_depths, chain_end)."""
-    d_dep = [_ZERO] * k_dim
-    e_dep: list = [None] * max(k_dim - 1, 0)
-    chain = _ZERO
-    for k1 in range(1, k_dim):
-        i = k_dim - k1
+    w0, w1, w2, w3 = w
+    d_dep = [_ZERO]
+    e_dep = []
+    a = m = v = s = 0.0
+    for i in range(k_dim - 1, 0, -1):
         # the time rows of householder_step_counts: stage 1 yields the
         # band entry, stages 1 and 3-7 make up the step
         s1 = ceil_log2(i - 1) + 2 if i >= 2 else 1
-        e_dep[k1 - 1] = _plus(chain, (s1, 1, 0, 1), w)
-        s4 = 2 if i >= 2 else 1
-        chain = _plus(chain, (s1 + s4 + 8 + 2 * ceil_log2(i), 7, 1, 2), w)
-        d_dep[k1] = chain
-    return d_dep, e_dep, chain
+        ea, em, es = a + s1, m + 1.0, s + 1.0
+        e_dep.append((ea * w0 + em * w1 + v * w2 + es * w3, ea, em, v, es))
+        a += s1 + (2 if i >= 2 else 1) + 8 + 2 * ceil_log2(i)
+        m += 7.0
+        v += 1.0
+        s += 2.0
+        d_dep.append((a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s))
+    return d_dep, e_dep, d_dep[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -155,83 +171,131 @@ def _tridiag_model(k_dim: int, w: tuple):
 
 
 def _dc_model(iters: int, d_dep: list, e_dep: list, w: tuple):
-    """Returns the final eigenvector depth of the merge tree over the inputs."""
+    """Returns the final eigenvector depth of the merge tree over the
+    inputs (at least two)."""
+    w0, w1, w2, w3 = w
+    d = list(d_dep)
 
-    def rec(ds, es):
-        ll = len(ds)
-        if ll == 1:
-            return ds[0], None
+    def merge(lo, hi):
+        # returns the (eigenvalue, eigenvector) depths of the merge over
+        # entries lo..hi-1, at least two; the split rewrites the two
+        # entries beside the cut before the halves read them
+        ll = hi - lo
+        lg = ceil_log2(ll)
         cut = (ll + 1) // 2
-        alpha = es[cut - 1]
-        dl = list(ds[:cut])
-        dl[-1] = _plus(max(dl[-1], alpha), _A1, w)
-        dr = list(ds[cut:])
-        dr[0] = _plus(max(dr[0], alpha), _A1, w)
-        lam1, q1 = rec(dl, es[: cut - 1])
-        lam2, q2 = rec(dr, es[cut:])
-        l1 = cut
+        mid = lo + cut
+        alpha = e_dep[mid - 1]
+        for i in (mid - 1, mid):
+            x = d[i]
+            _, a, m, v, s = alpha if alpha > x else x
+            a += 1.0
+            d[i] = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+        # a half of one entry is a leaf: its eigenvalue is the entry, and
+        # it has no eigenvector product
+        lam1, q1 = merge(lo, mid) if cut > 1 else (d[lo], None)
+        lam2, q2 = merge(mid, hi) if ll - cut > 1 else (d[mid], None)
 
-        lam_in = max(lam1, lam2)
-        if q1 is None and q2 is None:
-            rho = _plus(alpha, _A1, w)
+        lam_in = lam2 if lam2 > lam1 else lam1
+        if q1 is None:  # two leaves
+            _, a, m, v, s = alpha
+            a += 1.0
         else:
-            cands = []
-            if q1 is not None:
-                cands.append(_plus(q1, _M2, w))
-            if q2 is not None:
-                cands.append(_plus(q2, _M2, w))
-            if q1 is None or q2 is None:
-                cands.append(alpha)
-            rho = _plus(max(cands), (ceil_log2(ll), 0, 0, 0), w)
+            _, a, m, v, s = q1
+            m += 2.0
+            rho = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            if q2 is None:
+                other = alpha
+            else:
+                _, a, m, v, s = q2
+                m += 2.0
+                other = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = other if other > rho else rho
+            a += lg
+        rho = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
         # the start, then ``iters`` rational-model steps
-        steps = (1 + (7 + ceil_log2(ll)) * iters, 3 * iters, 4 * iters, iters)
-        lam = _plus(max(lam_in, rho), steps, w)
+        _, a, m, v, s = rho if rho > lam_in else lam_in
+        a += 1 + (7 + lg) * iters
+        m += 3 * iters
+        v += 4 * iters
+        s += iters
+        lam = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
         # the eigenvector entries, then their product with the half's vectors
-        eig = (1 + ceil_log2(ll), 1, 2, 1)
-        if l1 > 1:
-            eig = (eig[0] + ceil_log2(l1), 2, 2, 1)
-        return lam, _plus(lam, eig, w)
+        a += 1 + lg
+        if cut > 1:
+            a += ceil_log2(cut)
+            m += 2.0
+        else:
+            m += 1.0
+        v += 2.0
+        s += 1.0
+        return lam, (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
 
-    lam, q = rec(list(d_dep), list(e_dep))
-    return q if q is not None else lam
+    return merge(0, len(d))[1]
 
 
 # ---------------------------------------------------------------------------
 # QR iteration
 
 
-def _givens(x, z, w: tuple):
-    """Depths of r = sqrt(x^2 + z^2) and of (c, s) = (x, z) / r, from the
-    depths of x and z."""
-    r = _plus(max(_plus(x, _M1, w), _plus(z, _M1, w)), _AS, w)
-    return r, _plus(r, _D1, w)
-
-
 def _qr_model(k_dim: int, sweeps: int, d_dep: list, e_dep: list, w: tuple):
     """Returns the path depth of ``sweeps`` pipelined plain QR sweeps."""
+    w0, w1, w2, w3 = w
     d = list(d_dep)
     e = list(e_dep)
     for _ in range(sweeps):
         x = d[0]
-        cd_prev = None
+        cd = None
         for j in range(k_dim - 1):
+            # the rotation's second input: the band entry, or after the
+            # first rotation the bulge, the band entry times the previous
+            # rotation's (c, s)
+            z = e[j]
             if j > 0:
-                z = _plus(max(cd_prev, e[j]), _M1, w)
-                e_eff = z
-            else:
-                z = e[0]
-                e_eff = e[0]
-            r, cd = _givens(x, z, w)
+                _, a, m, v, s = z if z > cd else cd
+                m += 1.0
+                z = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            # r = sqrt(x^2 + z^2), then (c, s) = (x, z) / r
+            _, a, m, v, s = x
+            m += 1.0
+            xx = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = z
+            m += 1.0
+            zz = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = zz if zz > xx else xx
+            a += 1.0
+            s += 1.0
             if j > 0:
-                e[j - 1] = r
+                e[j - 1] = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            v += 1.0
+            cd = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
             # p1 and q1, p2 and q2 have equal depths, and so have the three
             # band entries that the rotation writes back
-            ce = _plus(max(cd, e_eff), _M1, w)
-            p1 = _plus(max(_plus(max(cd, d[j]), _M1, w), ce), _A1, w)
-            p2 = _plus(max(ce, _plus(max(cd, d[j + 1]), _M1, w)), _A1, w)
-            dj = _plus(max(_plus(max(cd, p1), _M1, w), _plus(max(cd, p2), _M1, w)), _A1, w)
-            d[j] = e[j] = d[j + 1] = x = dj
-            cd_prev = cd
+            _, a, m, v, s = z if z > cd else cd
+            m += 1.0
+            ce = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            y = d[j]
+            _, a, m, v, s = y if y > cd else cd
+            m += 1.0
+            y = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = ce if ce > y else y
+            a += 1.0
+            p1 = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            y = d[j + 1]
+            _, a, m, v, s = y if y > cd else cd
+            m += 1.0
+            y = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = y if y > ce else ce
+            a += 1.0
+            p2 = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = p1 if p1 > cd else cd
+            m += 1.0
+            y = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = p2 if p2 > cd else cd
+            m += 1.0
+            y2 = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = y2 if y2 > y else y
+            a += 1.0
+            d[j] = e[j] = d[j + 1] = x = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
     return max(d + e)
 
 
@@ -247,60 +311,115 @@ def _gk_bidiag_model(m_dim: int, k_dim: int, w: tuple):
     overlapped transform update, but its own nodes still carry weight and
     can end the critical path.
     """
-    d_dep: list = [None] * k_dim
-    e_dep: list = [None] * max(k_dim - 1, 0)
-    block = _ZERO
-    loose_end = _ZERO
-
-    # a reflector's path from its norm to the normalized vector
-    to_vector = (3, 2, 1, 1)
-
-    def reduce(n, trailing):
-        # one column or row step on a length-n vector: the depths of the
-        # band entry it produces and of the trailing block after it
-        if n == 1:
-            head, tail = (1, 1, 0, 1), (1, 1, 0, 0)
+    w0, w1, w2, w3 = w
+    d_dep = []
+    e_dep = []
+    # the counts of the trailing block's path; its own ns is never compared
+    a = m = v = s = 0.0
+    # the column steps j = 0..K-1 and, between them, the row steps
+    for t in range(2 * k_dim - 1):
+        j, row = divmod(t, 2)
+        n = k_dim - 1 - j if row else m_dim - j
+        # one column or row step on a length-n vector: the band entry it
+        # produces, then the trailing block after it, which the last column
+        # step does not have
+        a += ceil_log2(n - 1) + 2 if n > 1 else 1
+        m += 1
+        s += 1
+        (e_dep if row else d_dep).append((a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s))
+        if t == 2 * k_dim - 2:
+            break
+        if n > 1:
+            a += 7 + ceil_log2(n)  # to_vector, then the update
+            m += 5
+            v += 1
+            s += 1
         else:
-            head = (ceil_log2(n - 1) + 2, 1, 0, 1)
-            tail = (7 + ceil_log2(n), 5, 1, 1)  # to_vector, then the update
-        dep = _plus(block, head, w)
-        return dep, _plus(dep, tail, w) if trailing else block
-
-    for j in range(k_dim):
-        d_dep[j], block = reduce(m_dim - j, j < k_dim - 1)
-        if j < k_dim - 1:
-            e_dep[j], block = reduce(k_dim - 1 - j, True)
-        elif m_dim > k_dim:
-            loose_end = _plus(d_dep[j], to_vector, w)
+            a += 1
+            m += 1
+    loose_end = _ZERO
+    if m_dim > k_dim:
+        # a reflector's path from its norm to the normalized vector
+        a += 3
+        m += 2
+        v += 1
+        s += 1
+        loose_end = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
     return d_dep, e_dep, loose_end
 
 
 def _gk_sweep_model(k_dim, sweeps, d_dep, e_dep, w: tuple):
     """Returns the path depth of pipelined zero-shift bidiagonal sweeps."""
+    w0, w1, w2, w3 = w
     d = list(d_dep)
     e = list(e_dep)
     for _ in range(sweeps):
-        f = _plus(d[0], _M1, w)
-        g = _plus(max(d[0], e[0]), _M1, w)
-        c2p = None
+        _, a, m, v, s = d[0]
+        m += 1.0
+        f = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+        x = d[0]
+        y = e[0]
+        _, a, m, v, s = y if y > x else x
+        m += 1.0
+        g = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
         for j in range(k_dim - 1):
             if j > 0:
-                g = _plus(max(c2p, e[j]), _M1, w)
-                e_eff = g
+                y = e[j]
+                _, a, m, v, s = y if y > c2 else c2
+                m += 1.0
+                g = e_eff = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
             else:
-                e_eff = e[j]
-            r1, cd = _givens(f, g, w)
+                e_eff = e[0]
+            # the first rotation, of (f, g)
+            _, a, m, v, s = f
+            m += 1.0
+            x = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = g
+            m += 1.0
+            y = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = y if y > x else x
+            a += 1.0
+            s += 1.0
             if j > 0:
-                e[j - 1] = r1
-            f = _plus(max(_plus(max(cd, d[j]), _M1, w), _plus(max(cd, e_eff), _M1, w)), _A1, w)
-            e_tmp = f
-            g2 = _plus(max(cd, d[j + 1]), _M1, w)
-            dj1 = g2
-            r2, c2 = _givens(f, g2, w)
-            d[j] = r2
-            f = _plus(max(_plus(max(c2, e_tmp), _M1, w), _plus(max(c2, dj1), _M1, w)), _A1, w)
-            d[j + 1] = f
-            c2p = c2
+                e[j - 1] = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            v += 1.0
+            cd = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            y = d[j]
+            _, a, m, v, s = y if y > cd else cd
+            m += 1.0
+            x = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = e_eff if e_eff > cd else cd
+            m += 1.0
+            y = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = y if y > x else x
+            a += 1.0
+            f = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            y = d[j + 1]
+            _, a, m, v, s = y if y > cd else cd
+            m += 1.0
+            g2 = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            # the second rotation, of (f, g2)
+            _, a, m, v, s = f
+            m += 1.0
+            x = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = g2
+            m += 1.0
+            y = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = y if y > x else x
+            a += 1.0
+            s += 1.0
+            d[j] = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            v += 1.0
+            c2 = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = f if f > c2 else c2
+            m += 1.0
+            x = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = g2 if g2 > c2 else c2
+            m += 1.0
+            y = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
+            _, a, m, v, s = y if y > x else x
+            a += 1.0
+            d[j + 1] = f = (a * w0 + m * w1 + v * w2 + s * w3, a, m, v, s)
         e[k_dim - 2] = f
     return max(d + e)
 
@@ -360,7 +479,7 @@ def analytic_latency(algorithm: str, dims, iters: int, profile: HardwareProfile)
     per root, or sweeps).
     """
     _, path = _model(*_checked(algorithm, dims, iters), iters, profile)
-    return LatencyEstimate.from_path_counts(OpCount(*path[1:]), profile)
+    return LatencyEstimate.from_path_counts(OpCount(*map(int, path[1:])), profile)
 
 
 def total_ops(algorithm: str, dims, iters: int = 1) -> OpCount:

@@ -7,6 +7,7 @@ Custom profiles load from a flat key-value text file.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -27,9 +28,10 @@ class HardwareProfile:
             for kind in OP_KINDS:
                 if kind not in table:
                     raise ProfileError(f"profile {self.name!r} missing {kind}.{unit}")
-                if not table[kind] > 0:
+                # an inf or nan figure would price every path at inf or nan
+                if not (math.isfinite(table[kind]) and table[kind] > 0):
                     raise ProfileError(
-                        f"profile {self.name!r}: {kind}.{unit} must be positive, "
+                        f"profile {self.name!r}: {kind}.{unit} must be finite and positive, "
                         f"got {table[kind]!r}"
                     )
 

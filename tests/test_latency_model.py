@@ -87,6 +87,25 @@ def test_profile_zero_latency_rejected(tmp_path):
         load_profile(str(path))
 
 
+def test_profile_infinite_latency_rejected(tmp_path):
+    path = tmp_path / "inf.profile"
+    path.write_text(
+        "add.ns inf\nmul.ns 2.0\ndiv.ns 4.0\nsqrt.ns 3.0\n"
+        "add.lut 10\nmul.lut 20\ndiv.lut 30\nsqrt.lut 40\n"
+    )
+    with pytest.raises(ProfileError, match="add.ns"):
+        load_profile(str(path))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("table, key", [("latency_ns", "div.ns"), ("lut", "sqrt.lut")])
+def test_profile_non_finite_figure_rejected(bad, table, key):
+    figures = {"latency_ns": dict.fromkeys(OP_KINDS, 1.0), "lut": dict.fromkeys(OP_KINDS, 1)}
+    figures[table][key.split(".")[0]] = bad
+    with pytest.raises(ProfileError, match=key):
+        HardwareProfile(name="bad", **figures)
+
+
 def test_profile_parse_error_reports_line(tmp_path):
     path = tmp_path / "bad2.profile"
     path.write_text("add.ns 1.0\nthis-is-not-a-pair\n")
